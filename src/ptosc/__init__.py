@@ -67,11 +67,11 @@ from .probabilities import (
     probability_trace,
     projection_operator,
     survival_probability,
+    trace_probabilities,
     transition_probability,
 )
 from .states import (
     FlavourState,
-    ModeFunction,
     cprime_ket,
     cpt_bra,
     dirac_bra,
@@ -79,6 +79,7 @@ from .states import (
     mixed_basis_bra,
     mixed_basis_ket,
     mixed_basis_pair,
+    mixed_basis_states,
     pt_bra,
     tilde_bra,
     xi,

@@ -38,8 +38,8 @@ from .model import (
 from .probabilities import (
     hermitian_transition_probability,
     naive_continuation_value,
-    probability_trace,
     survival_probability,
+    trace_probabilities,
     transition_probability,
     cardioid_r,
 )
@@ -229,23 +229,22 @@ def cmd_probabilities(cfg: SweepConfig) -> int:
 
     rows = []
     for eta in cfg.etas:
-        es = None
         if "trace" in cfg.methods:
             params = cfg.params if cfg.params is not None else params_from_eta(
                 eta, REFERENCE_SUM_SQ, REFERENCE_RATIO)
             es = eigensystem(params)
-        for phase in cfg.phases:
+            ts = cfg.t0 + 2.0 * np.array(cfg.phases) / es.delta_omega
+            survival = trace_probabilities(1, 1, cfg.t0, ts, es)
+            transition = trace_probabilities(1, 2, cfg.t0, ts, es)
+        for k, phase in enumerate(cfg.phases):
             row = {"eta": eta, "phase": phase}
             for method in cfg.methods:
                 if method == "closed_form":
                     row["pt_survival"] = survival_probability(eta, phase)
                     row["pt_transition"] = transition_probability(eta, phase)
                 elif method == "trace":
-                    dt = 2.0 * phase / es.delta_omega
-                    row["trace_survival"] = probability_trace(
-                        1, 1, cfg.t0, cfg.t0 + dt, es).value
-                    row["trace_transition"] = probability_trace(
-                        1, 2, cfg.t0, cfg.t0 + dt, es).value
+                    row["trace_survival"] = survival[k]
+                    row["trace_transition"] = transition[k]
                 elif method == "hermitian":
                     herm = hermitian_transition_probability(eta, phase)
                     row["herm_survival"] = 1.0 - herm

@@ -223,7 +223,7 @@ class EigenSystem:
     def sinh_two_theta(self) -> float:
         return self.eta / self.sech_two_theta
 
-    @property
+    @cached_property
     def mixed_basis_norm(self) -> float:
         """sqrt(sech(2 theta)), applied once per ket and once per bra."""
         return math.sqrt(self.sech_two_theta)

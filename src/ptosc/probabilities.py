@@ -44,7 +44,8 @@ from .model import (
     ModelParams,
     hermitian_eigenvalues,
 )
-from .states import mixed_basis_pair
+from .oracle import tolerance_for_eta
+from .states import mixed_basis_pair, mixed_basis_states  # noqa: F401 (bench/tracing.py wraps the pair here)
 
 # Imaginary parts of traces above this signal a construction bug (an order
 # of magnitude above the trace/closed-form agreement tolerance, so rounding
@@ -71,8 +72,8 @@ class ProbabilityRecord:
 
 @dataclass(frozen=True)
 class DensityOperator:
-    """2x2 operator |ket><bra| from the mixed basis; unit trace and
-    idempotent at its own anchor time."""
+    """2x2 operator |ket><bra| from the mixed basis (a stack of them for an
+    array of anchor times); unit trace and idempotent at its anchor time."""
 
     entries: np.ndarray
     anchor_time: float
@@ -126,34 +127,57 @@ def naive_continuation_value(eta: float, phase: float) -> float:
     return -eta * eta / ((1.0 - eta) * (1.0 + eta)) * math.sin(phase) ** 2
 
 
+def _operators(i: int, t, es: EigenSystem) -> np.ndarray:
+    """Stack of |ket><bra| from the normalised mixed basis at time(s) t,
+    shape np.shape(t) + (2, 2)."""
+    kets, bras = mixed_basis_states(i, t, es)
+    return kets[..., :, None] * bras[..., None, :]
+
+
 def density_operator(i: int, t0: float, es: EigenSystem) -> DensityOperator:
     """Initial density operator for flavour i prepared at t0."""
-    _check_flavour(i)
-    ket, bra = mixed_basis_pair(i, t0, es, normalised=True)
-    return DensityOperator(np.outer(ket.components, bra.components), t0)
+    return DensityOperator(_operators(i, t0, es), t0)
 
 
 def projection_operator(j: int, t: float, es: EigenSystem) -> ProjectionOperator:
     """Final-state projector for flavour j measured at t."""
-    _check_flavour(j)
-    ket, bra = mixed_basis_pair(j, t, es, normalised=True)
-    return ProjectionOperator(np.outer(ket.components, bra.components), t)
+    return ProjectionOperator(_operators(j, t, es), t)
+
+
+def _check_time_resolution(es: EigenSystem, *times) -> None:
+    """Refuse |t| so large that one ulp of t moves a mode phase by more than
+    the trace tolerance (t0 + dt rounds dt away), and non-finite t."""
+    tol = tolerance_for_eta(es.eta)
+    for t in times:
+        t_max = abs(t) if isinstance(t, float) else np.abs(t).max(initial=0.0)  # float: no numpy call
+        bound = max(es.omega_plus, es.omega_minus) * math.ulp(t_max)
+        if not bound <= tol:
+            raise DomainError(
+                f"|t| = {t_max:.6g} resolves the mode phases only to {bound:.3e} "
+                f"> {tol:.0e}: the trace route needs smaller times")
+
+
+def trace_probabilities(i: int, j: int, t0s, ts, es: EigenSystem) -> np.ndarray:
+    """P(i -> j) = tr[rho_i(t0) pi_j(t)] as a batched matrix-product trace
+    over the broadcast shape of t0s and ts (floats or numpy arrays).
+
+    Raises DomainError for times too large to resolve dt, and NonRealTrace
+    if any imaginary part exceeds NON_REAL_TRACE_TOLERANCE; otherwise the
+    imaginary parts are checked and discarded.
+    """
+    _check_time_resolution(es, t0s, ts)
+    product = _operators(i, t0s, es) @ _operators(j, ts, es)
+    values = product[..., 0, 0] + product[..., 1, 1]
+    imag = np.abs(values.imag)
+    if (imag > NON_REAL_TRACE_TOLERANCE).any():
+        raise NonRealTrace(
+            f"tr[rho_{i}(t0) pi_{j}(t)] has imaginary part {imag.max():.3e}")
+    return values.real[()]
 
 
 def probability_trace(i: int, j: int, t0: float, t: float, es: EigenSystem) -> ProbabilityRecord:
-    """P(i -> j) = tr[rho_i(t0) pi_j(t)] as an explicit matrix-product trace.
-
-    Raises NonRealTrace if the imaginary part exceeds
-    NON_REAL_TRACE_TOLERANCE; otherwise it is checked and discarded.
-    """
-    rho = density_operator(i, t0, es)
-    pi = projection_operator(j, t, es)
-    value = np.trace(rho.entries @ pi.entries)
-    if abs(value.imag) > NON_REAL_TRACE_TOLERANCE:
-        raise NonRealTrace(
-            f"tr[rho_{i}({t0}) pi_{j}({t})] has imaginary part {value.imag:.3e}"
-        )
-    return ProbabilityRecord(i, j, t0, t, float(value.real), TRACE)
+    """trace_probabilities at one (t0, t) point, as a record."""
+    return ProbabilityRecord(i, j, t0, t, float(trace_probabilities(i, j, t0, t, es)), TRACE)
 
 
 def probability_closed_form(i: int, j: int, dt: float, es: EigenSystem) -> ProbabilityRecord:

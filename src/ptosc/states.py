@@ -26,6 +26,9 @@ Flavour indices follow the caller's labelling; for m1^2 < m2^2 they are
 mapped onto the heavy-first orientation internally (see model.EigenSystem)
 and components refer to heavy-first axes.  Negative t is allowed
 everywhere; states are evaluated eagerly at the given time.
+mixed_basis_states also takes an array of times and returns stacks of
+components of shape np.shape(t) + (2,): the batched form the trace route
+uses.
 """
 
 import cmath
@@ -35,18 +38,6 @@ import numpy as np
 
 from .inner import cpt_conjugate
 from .model import EigenSystem
-
-
-@dataclass(frozen=True)
-class ModeFunction:
-    """One plane-wave mode exp(i omega t) of the classical equations of
-    motion, d^2 xi / dt^2 = -omega^2 xi."""
-
-    branch: str  # "plus" | "minus"
-    omega: float
-
-    def at(self, t: float) -> complex:
-        return cmath.exp(1j * self.omega * t)
 
 
 @dataclass(frozen=True)
@@ -60,19 +51,28 @@ class FlavourState:
 
 
 def xi(branch: str, t: float, es: EigenSystem) -> complex:
-    """Mode phase exp(i omega_branch t); unit modulus for every t."""
-    return ModeFunction(branch, es.omega(branch)).at(t)
+    """Mode phase exp(i omega_branch t), one plane-wave mode of the
+    classical equation of motion d^2 xi / dt^2 = -omega^2 xi; unit modulus
+    for every t."""
+    return cmath.exp(1j * es.omega(branch) * t)
 
 
-def _ket_components(i: int, t: float, es: EigenSystem) -> np.ndarray:
-    c = es.canonical_flavour(i)
-    phase_plus = cmath.exp(1j * es.omega_plus * t)
-    phase_minus = cmath.exp(1j * es.omega_minus * t)
-    if c == 1:
-        return (es.cosh_theta * phase_plus) * es.e_plus \
-            + (es.sinh_theta * phase_minus) * es.e_minus
-    return (es.cosh_theta * phase_minus) * es.e_minus \
-        + (es.sinh_theta * phase_plus) * es.e_plus
+def _ket_components(i: int, t, es: EigenSystem) -> np.ndarray:
+    """Components of |fi(t)>, shape np.shape(t) + (2,); t is a float or an
+    array."""
+    plus = np.exp(1j * es.omega_plus * t)
+    minus = np.exp(1j * es.omega_minus * t)
+    if es.canonical_flavour(i) == 1:
+        w_plus, w_minus = es.cosh_theta * plus, es.sinh_theta * minus
+    else:
+        w_plus, w_minus = es.sinh_theta * plus, es.cosh_theta * minus
+    return w_plus[..., None] * es.e_plus + w_minus[..., None] * es.e_minus
+
+
+def _dot(v: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """v @ m for a stack of 2-vectors, one (1, 2) @ (2, 2) product each: that
+    rounds like a single vector's product; one (N, 2) @ (2, 2) product does not."""
+    return (v[..., None, :] @ m)[..., 0, :]
 
 
 def _scaled(components: np.ndarray, es: EigenSystem, normalised: bool) -> np.ndarray:
@@ -132,33 +132,35 @@ def cprime_ket(i: int, t: float, es: EigenSystem, normalised: bool = False) -> F
     return FlavourState(i, "cprime_ket", normalised, _scaled(comps, es, normalised))
 
 
-def mixed_basis_pair(i: int, t: float, es: EigenSystem,
-                     normalised: bool = True) -> tuple[FlavourState, FlavourState]:
-    """Ket and bra members of the orthonormal mixed basis, sharing one
-    evaluation of the underlying flavour ket: (|f1>, <f1^C'PT|) for
-    flavour 1 and (|f2^C'>, <f2^PT|) for flavour 2 (heavy-first labels)."""
+def mixed_basis_states(i: int, t, es: EigenSystem,
+                       normalised: bool = True) -> tuple[np.ndarray, np.ndarray]:
+    """Ket and bra stacks of the orthonormal mixed basis at time(s) t, each
+    of shape np.shape(t) + (2,) and sharing one evaluation of the flavour
+    ket: (|f1>, <f1^C'PT|) for flavour 1 and (|f2^C'>, <f2^PT|) for
+    flavour 2 (heavy-first labels)."""
     base = _ket_components(i, t, es)
     scale = es.mixed_basis_norm if normalised else 1.0
     if es.canonical_flavour(i) == 1:
-        ket = FlavourState(i, "ket", normalised, scale * base)
-        bra = FlavourState(i, "cpt_bra", normalised, scale * (base.conj() @ es.cpt_metric))
-    else:
-        ket = FlavourState(i, "cprime_ket", normalised, scale * (es.cprime_transpose @ base))
-        bra = FlavourState(i, "pt_bra", normalised, scale * (base.conj() * _PARITY_SIGNS))
-    return ket, bra
+        return scale * base, scale * _dot(base.conj(), es.cpt_metric)
+    return scale * _dot(base, es.cprime_transpose.T), scale * (base.conj() * _PARITY_SIGNS)
+
+
+def mixed_basis_pair(i: int, t: float, es: EigenSystem,
+                     normalised: bool = True) -> tuple[FlavourState, FlavourState]:
+    """mixed_basis_states at one time, as tagged FlavourStates."""
+    ket, bra = mixed_basis_states(i, t, es, normalised)
+    kinds = ("ket", "cpt_bra") if es.canonical_flavour(i) == 1 else ("cprime_ket", "pt_bra")
+    return (FlavourState(i, kinds[0], normalised, ket),
+            FlavourState(i, kinds[1], normalised, bra))
 
 
 def mixed_basis_ket(i: int, t: float, es: EigenSystem, normalised: bool = True) -> FlavourState:
     """The ket member of the orthonormal mixed basis: |f1(t)> for flavour 1
     and |f2^C'(t)> for flavour 2 (heavy-first labelling)."""
-    if es.canonical_flavour(i) == 1:
-        return flavour_ket(i, t, es, normalised)
-    return cprime_ket(i, t, es, normalised)
+    return mixed_basis_pair(i, t, es, normalised)[0]
 
 
 def mixed_basis_bra(i: int, t: float, es: EigenSystem, normalised: bool = True) -> FlavourState:
     """The bra member of the orthonormal mixed basis: <f1^C'PT(t)| for
     flavour 1 and <f2^PT(t)| for flavour 2 (heavy-first labelling)."""
-    if es.canonical_flavour(i) == 1:
-        return cpt_bra(i, t, es, normalised)
-    return pt_bra(i, t, es, normalised)
+    return mixed_basis_pair(i, t, es, normalised)[1]

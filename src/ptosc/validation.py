@@ -38,6 +38,7 @@ from .oracle import (
 )
 
 TWO_PI = 2.0 * math.pi
+PAIRS = ((1, 1), (1, 2), (2, 1), (2, 2))
 
 
 @dataclass(frozen=True)
@@ -73,6 +74,15 @@ class _Family:
         self.max_tol = max(self.max_tol, tol)
         self.ok = self.ok and err <= tol
         self.points += 1
+
+    def add_all(self, errs: np.ndarray, tol: float) -> None:
+        """add() for every element of an array of errors (hypot rounds like
+        add()'s scalar abs; np.abs of a complex array need not)."""
+        errs = np.hypot(np.real(errs), np.imag(errs))
+        self.max_err = max(self.max_err, float(errs.max(initial=0.0)))
+        self.max_tol = max(self.max_tol, tol)
+        self.ok = self.ok and bool((errs <= tol).all())
+        self.points += errs.size
 
     def report(self, override: float | None) -> OracleReport:
         if override is not None:
@@ -308,46 +318,44 @@ def _phases(grid: OracleGrid) -> np.ndarray:
     return np.linspace(0.0, TWO_PI, grid.n_phases)
 
 
+def _dts(grid: OracleGrid, es: EigenSystem) -> np.ndarray:  # phase = delta_omega dt / 2
+    return 2.0 * _phases(grid) / es.delta_omega
+
+
+def _closed(i: int, j: int, dts: np.ndarray, es: EigenSystem) -> np.ndarray:
+    return np.array([prob.probability_closed_form(i, j, dt, es).value for dt in dts])
+
+
 def _check_trace_vs_closed(params: ModelParams, grid: OracleGrid) -> _Family:
     fam = _Family("trace_vs_closed_form")
+    t0s = np.array(grid.t0s)
     for p, es in _systems(params, grid):
-        tol = tolerance_for_eta(es.eta)
-        for phase in _phases(grid):
-            dt = 2.0 * phase / es.delta_omega
-            for t0 in grid.t0s:
-                for i in (1, 2):
-                    for j in (1, 2):
-                        trace = prob.probability_trace(i, j, t0, t0 + dt, es).value
-                        closed = prob.probability_closed_form(i, j, dt, es).value
-                        fam.add(trace - closed, tol)
+        dts = _dts(grid, es)
+        for i, j in PAIRS:
+            trace = prob.trace_probabilities(i, j, t0s, t0s + dts[:, None], es)
+            fam.add_all(trace - _closed(i, j, dts, es)[:, None], tolerance_for_eta(es.eta))
     return fam
 
 
 def _check_brute_force(params: ModelParams, grid: OracleGrid) -> _Family:
     fam = _Family("brute_force_vs_closed_form")
+    t0 = grid.t0s[0]
     for p, es in _systems(params, grid):
-        tol = tolerance_for_eta(es.eta)
-        for phase in _phases(grid):
-            dt = 2.0 * phase / es.delta_omega
-            for i in (1, 2):
-                for j in (1, 2):
-                    brute = brute_force_probability(p, i, j, grid.t0s[0], grid.t0s[0] + dt)
-                    closed = prob.probability_closed_form(i, j, dt, es).value
-                    fam.add(brute - closed, tol)
+        dts = _dts(grid, es)
+        for i, j in PAIRS:
+            brute = brute_force_probability(p, i, j, t0, t0 + dts)
+            fam.add_all(brute - _closed(i, j, dts, es), tolerance_for_eta(es.eta))
     return fam
 
 
 def _check_unitarity(params: ModelParams, grid: OracleGrid) -> _Family:
     fam = _Family("unitarity")
     for p, es in _systems(params, grid):
-        for phase in _phases(grid):
-            dt = 2.0 * phase / es.delta_omega
-            closed = (prob.probability_closed_form(1, 1, dt, es).value
-                      + prob.probability_closed_form(1, 2, dt, es).value)
-            fam.add(closed - 1.0, 1e-12)
-            trace = (prob.probability_trace(1, 1, 0.0, dt, es).value
-                     + prob.probability_trace(1, 2, 0.0, dt, es).value)
-            fam.add(trace - 1.0, max(1e-10, tolerance_for_eta(es.eta)))
+        dts = _dts(grid, es)
+        fam.add_all(_closed(1, 1, dts, es) + _closed(1, 2, dts, es) - 1.0, 1e-12)
+        trace = (prob.trace_probabilities(1, 1, 0.0, dts, es)
+                 + prob.trace_probabilities(1, 2, 0.0, dts, es))
+        fam.add_all(trace - 1.0, max(1e-10, tolerance_for_eta(es.eta)))
     return fam
 
 
@@ -355,40 +363,34 @@ def _check_symmetry(params: ModelParams, grid: OracleGrid) -> _Family:
     fam = _Family("probability_symmetry")
     for p, es in _systems(params, grid):
         tol = 1e-12 if es.eta <= 0.95 else tolerance_for_eta(es.eta)
-        for phase in _phases(grid):
-            dt = 2.0 * phase / es.delta_omega
-            fam.add(prob.probability_closed_form(1, 2, dt, es).value
-                    - prob.probability_closed_form(2, 1, dt, es).value, 0.0)
-            fam.add(prob.probability_trace(1, 2, 0.0, dt, es).value
-                    - prob.probability_trace(2, 1, 0.0, dt, es).value, tol)
-            fam.add(prob.probability_trace(1, 1, 0.0, dt, es).value
-                    - prob.probability_trace(2, 2, 0.0, dt, es).value, tol)
+        dts = _dts(grid, es)
+        fam.add_all(_closed(1, 2, dts, es) - _closed(2, 1, dts, es), 0.0)
+        for (i, j), (k, m) in (((1, 2), (2, 1)), ((1, 1), (2, 2))):
+            fam.add_all(prob.trace_probabilities(i, j, 0.0, dts, es)
+                        - prob.trace_probabilities(k, m, 0.0, dts, es), tol)
     return fam
 
 
 def _check_time_translation(params: ModelParams, grid: OracleGrid) -> _Family:
     fam = _Family("time_translation_invariance")
-    shifts = (*grid.t0s, 100.0)
+    shifts = np.array((*grid.t0s, 100.0))
     for p, es in _systems(params, grid):
-        tol = tolerance_for_eta(es.eta)
-        for phase in _phases(grid):
-            dt = 2.0 * phase / es.delta_omega
-            values = [prob.probability_trace(1, 2, t0, t0 + dt, es).value for t0 in shifts]
-            fam.add(max(values) - min(values), tol)
+        values = prob.trace_probabilities(1, 2, shifts, shifts + _dts(grid, es)[:, None], es)
+        fam.add_all(values.max(axis=1) - values.min(axis=1), tolerance_for_eta(es.eta))
     return fam
 
 
 def _check_operators(params: ModelParams, grid: OracleGrid) -> _Family:
     fam = _Family("density_projection_operators")
+    t0s = np.array(grid.t0s)
     for p, es in _systems(params, grid):
         tol = 1e-12 if es.eta <= 0.95 else tolerance_for_eta(es.eta)
-        for t0 in grid.t0s:
-            for i in (1, 2):
-                rho = prob.density_operator(i, t0, es).entries
-                pi = prob.projection_operator(i, t0, es).entries
-                fam.add(abs(np.trace(rho) - 1.0), tol)
-                fam.add(np.abs(rho @ rho - rho).max(), tol)
-                fam.add(np.abs(pi - rho).max(), 0.0)  # same construction at equal times
+        for i in (1, 2):
+            rho = prob.density_operator(i, t0s, es).entries
+            pi = prob.projection_operator(i, t0s, es).entries
+            fam.add_all(rho[:, 0, 0] + rho[:, 1, 1] - 1.0, tol)
+            fam.add_all(np.abs(rho @ rho - rho).max(axis=(1, 2)), tol)
+            fam.add_all(np.abs(pi - rho).max(axis=(1, 2)), 0.0)  # same construction at equal times
     return fam
 
 
@@ -396,12 +398,13 @@ def _check_dirac_norm(params: ModelParams, grid: OracleGrid) -> _Family:
     fam = _Family("dirac_norm_closed_form")
     for p, es in _systems(params, grid):
         tol = 1e-12 if es.eta <= 0.95 else tolerance_for_eta(es.eta)
-        for t in grid.times:
+        brute = {i: brute_force_dirac_norm(p, i, np.array(grid.times)) for i in (1, 2)}
+        for k, t in enumerate(grid.times):
             for i in (1, 2):
                 closed = prob.dirac_norm(i, t, es)
                 contracted = inner(states.dirac_bra(i, t, es), states.flavour_ket(i, t, es))
                 fam.add(abs(contracted - closed), tol)
-                fam.add(abs(brute_force_dirac_norm(p, i, t) - closed), tol)
+                fam.add(abs(brute[i][k] - closed), tol)
     return fam
 
 
@@ -409,7 +412,8 @@ def _check_dirac_overlap(params: ModelParams, grid: OracleGrid) -> _Family:
     fam = _Family("dirac_overlap_closed_form")
     for p, es in _systems(params, grid):
         tol = 1e-12 if es.eta <= 0.95 else tolerance_for_eta(es.eta)
-        for t in grid.times:
+        brute_overlaps = brute_force_dirac_overlap(p, np.array(grid.times))
+        for t, brute in zip(grid.times, brute_overlaps):
             closed = prob.dirac_overlap(t, es)
             contracted = inner(states.dirac_bra(1, t, es), states.flavour_ket(2, t, es))
             reverse = inner(states.dirac_bra(2, t, es), states.flavour_ket(1, t, es))
@@ -417,7 +421,6 @@ def _check_dirac_overlap(params: ModelParams, grid: OracleGrid) -> _Family:
             fam.add(abs(reverse - closed.conjugate()), tol)
             # the user-basis brute force can differ by the relabelling's
             # overall state sign, so compare moduli when swapped
-            brute = brute_force_dirac_overlap(p, t)
             if es.swapped:
                 fam.add(abs(abs(brute) - abs(closed)), tol)
             else:

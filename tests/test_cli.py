@@ -141,6 +141,21 @@ class TestBadConfig:
         assert code == 2
         assert err
 
+    @pytest.mark.parametrize("t0", ["1e17", "inf", "nan"])
+    def test_trace_refuses_unresolvable_t0(self, capsys, t0):
+        # t0 + dt rounds dt away at |t0| = 1e17; inf and nan fail the same test
+        code, out, err = run(capsys, "probabilities", "--eta", "0.6", "--t0", t0,
+                             "--methods", "closed_form,trace")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    def test_large_t0_allowed_without_trace(self, capsys):
+        code, out, _ = run(capsys, "probabilities", "--eta", "0.6", "--t0", "1e17",
+                           "--methods", "closed_form")
+        assert code == 0
+        assert len(out.strip().split("\n")) == 65
+
     def test_unknown_flag_exits_two(self, capsys):
         assert run(capsys, "probabilities", "--frobnicate")[0] == 2
 

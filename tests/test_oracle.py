@@ -118,3 +118,35 @@ def test_tolerance_schedule():
     assert tolerance_for_eta(0.5) == 1e-10
     assert tolerance_for_eta(0.95) == 1e-10
     assert tolerance_for_eta(0.999) == 1e-8
+
+
+class TestTimeArrays:
+    def test_probability_over_a_time_grid_matches_single_calls(self, swapped_params):
+        t0s = np.array([-0.4, 0.0, 2.5])
+        ts = t0s + np.linspace(0.0, 6.0, 5)[:, None]
+        for i, j in ((1, 1), (1, 2), (2, 1), (2, 2)):
+            values = brute_force_probability(swapped_params, i, j, t0s, ts)
+            assert values.shape == (5, 3)
+            for index in np.ndindex(values.shape):
+                single = brute_force_probability(swapped_params, i, j, t0s[index[1]], ts[index])
+                assert values[index] == single
+
+    def test_one_spectral_solve_per_call(self, params, monkeypatch):
+        from ptosc import oracle
+
+        calls = []
+        original = oracle._spectral_data
+        monkeypatch.setattr(oracle, "_spectral_data",
+                            lambda p: calls.append(p) or original(p))
+        brute_force_probability(params, 1, 2, 0.0, np.linspace(0.0, 10.0, 64))
+        assert len(calls) == 1
+
+    def test_dirac_quantities_over_a_time_grid(self, params):
+        times = np.array([-2.0, 0.0, 3.3])
+        norms = brute_force_dirac_norm(params, 1, times)
+        overlaps = brute_force_dirac_overlap(params, times)
+        for k, t in enumerate(times):
+            assert norms[k] == brute_force_dirac_norm(params, 1, t)
+            assert overlaps[k] == brute_force_dirac_overlap(params, t)
+        np.testing.assert_allclose(brute_force_flavour_ket(params, 2, times)[1],
+                                   [0.0, 1.0], atol=1e-12)

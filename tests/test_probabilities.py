@@ -11,10 +11,14 @@ import pytest
 
 from ptosc import (
     BrokenPTPhase,
+    DomainError,
     ExceptionalPoint,
+    NonRealTrace,
     TachyonicMass,
     brute_force_probability,
     cardioid_r,
+    cprime_ket,
+    cpt_bra,
     density_operator,
     dirac_bra,
     dirac_norm,
@@ -32,7 +36,10 @@ from ptosc import (
     probability_naive_continuation,
     probability_trace,
     projection_operator,
+    pt_bra,
     survival_probability,
+    tolerance_for_eta,
+    trace_probabilities,
     transition_probability,
 )
 
@@ -311,3 +318,100 @@ def test_dirac_norm_ratio_violates_time_translation(es):
     ratio_at_zero = dirac_norm(1, dt, es) / dirac_norm(1, 0.0, es)
     ratio_shifted = dirac_norm(1, 2.0 * dt, es) / dirac_norm(1, dt, es)
     assert abs(ratio_at_zero - ratio_shifted) > 0.1
+
+
+PAIRS = ((1, 1), (1, 2), (2, 1), (2, 2))
+
+
+@st.composite
+def raw_systems(draw):
+    """Raw parameters with either diagonal ordering, p >= 0, eta in [0, 0.99]."""
+    lo = draw(st.floats(0.2, 4.0))
+    hi = lo + draw(st.floats(1e-2, 3.0))
+    eta = draw(st.floats(0.0, 0.99))
+    m1, m2 = (hi, lo) if draw(st.booleans()) else (lo, hi)
+    return make_params(m1, m2, 0.5 * eta * (hi - lo), draw(st.floats(0.0, 2.0)))
+
+
+@st.composite
+def time_grids(draw):
+    """(t0s, ts) as scalars, equal-length arrays, or an (n, 1) x (1, m) grid."""
+    times = st.floats(-40.0, 40.0)
+    shape = draw(st.sampled_from(["scalar", "vector", "grid"]))
+    if shape == "scalar":
+        return draw(times), draw(times)
+    n = draw(st.integers(1, 5))
+    t0s = np.array(draw(st.lists(times, min_size=n, max_size=n)))
+    if shape == "vector":
+        return t0s, np.array(draw(st.lists(times, min_size=n, max_size=n)))
+    ts = np.array(draw(st.lists(times, min_size=1, max_size=5)))
+    return t0s[:, None], ts[None, :]
+
+
+class TestTraceProbabilities:
+    @hyp.settings(max_examples=60, deadline=None)
+    @hyp.given(params=raw_systems(), grid=time_grids())
+    def test_shape_and_agreement_with_closed_form_and_brute_force(self, params, grid):
+        es = eigensystem(params)
+        t0s, ts = grid
+        shape = np.broadcast_shapes(np.shape(t0s), np.shape(ts))
+        dts = np.broadcast_to(np.subtract(ts, t0s), shape)
+        tol = tolerance_for_eta(es.eta)
+        for i, j in PAIRS:
+            values = trace_probabilities(i, j, t0s, ts, es)
+            assert np.shape(values) == shape
+            closed = np.vectorize(lambda dt: probability_closed_form(i, j, dt, es).value)(dts)
+            brute = brute_force_probability(params, i, j, t0s, ts)
+            assert np.abs(values - closed).max(initial=0.0) <= tol
+            assert np.abs(values - brute).max(initial=0.0) <= tol
+
+    def test_batch_equals_a_loop_over_single_points(self, es, swapped_es):
+        """Reference: per-point outer products of the normalised single-time
+        states and a 2x2 matrix-product trace, as the scalar route always
+        computed them; the batch must round identically."""
+        def operator(i, t, system):
+            if system.canonical_flavour(i) == 1:
+                ket, bra = flavour_ket(i, t, system, True), cpt_bra(i, t, system, True)
+            else:
+                ket, bra = cprime_ket(i, t, system, True), pt_bra(i, t, system, True)
+            return np.outer(ket.components, bra.components)
+
+        t0s = np.array([-3.2, 0.0, 1.7])
+        ts = t0s + np.linspace(0.0, 9.0, 7)[:, None]
+        for system in (es, swapped_es):
+            for i, j in PAIRS:
+                values = trace_probabilities(i, j, t0s, ts, system)
+                for index in np.ndindex(values.shape):
+                    rho = operator(i, t0s[index[1]], system)
+                    reference = np.trace(rho @ operator(j, ts[index], system)).real
+                    assert values[index] == reference
+                    assert probability_trace(i, j, t0s[index[1]], ts[index], system).value \
+                        == reference
+
+    def test_non_real_trace_raised_for_a_batch(self):
+        es = eigensystem(params_from_eta(0.6))
+        es.__dict__["cpt_metric"] = np.array([[1.25, 0.75j], [0.75, 1.25]])
+        with pytest.raises(NonRealTrace):
+            trace_probabilities(1, 2, 0.0, np.linspace(0.5, 3.0, 6), es)
+
+    @pytest.mark.parametrize("t0", [1e17, -1e17, math.inf, math.nan])
+    def test_unresolvable_times_refused(self, es, t0):
+        with pytest.raises(DomainError):
+            trace_probabilities(1, 2, t0, t0 + 1.0, es)
+        with pytest.raises(DomainError):
+            trace_probabilities(1, 2, 0.0, np.array([1.0, t0]), es)
+        with pytest.raises(DomainError):
+            probability_trace(1, 1, t0, 1.0, es)
+
+    def test_moderate_times_accepted(self, es):
+        # the bound omega * ulp(|t|) stays below 1e-12 up to |t| = 1e4
+        dt = half_period(es)
+        assert trace_probabilities(1, 2, -1e4, -1e4 + dt, es) == pytest.approx(0.36, abs=1e-10)
+
+    def test_density_operator_stack_matches_single_times(self, es):
+        t0s = np.array([-2.0, 0.0, 4.2])
+        for i in (1, 2):
+            stack = density_operator(i, t0s, es).entries
+            assert stack.shape == (3, 2, 2)
+            for k, t0 in enumerate(t0s):
+                np.testing.assert_array_equal(stack[k], density_operator(i, t0, es).entries)

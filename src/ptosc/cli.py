@@ -14,11 +14,13 @@ Flags override an optional ``key = value`` config file (--config).  Output
 is deterministic: fixed column order, rows in grid order, floats at 17
 significant digits, LF line endings.
 
-Exit codes: 0 success, 1 validation failure, 2 bad configuration,
-3 domain error (exceptional point / broken PT phase / tachyonic mass).
+Exit codes: 0 success, 1 validation failure, 2 bad configuration (also an
+unparsable or non-finite number, an unwritable output), 3 domain error
+(exceptional point / broken PT phase / tachyonic mass).
 """
 
 import argparse
+import functools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -82,25 +84,31 @@ class SweepConfig:
 
 # --- parsing helpers -------------------------------------------------------
 
+def _number(text: str, name: str, kind=float):
+    """A finite float (or int), else a configuration error naming the flag."""
+    try:
+        value = kind(text)
+    except ValueError:
+        raise _ConfigError(f"{name}: cannot parse {text!r} as a number") from None
+    if not math.isfinite(value):
+        raise _ConfigError(f"{name}: must be finite, got {text!r}")
+    return value
+
+
 def _parse_grid(text: str, name: str) -> list[float]:
     """A single value, a comma list, or min:max:steps."""
     text = text.strip()
-    try:
-        if ":" in text:
-            parts = text.split(":")
-            if len(parts) != 3:
-                raise _ConfigError(f"{name}: range must be min:max:steps, got {text!r}")
-            lo, hi, steps = float(parts[0]), float(parts[1]), int(parts[2])
-            if steps < 2:
-                raise _ConfigError(f"{name}: steps must be >= 2, got {steps}")
-            if not lo < hi:
-                raise _ConfigError(f"{name}: need min < max, got {lo} >= {hi}")
-            return [float(v) for v in np.linspace(lo, hi, steps)]
-        if "," in text:
-            return [float(v) for v in text.split(",")]
-        return [float(text)]
-    except ValueError as exc:
-        raise _ConfigError(f"{name}: cannot parse {text!r} ({exc})") from exc
+    if ":" not in text:
+        return [_number(v, name) for v in text.split(",")]
+    parts = text.split(":")
+    if len(parts) != 3:
+        raise _ConfigError(f"{name}: range must be min:max:steps, got {text!r}")
+    lo, hi, steps = _number(parts[0], name), _number(parts[1], name), _number(parts[2], name, int)
+    if steps < 2:
+        raise _ConfigError(f"{name}: steps must be >= 2, got {steps}")
+    if not lo < hi:
+        raise _ConfigError(f"{name}: need min < max, got {lo} >= {hi}")
+    return [float(v) for v in np.linspace(lo, hi, steps)]
 
 
 def _parse_methods(text: str) -> list[str]:
@@ -119,11 +127,9 @@ def _parse_raw_params(text: str) -> ModelParams:
     if len(parts) != 4:
         raise _ConfigError(f"--raw-params needs m1sq,m2sq,musq,p, got {text!r}")
     try:
-        return make_params(*(float(p) for p in parts))
+        return make_params(*(_number(p, "--raw-params") for p in parts))
     except DomainError as exc:
         raise _ConfigError(f"--raw-params: {exc}") from exc
-    except ValueError as exc:
-        raise _ConfigError(f"--raw-params: cannot parse {text!r}") from exc
 
 
 def _load_config(path: str) -> dict[str, str]:
@@ -179,12 +185,18 @@ def _emit(columns: list[str], rows: list[dict], fmt: str, output: str | None) ->
                 for c in columns)
             body.append("  {" + cells + "}")
         lines = ["[", ",\n".join(body), "]"]
-    text = "\n".join(lines) + "\n"
-    if output is None or output == "stdout" or output == "-":
+    _write("\n".join(lines) + "\n", output)
+
+
+def _write(text: str, output: str | None) -> None:
+    if output is None or output in ("stdout", "-"):
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(output, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
+    except OSError as exc:
+        raise _ConfigError(f"cannot write {output!r}: {exc.strerror or exc}") from exc
 
 
 # --- commands ----------------------------------------------------------------
@@ -195,7 +207,7 @@ def _resolve_probabilities(args: argparse.Namespace) -> SweepConfig:
     cfg = SweepConfig()
     cfg.methods = _parse_methods(merged["methods"] or "closed_form,hermitian")
     cfg.phases = _parse_grid(merged["phase"] or f"0:{TWO_PI!r}:64", "--phase")
-    cfg.t0 = float(merged["t0"] or 0.0)
+    cfg.t0 = _number(merged["t0"] or "0", "--t0")
     cfg.fmt = merged["format"] or "csv"
     if cfg.fmt not in ("csv", "json"):
         raise _ConfigError(f"--format must be csv or json, got {cfg.fmt!r}")
@@ -260,7 +272,7 @@ def _resolve_masses(args: argparse.Namespace) -> SweepConfig:
     merged = _merged(args, ("eta", "ratio", "format", "output"))
     cfg = SweepConfig()
     cfg.etas = _parse_grid(merged["eta"] or "0:2:81", "--eta")
-    cfg.ratio = float(merged["ratio"] or 0.5)
+    cfg.ratio = _number(merged["ratio"] or "0.5", "--ratio")
     if not 0.0 < cfg.ratio < 1.0:
         raise _ConfigError(f"--ratio must lie in (0, 1), got {cfg.ratio}")
     if any(eta < 0.0 for eta in cfg.etas):
@@ -341,7 +353,7 @@ def _resolve_validate(args: argparse.Namespace) -> SweepConfig:
         if any(not 0.0 <= eta < 1.0 - EXCEPTIONAL_POINT_BAND for eta in cfg.etas):
             raise _ConfigError("validation grid requires 0 <= eta < 1")
     if merged["tolerance"] is not None:
-        cfg.tolerance = float(merged["tolerance"])
+        cfg.tolerance = _number(merged["tolerance"], "--tolerance")
         if cfg.tolerance <= 0.0:
             raise _ConfigError(f"--tolerance must be positive, got {cfg.tolerance}")
     return cfg
@@ -381,16 +393,13 @@ def cmd_validate(cfg: SweepConfig) -> int:
         lines.append(f"{n_pass}/{len(reports)} checks passed")
         text = "\n".join(lines) + "\n"
 
-    if cfg.output is None or cfg.output in ("stdout", "-"):
-        sys.stdout.write(text)
-    else:
-        with open(cfg.output, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+    _write(text, cfg.output)
     return 0 if all(rep.passed for rep in reports) else 1
 
 
 # --- entry point -------------------------------------------------------------
 
+@functools.cache  # built once per process: parsing does not change it
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ptosc",

@@ -12,14 +12,16 @@ alone; momentum enters only through the mode frequencies.
 
 The conjugation tag on a CoStateVector is metadata for error messages and
 test assertions; no arithmetic branches on it.  Functions accept either
-the wrapper types or bare length-2 arrays.
+the wrapper types or bare arrays: a length-2 vector, or a (..., 2) stack
+of them (and an array of eta for the C'PT maps) that broadcast together
+and are contracted pairwise, each pair rounded as a single call rounds it.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import cprime_matrix, parity_matrix
+from .model import _dot, _unbox, cprime_matrix, parity_matrix
 
 
 @dataclass(frozen=True)
@@ -49,17 +51,19 @@ def dirac_dagger(v) -> CoStateVector:
 
 def pt_conjugate(v) -> CoStateVector:
     """PT conjugate v^dag P."""
-    return CoStateVector(_components(v).conj() @ parity_matrix(), "pt")
+    return CoStateVector(_dot(_components(v).conj(), parity_matrix()), "pt")
 
 
-def cpt_conjugate(eta: float, v) -> CoStateVector:
+def cpt_conjugate(eta, v) -> CoStateVector:
     """C'PT conjugate v^dag C' P; raises ExceptionalPoint at eta = 1."""
-    return CoStateVector(_components(v).conj() @ cprime_matrix(eta) @ parity_matrix(), "cpt")
+    bra = _dot(_dot(_components(v).conj(), cprime_matrix(eta)), parity_matrix())
+    return CoStateVector(bra, "cpt")
 
 
 def inner(bra, ket) -> complex:
-    """Row-times-column contraction of a co-vector with a ket."""
-    return complex(np.dot(_components(bra), _components(ket)))
+    """Row-times-column contraction of a co-vector with a ket (one np.dot
+    per pair of a stack)."""
+    return _unbox((_components(bra)[..., None, :] @ _components(ket)[..., :, None])[..., 0, 0])
 
 
 def dirac_inner(u, v) -> complex:
@@ -70,5 +74,5 @@ def pt_inner(u, v) -> complex:
     return inner(pt_conjugate(u), v)
 
 
-def cpt_inner(eta: float, u, v) -> complex:
+def cpt_inner(eta, u, v) -> complex:
     return inner(cpt_conjugate(eta, u), v)

@@ -32,6 +32,10 @@ The eigenvector formulas assume the heavier diagonal entry comes first.
 For m1^2 < m2^2 the eigensystem is built in the heavy-first orientation and
 ``swapped`` records that flavour indices 1 and 2 must be exchanged; all
 observable probabilities are symmetric under that relabelling.
+
+The matrix and eigenvalue functions also take ModelParams with equal-shape
+array fields (or an array of eta), each element rounded as one point is;
+one point is the shape-() batch and returns the same types as always.
 """
 
 import math
@@ -62,7 +66,7 @@ LinearOperator = np.ndarray
 class ModelParams:
     """Validated inputs: two diagonal squared masses, the mixing scale
     squared and the momentum magnitude (natural units, consistent but
-    arbitrary).  Use :func:`make_params` to construct."""
+    arbitrary).  make_params builds one; equal-shape arrays make a batch."""
 
     m1_sq: float
     m2_sq: float
@@ -116,16 +120,39 @@ def params_from_eta(eta: float, sum_sq: float = 3.0, ratio: float = 1.0 / 3.0,
     return make_params(m1_sq, m2_sq, mu_sq, p)
 
 
+def _unbox(x):
+    """A shape-() result as the Python number a single-point call returns."""
+    return x.item() if x.ndim == 0 else x
+
+
+def _dot(v: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """v @ m for a stack of 2-vectors, one (1, 2) @ (2, 2) product each: that
+    rounds like a single vector's product; one (N, 2) @ (2, 2) product does not."""
+    return (v[..., None, :] @ m)[..., 0, :]
+
+
+def _cmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x * y rounded as a Python or numpy-scalar complex product; numpy's
+    array product may fuse the multiply-adds and round apart."""
+    out = np.empty(np.broadcast_shapes(x.shape, y.shape), dtype=complex)
+    out.real, out.imag = x.real * y.real - x.imag * y.imag, x.real * y.imag + x.imag * y.real
+    return out
+
+
+def _matrix(a, b, c, d) -> LinearOperator:
+    """[[a, b], [c, d]], batched over the entries' common shape."""
+    m = np.array([[a, b], [c, d]], dtype=float)
+    return m.transpose(*range(2, m.ndim), 0, 1)
+
+
 def mass_matrix(params: ModelParams) -> LinearOperator:
     """The non-Hermitian squared mass matrix [[m1^2, mu^2], [-mu^2, m2^2]]."""
-    return np.array([[params.m1_sq, params.mu_sq],
-                     [-params.mu_sq, params.m2_sq]], dtype=float)
+    return _matrix(params.m1_sq, params.mu_sq, -params.mu_sq, params.m2_sq)
 
 
 def hermitian_mass_matrix(params: ModelParams) -> LinearOperator:
     """The Hermitian comparison matrix [[m1^2, mu^2], [mu^2, m2^2]]."""
-    return np.array([[params.m1_sq, params.mu_sq],
-                     [params.mu_sq, params.m2_sq]], dtype=float)
+    return _matrix(params.m1_sq, params.mu_sq, params.mu_sq, params.m2_sq)
 
 
 def parity_matrix() -> LinearOperator:
@@ -133,25 +160,27 @@ def parity_matrix() -> LinearOperator:
     return np.diag([1.0, -1.0])
 
 
-def _reject_exceptional_and_broken(eta: float, what: str) -> None:
-    if eta > 1.0:
-        raise BrokenPTPhase(f"eta = {eta:.6g} > 1: complex eigenvalues, {what} undefined")
-    if eta >= 1.0 - EXCEPTIONAL_POINT_BAND:
-        raise ExceptionalPoint(f"eta = {eta:.17g} is at the exceptional point; {what} diverges")
+def _reject_exceptional_and_broken(eta, what: str) -> None:
+    if np.count_nonzero(eta > 1.0):
+        raise BrokenPTPhase(f"eta = {np.max(eta):.6g} > 1: complex eigenvalues, {what} undefined")
+    if np.count_nonzero(eta >= 1.0 - EXCEPTIONAL_POINT_BAND):
+        raise ExceptionalPoint(
+            f"eta = {np.max(eta):.17g} is at the exceptional point; {what} diverges")
 
 
-def cprime_matrix(eta: float) -> LinearOperator:
-    """The C' symmetry matrix [[1, -eta], [eta, -1]] / sqrt(1 - eta^2).
+def cprime_matrix(eta) -> LinearOperator:
+    """The C' symmetry matrix [[1, -eta], [eta, -1]] / sqrt(1 - eta^2), for
+    each element of an eta array too.
 
     Satisfies (C')^2 = 1, (C' P)^T = C' P, and C'^T M^2 C'^T = M^2 for the
     heavy-first orientation of the mass matrix.  The operator acting on
     kets is C'^T, with C'^T e_+ = e_+ and C'^T e_- = -e_-.
     """
-    if eta < 0.0:
-        raise NegativeMixing(f"eta must be non-negative, got {eta}")
+    if np.count_nonzero(eta < 0.0):
+        raise NegativeMixing(f"eta must be non-negative, got {np.min(eta)}")
     _reject_exceptional_and_broken(eta, "C'")
-    s = math.sqrt((1.0 - eta) * (1.0 + eta))
-    return np.array([[1.0, -eta], [eta, -1.0]]) / s
+    s = np.sqrt((1.0 - eta) * (1.0 + eta))
+    return _matrix(1.0 / s, -eta / s, eta / s, -1.0 / s)
 
 
 def pt_eigenvalues(params: ModelParams) -> tuple[float, float]:
@@ -160,11 +189,12 @@ def pt_eigenvalues(params: ModelParams) -> tuple[float, float]:
     Valid for 0 <= eta <= 1; at eta = 1 both equal (m1^2 + m2^2) / 2.
     """
     eta = params.eta
-    if eta > 1.0:
-        raise BrokenPTPhase(f"eta = {eta:.6g} > 1: the squared-mass eigenvalues are complex")
+    if np.count_nonzero(eta > 1.0):
+        raise BrokenPTPhase(
+            f"eta = {np.max(eta):.6g} > 1: the squared-mass eigenvalues are complex")
     sigma = 0.5 * (params.m1_sq + params.m2_sq)
-    half_split = 0.5 * abs(params.m1_sq - params.m2_sq) * math.sqrt((1.0 - eta) * (1.0 + eta))
-    return sigma + half_split, sigma - half_split
+    half_split = 0.5 * abs(params.m1_sq - params.m2_sq) * np.sqrt((1.0 - eta) * (1.0 + eta))
+    return _unbox(sigma + half_split), _unbox(sigma - half_split)
 
 
 def hermitian_eigenvalues(params: ModelParams) -> tuple[float, float]:
@@ -175,8 +205,8 @@ def hermitian_eigenvalues(params: ModelParams) -> tuple[float, float]:
     """
     sigma = 0.5 * (params.m1_sq + params.m2_sq)
     diff = params.m1_sq - params.m2_sq
-    half_split = 0.5 * math.sqrt(diff * diff + 4.0 * params.mu_sq * params.mu_sq)
-    return sigma + half_split, sigma - half_split
+    half_split = 0.5 * np.sqrt(diff * diff + 4.0 * params.mu_sq * params.mu_sq)
+    return _unbox(sigma + half_split), _unbox(sigma - half_split)
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BrokenPTPhase, DomainError, NonRealTrace
-from .model import ModelParams, mass_matrix, parity_matrix
+from .model import ModelParams, _cmul, _dot, mass_matrix, parity_matrix
 
 # Eigenvalues whose imaginary part exceeds this (relative to the matrix
 # scale) are classified as the broken-PT regime by the probability path.
@@ -56,35 +56,35 @@ class OracleReport:
 
 
 def numeric_eigensystem(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues and unit-norm eigenvectors of a 2x2 matrix from its
-    characteristic polynomial.
+    """Eigenvalues and unit-norm eigenvectors of a 2x2 matrix, or of each
+    matrix of a (..., 2, 2) stack, from the characteristic polynomial.
 
-    Returns (eigenvalues, eigenvectors) with eigenvectors as columns, each
-    paired with the corresponding eigenvalue.  Complex eigenvalues are
-    returned as-is; at a defective (double) eigenvalue the two returned
-    columns coalesce onto the single eigendirection.
+    Returns (eigenvalues, eigenvectors), shapes (..., 2) and (..., 2, 2),
+    eigenvectors as columns paired with the eigenvalues.  Complex
+    eigenvalues are returned as-is; at a defective (double) eigenvalue the
+    two returned columns coalesce onto the single eigendirection.
     """
     a = np.asarray(matrix, dtype=complex)
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise DomainError("matrix entries must be finite")
-    trace = a[0, 0] + a[1, 1]
-    det = a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
-    disc = np.sqrt(complex(trace * trace - 4.0 * det))
-    eigenvalues = np.array([(trace + disc) / 2.0, (trace - disc) / 2.0])
-
-    def eigenvector(lam: complex) -> np.ndarray:
-        # rows of (A - lam I) are orthogonal to the eigenvector; take the
-        # better-conditioned of the two candidate constructions
-        u = np.array([a[0, 1], lam - a[0, 0]])
-        v = np.array([lam - a[1, 1], a[1, 0]])
-        w = u if np.linalg.norm(u) >= np.linalg.norm(v) else v
-        norm = np.linalg.norm(w)
-        if norm == 0.0:  # scalar matrix: every direction is an eigenvector
-            return np.array([1.0 + 0.0j, 0.0j])
-        return w / norm
-
-    eigenvectors = np.column_stack([eigenvector(lam) for lam in eigenvalues])
-    return eigenvalues, eigenvectors
+    # entries keep a trailing axis, so one matrix and a stack round alike
+    a00, a01, a10, a11 = (a[..., i, j, None] for i in (0, 1) for j in (0, 1))
+    trace = a00 + a11
+    disc = np.sqrt(_cmul(trace, trace) - 4.0 * (_cmul(a00, a11) - _cmul(a01, a10)))
+    eigenvalues = np.concatenate([trace + disc, trace - disc], axis=-1) / 2.0
+    # rows of (A - lam I) are orthogonal to the eigenvector: take the
+    # better-conditioned of the two candidates (the first on a tie)
+    cand = np.empty(eigenvalues.shape + (2, 2), dtype=complex)  # (..., lam, cand, comp)
+    cand[..., 0, 0], cand[..., 0, 1] = a01, eigenvalues - a00
+    cand[..., 1, 0], cand[..., 1, 1] = eigenvalues - a11, a10
+    # np.linalg.norm of each candidate, from the same two np.dot products
+    re, im = ((x[..., None, :] @ x[..., :, None])[..., 0, 0] for x in (cand.real, cand.imag))
+    norms = np.sqrt(re + im)
+    w = np.where(norms[..., 1:] > norms[..., :1], cand[..., 1, :], cand[..., 0, :])
+    norm = norms.max(axis=-1, keepdims=True)
+    scalar = norm == 0.0  # scalar matrix: every direction is an eigenvector
+    vectors = np.where(scalar, [1.0, 0.0], w) / np.where(scalar, 1.0, norm)
+    return eigenvalues, np.swapaxes(vectors, -1, -2)
 
 
 @dataclass(frozen=True)
@@ -118,11 +118,6 @@ def _spectral_data(params: ModelParams) -> _SpectralData:
     symmetry = basis @ np.diag(signs) @ np.linalg.inv(basis)
     omegas = np.sqrt(params.p * params.p + eigenvalues)
     return _SpectralData(eigenvalues, basis, metric, symmetry, omegas)
-
-
-def _dot(v: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """v @ m for a stack of 2-vectors, rounded as for one vector at a time."""
-    return (v[..., None, :] @ m)[..., 0, :]
 
 
 def _ket(data: _SpectralData, i: int, t) -> np.ndarray:

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .inner import cpt_conjugate
-from .model import EigenSystem
+from .model import EigenSystem, _dot
 
 
 @dataclass(frozen=True)
@@ -69,12 +69,6 @@ def _ket_components(i: int, t, es: EigenSystem) -> np.ndarray:
     return w_plus[..., None] * es.e_plus + w_minus[..., None] * es.e_minus
 
 
-def _dot(v: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """v @ m for a stack of 2-vectors, one (1, 2) @ (2, 2) product each: that
-    rounds like a single vector's product; one (N, 2) @ (2, 2) product does not."""
-    return (v[..., None, :] @ m)[..., 0, :]
-
-
 def _scaled(components: np.ndarray, es: EigenSystem, normalised: bool) -> np.ndarray:
     return components * es.mixed_basis_norm if normalised else components
 
@@ -88,8 +82,7 @@ def flavour_ket(i: int, t: float, es: EigenSystem, normalised: bool = False) -> 
 def tilde_bra(i: int, t: float, es: EigenSystem) -> FlavourState:
     """The biorthogonal bra <f~i(t)|, dual to the kets for every t."""
     c = es.canonical_flavour(i)
-    sect_plus = cpt_conjugate(es.eta, es.e_plus).components
-    sect_minus = cpt_conjugate(es.eta, es.e_minus).components
+    sect_plus, sect_minus = cpt_conjugate(es.eta, [es.e_plus, es.e_minus]).components
     xp, xm = xi("plus", t, es).conjugate(), xi("minus", t, es).conjugate()
     if c == 1:
         comps = es.cosh_theta * xp * sect_plus - es.sinh_theta * xm * sect_minus

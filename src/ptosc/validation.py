@@ -20,9 +20,11 @@ from .inner import cpt_conjugate, cpt_inner, dirac_inner, inner, pt_conjugate, p
 from .model import (
     EigenSystem,
     ModelParams,
+    _cmul,
     cprime_matrix,
     eigensystem,
     hermitian_eigenvalues,
+    hermitian_mass_matrix,
     make_params,
     mass_matrix,
     parity_matrix,
@@ -80,7 +82,7 @@ class _Family:
         add()'s scalar abs; np.abs of a complex array need not)."""
         errs = np.hypot(np.real(errs), np.imag(errs))
         self.max_err = max(self.max_err, float(errs.max(initial=0.0)))
-        self.max_tol = max(self.max_tol, tol)
+        self.max_tol = max(self.max_tol, tol if errs.size else 0.0)
         self.ok = self.ok and bool((errs <= tol).all())
         self.points += errs.size
 
@@ -110,26 +112,41 @@ def _systems(params: ModelParams, grid: OracleGrid) -> list[tuple[ModelParams, E
     return out
 
 
-def _random_params(rng: np.random.Generator) -> ModelParams:
-    lo, hi = sorted(rng.uniform(0.2, 5.0, size=2))
-    while hi - lo < 1e-3:
-        lo, hi = sorted(rng.uniform(0.2, 5.0, size=2))
-    m1, m2 = (hi, lo) if rng.random() < 0.5 else (lo, hi)
-    eta = rng.uniform(0.0, 0.99)
-    return make_params(m1, m2, 0.5 * eta * (hi - lo), rng.uniform(0.0, 2.0))
+def _random_params(rng: np.random.Generator, n: int, *head: ModelParams) -> ModelParams:
+    """The head points, then n random valid draws as one batch of array
+    fields.  Each draw takes five uniforms, as one draw at a time would: a
+    (lo, hi) pair, redrawn while closer than 1e-3, the ordering, eta, p."""
+    draws, stream, todo = [np.empty((0, 5))], np.empty(0), n
+    while todo:
+        stream = np.append(stream, rng.random(5 * todo - len(stream)))
+        rows = stream.reshape(todo, 5)
+        pairs = np.sort(0.2 + (5.0 - 0.2) * rows[:, :2], axis=1)
+        k = np.argmin(np.append(pairs[:, 1] - pairs[:, 0] >= 1e-3, False))  # first redraw
+        draws.append(np.column_stack([pairs, rows[:, 2:]])[:k])
+        stream, todo = stream[5 * k + 2:], todo - k
+    lo, hi, order, eta, p = np.concatenate(draws).T
+    heavy_first = order < 0.5
+    batch = (np.where(heavy_first, hi, lo), np.where(heavy_first, lo, hi),
+             0.5 * (0.99 * eta) * (hi - lo), 2.0 * p)
+    fixed = np.reshape([(q.m1_sq, q.m2_sq, q.mu_sq, q.p) for q in head], (-1, 4)).T
+    return ModelParams(*(np.concatenate(pair) for pair in zip(fixed, batch)))
 
 
 # --- model-core families -------------------------------------------------
 
+def _eigenvalue_errors(lam_closed: tuple, matrices: np.ndarray) -> np.ndarray:
+    """Relative gap between closed-form eigenvalues (larger first) and the
+    oracle's, for each matrix of a stack."""
+    lam_num = np.sort(numeric_eigensystem(matrices)[0].real, axis=-1)[..., ::-1]
+    scale = np.maximum(abs(lam_closed[0]), 1.0)
+    return np.maximum(abs(lam_closed[0] - lam_num[..., 0]),
+                      abs(lam_closed[1] - lam_num[..., 1])) / scale
+
+
 def _check_eigenvalues(params: ModelParams, grid: OracleGrid, rng) -> _Family:
     fam = _Family("eigenvalues_vs_characteristic_polynomial")
-    for p in [params] + [_random_params(rng) for _ in range(grid.n_random)]:
-        lam_closed = pt_eigenvalues(p)
-        lam_num, _ = numeric_eigensystem(mass_matrix(p))
-        lam_num = np.sort(lam_num.real)[::-1]
-        scale = max(abs(lam_closed[0]), 1.0)
-        fam.add(max(abs(lam_closed[0] - lam_num[0]), abs(lam_closed[1] - lam_num[1])) / scale,
-                1e-10)
+    batch = _random_params(rng, grid.n_random, params)
+    fam.add_all(_eigenvalue_errors(pt_eigenvalues(batch), mass_matrix(batch)), 1e-10)
     return fam
 
 
@@ -145,11 +162,11 @@ def _check_eigenvector_residuals(params: ModelParams, grid: OracleGrid) -> _Fami
 
 def _check_trace_determinant(params: ModelParams, grid: OracleGrid, rng) -> _Family:
     fam = _Family("trace_determinant_preservation")
-    for p in [params] + [_random_params(rng) for _ in range(grid.n_random)]:
-        lam = pt_eigenvalues(p)
-        tr, det = p.m1_sq + p.m2_sq, p.m1_sq * p.m2_sq + p.mu_sq * p.mu_sq
-        fam.add(abs(lam[0] + lam[1] - tr) / abs(tr), 1e-12)
-        fam.add(abs(lam[0] * lam[1] - det) / abs(det), 1e-12)
+    p = _random_params(rng, grid.n_random, params)
+    lam = pt_eigenvalues(p)
+    tr, det = p.m1_sq + p.m2_sq, p.m1_sq * p.m2_sq + p.mu_sq * p.mu_sq
+    fam.add_all(abs(lam[0] + lam[1] - tr) / abs(tr), 1e-12)
+    fam.add_all(abs(lam[0] * lam[1] - det) / abs(det), 1e-12)
     return fam
 
 
@@ -203,28 +220,30 @@ def _check_hermitian_limit(params: ModelParams) -> _Family:
 
 def _check_sesquilinearity(grid: OracleGrid, rng) -> _Family:
     fam = _Family("sesquilinearity")
-    for _ in range(grid.n_random):
-        u, v, w = (rng.normal(size=2) + 1j * rng.normal(size=2) for _ in range(3))
-        alpha, beta = (complex(rng.normal(), rng.normal()) for _ in range(2))
-        eta = rng.uniform(0.0, 0.95)
-        for conj in (lambda x: pt_conjugate(x), lambda x: cpt_conjugate(eta, x),
-                     lambda x: x.conj()):
-            lhs = inner(conj(u), alpha * v + beta * w)
-            rhs = alpha * inner(conj(u), v) + beta * inner(conj(u), w)
-            fam.add(abs(lhs - rhs), 1e-12)
+    # per draw: u, v, w as two real then two imaginary parts, alpha, beta as (re, im), eta
+    z, eta = np.empty((grid.n_random, 16)), np.empty(grid.n_random)
+    for k in range(grid.n_random):
+        z[k], eta[k] = rng.normal(size=16), rng.uniform(0.0, 0.95)
+    u, v, w = (z[:, k:k + 2] + 1j * z[:, k + 2:k + 4] for k in (0, 4, 8))
+    alpha, beta = z[:, 12:].view(complex).T
+    for bra in (pt_conjugate(u), cpt_conjugate(eta, u), u.conj()):
+        lhs = inner(bra, alpha[:, None] * v + beta[:, None] * w)
+        # Python-rounded products on the right keep reports equal to a per-draw loop
+        fam.add_all(lhs - (_cmul(alpha, inner(bra, v)) + _cmul(beta, inner(bra, w))), 1e-12)
     return fam
 
 
 def _check_cpt_positivity(grid: OracleGrid, rng) -> _Family:
     fam = _Family("cpt_inner_positivity")
-    for _ in range(grid.n_random):
-        v = rng.normal(size=2)
-        while np.linalg.norm(v) < 1e-3:
-            v = rng.normal(size=2)
-        eta = rng.uniform(0.0, 0.95)
-        value = cpt_inner(eta, v, v)
-        fam.add(abs(value.imag), 1e-12)
-        fam.add(max(0.0, -value.real), 0.0)  # strictly positive
+    vs, etas = np.empty((grid.n_random, 2)), np.empty(grid.n_random)
+    for k in range(grid.n_random):
+        vs[k] = rng.normal(size=2)
+        while np.linalg.norm(vs[k]) < 1e-3:
+            vs[k] = rng.normal(size=2)
+        etas[k] = rng.uniform(0.0, 0.95)
+    values = cpt_inner(etas, vs, vs)
+    fam.add_all(values.imag, 1e-12)
+    fam.add_all(np.maximum(0.0, -values.real), 0.0)  # strictly positive
     return fam
 
 
@@ -242,9 +261,8 @@ def _check_pt_norms(params: ModelParams, grid: OracleGrid) -> _Family:
 
 def _check_cpt_dirac_consistency(grid: OracleGrid, rng) -> _Family:
     fam = _Family("cpt_matches_dirac_at_zero_mixing")
-    for _ in range(grid.n_random):
-        v, w = rng.normal(size=2), rng.normal(size=2)
-        fam.add(abs(cpt_inner(0.0, v, w) - dirac_inner(v, w)), 1e-14)
+    v, w = rng.normal(size=(grid.n_random, 2, 2)).transpose(1, 0, 2)
+    fam.add_all(cpt_inner(0.0, v, w) - dirac_inner(v, w), 1e-14)
     return fam
 
 
@@ -301,14 +319,12 @@ def _check_mode_equation(params: ModelParams, grid: OracleGrid) -> _Family:
 
 def _check_cprime_section_identity(params: ModelParams, grid: OracleGrid, rng) -> _Family:
     fam = _Family("cprime_section_identity")
-    par = parity_matrix()
     for eta in (0.1, 0.5, 0.9):
         cp_t = cprime_matrix(eta).T
-        for _ in range(max(1, grid.n_random // 10)):
-            v = rng.normal(size=2) + 1j * rng.normal(size=2)
-            lhs = cpt_conjugate(eta, cp_t @ v).components
-            rhs = v.conj() @ par
-            fam.add(np.abs(lhs - rhs).max(), 1e-12)
+        re, im = rng.normal(size=(max(1, grid.n_random // 10), 2, 2)).transpose(1, 0, 2)
+        v = re + 1j * im
+        lhs = cpt_conjugate(eta, (cp_t @ v[..., None])[..., 0]).components
+        fam.add_all(np.abs(lhs - pt_conjugate(v).components).max(axis=-1), 1e-12)
     return fam
 
 
@@ -459,15 +475,8 @@ def _check_naive_pathology(grid: OracleGrid) -> _Family:
 
 def _check_hermitian_masses(params: ModelParams, grid: OracleGrid, rng) -> _Family:
     fam = _Family("hermitian_eigenvalues_vs_oracle")
-    for _ in range(grid.n_random // 10):
-        p = _random_params(rng)
-        lam_closed = hermitian_eigenvalues(p)
-        matrix = np.array([[p.m1_sq, p.mu_sq], [p.mu_sq, p.m2_sq]])
-        lam_num, _ = numeric_eigensystem(matrix)
-        lam_num = np.sort(lam_num.real)[::-1]
-        scale = max(abs(lam_closed[0]), 1.0)
-        fam.add(max(abs(lam_closed[0] - lam_num[0]), abs(lam_closed[1] - lam_num[1])) / scale,
-                1e-10)
+    p = _random_params(rng, grid.n_random // 10)
+    fam.add_all(_eigenvalue_errors(hermitian_eigenvalues(p), hermitian_mass_matrix(p)), 1e-10)
     return fam
 
 

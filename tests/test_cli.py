@@ -156,6 +156,38 @@ class TestBadConfig:
         assert code == 0
         assert len(out.strip().split("\n")) == 65
 
+    @pytest.mark.parametrize("argv", [
+        ("probabilities", "--t0", "abc"),
+        ("masses", "--ratio", "abc"),
+        ("validate", "--tolerance", "abc"),
+        ("probabilities", "--phase", "inf"),
+        ("cardioid", "--phase", "inf"),
+        ("probabilities", "--eta", "nan"),
+        ("probabilities", "--eta", "0:inf:4"),
+        ("probabilities", "--t0", "inf", "--methods", "closed_form"),
+        ("probabilities", "--raw-params", "2,1,nan,0"),
+        ("validate", "--tolerance", "nan"),
+    ])
+    def test_unparsable_or_non_finite_number_exits_two(self, capsys, tmp_path, argv):
+        target = tmp_path / "rows.txt"
+        code, out, err = run(capsys, *argv, "--output", str(target))
+        assert code == 2
+        assert out == "" and not target.exists()
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ("probabilities", "--eta", "0.6"),
+        ("masses",),
+        ("cardioid",),
+        ("validate", "--eta", "0.3"),
+    ])
+    def test_unwritable_output_exits_two(self, capsys, tmp_path, argv):
+        target = tmp_path / "missing" / "rows.txt"
+        code, out, err = run(capsys, *argv, "--output", str(target))
+        assert code == 2
+        assert out == "" and not target.exists()
+        assert err.startswith("error: cannot write ") and "Traceback" not in err
+
     def test_unknown_flag_exits_two(self, capsys):
         assert run(capsys, "probabilities", "--frobnicate")[0] == 2
 
@@ -276,3 +308,24 @@ class TestValidate:
         code, _, _ = run(capsys, "validate", "--eta", "0.3,0.8",
                          "--raw-params", "1,2,0.3,0")
         assert code == 0
+
+
+def test_parser_built_once_gives_the_output_of_fresh_runs(capsys):
+    from ptosc.cli import _build_parser
+
+    sequence = [
+        ("probabilities", "--eta", "0.6", "--phase", "0:1:3"),
+        ("masses", "--ratio", "abc"),                  # exit 2 from the resolver
+        ("cardioid", "--eta", "0.5", "--phase", "0:1:2", "--format", "json"),
+        ("probabilities", "--frobnicate"),             # exit 2 from argparse
+        ("probabilities", "--eta", "0.6", "--phase", "0:1:3"),
+    ]
+    reused = [run(capsys, *argv) for argv in sequence]
+    assert _build_parser() is _build_parser()
+    fresh = []
+    for argv in sequence:
+        _build_parser.cache_clear()
+        fresh.append(run(capsys, *argv))
+    assert reused == fresh
+    assert [code for code, _, _ in reused] == [0, 2, 0, 2, 0]
+    assert reused[0] == reused[-1]

@@ -1,7 +1,27 @@
 """The check_all invariant suite: green by construction, red when corrupted."""
 
+import numpy as np
+import pytest
 
-from ptosc import OracleGrid, OracleReport, check_all, make_params
+from helpers import random_params
+from ptosc import (
+    OracleGrid,
+    OracleReport,
+    check_all,
+    cprime_matrix,
+    cpt_conjugate,
+    cpt_inner,
+    dirac_inner,
+    hermitian_eigenvalues,
+    inner,
+    make_params,
+    mass_matrix,
+    numeric_eigensystem,
+    parity_matrix,
+    pt_conjugate,
+    pt_eigenvalues,
+)
+from ptosc.validation import _Family
 
 
 def small_grid(**overrides):
@@ -61,8 +81,6 @@ def test_oracle_report_factory():
 
 
 def test_out_of_domain_reference_params_raise_up_front():
-    import pytest
-
     from ptosc import BrokenPTPhase
 
     with pytest.raises(BrokenPTPhase):
@@ -120,3 +138,83 @@ def test_report_triples_for_a_raw_params_grid(capsys):
     assert code == 0
     got = [(rep["check_name"], rep["grid_size"], rep["passed"]) for rep in reports]
     assert got == [(name, size, True) for name, _, size in REPORT_TRIPLES]
+
+
+def scalar_reference(params, grid):
+    """The seven random-draw families of check_all, one draw and one
+    single-point call at a time, drawing from one generator in check_all's
+    order.  Returns {check_name: OracleReport}."""
+    rng = np.random.default_rng(grid.seed)
+    families = []
+
+    def eigenvalue_gap(fam, lam_closed, matrix):
+        lam_num = np.sort(numeric_eigensystem(matrix)[0].real)[::-1]
+        scale = max(abs(lam_closed[0]), 1.0)
+        fam.add(max(abs(lam_closed[0] - lam_num[0]), abs(lam_closed[1] - lam_num[1])) / scale,
+                1e-10)
+
+    fam = _Family("eigenvalues_vs_characteristic_polynomial")
+    for p in [params] + [random_params(rng) for _ in range(grid.n_random)]:
+        eigenvalue_gap(fam, pt_eigenvalues(p), mass_matrix(p))
+    families.append(fam)
+
+    fam = _Family("trace_determinant_preservation")
+    for p in [params] + [random_params(rng) for _ in range(grid.n_random)]:
+        lam = pt_eigenvalues(p)
+        tr, det = p.m1_sq + p.m2_sq, p.m1_sq * p.m2_sq + p.mu_sq * p.mu_sq
+        fam.add(abs(lam[0] + lam[1] - tr) / abs(tr), 1e-12)
+        fam.add(abs(lam[0] * lam[1] - det) / abs(det), 1e-12)
+    families.append(fam)
+
+    fam = _Family("hermitian_eigenvalues_vs_oracle")
+    for _ in range(grid.n_random // 10):
+        p = random_params(rng)
+        matrix = np.array([[p.m1_sq, p.mu_sq], [p.mu_sq, p.m2_sq]])
+        eigenvalue_gap(fam, hermitian_eigenvalues(p), matrix)
+    families.append(fam)
+
+    fam = _Family("sesquilinearity")
+    for _ in range(grid.n_random):
+        u, v, w = (rng.normal(size=2) + 1j * rng.normal(size=2) for _ in range(3))
+        alpha, beta = (complex(rng.normal(), rng.normal()) for _ in range(2))
+        eta = rng.uniform(0.0, 0.95)
+        for bra in (pt_conjugate(u), cpt_conjugate(eta, u), u.conj()):
+            lhs = inner(bra, alpha * v + beta * w)
+            fam.add(abs(lhs - (alpha * inner(bra, v) + beta * inner(bra, w))), 1e-12)
+    families.append(fam)
+
+    fam = _Family("cpt_inner_positivity")
+    for _ in range(grid.n_random):
+        v = rng.normal(size=2)
+        while np.linalg.norm(v) < 1e-3:
+            v = rng.normal(size=2)
+        value = cpt_inner(rng.uniform(0.0, 0.95), v, v)
+        fam.add(abs(value.imag), 1e-12)
+        fam.add(max(0.0, -value.real), 0.0)
+    families.append(fam)
+
+    fam = _Family("cpt_matches_dirac_at_zero_mixing")
+    for _ in range(grid.n_random):
+        v, w = rng.normal(size=2), rng.normal(size=2)
+        fam.add(abs(cpt_inner(0.0, v, w) - dirac_inner(v, w)), 1e-14)
+    families.append(fam)
+
+    fam = _Family("cprime_section_identity")
+    for eta in (0.1, 0.5, 0.9):
+        cp_t = cprime_matrix(eta).T
+        for _ in range(max(1, grid.n_random // 10)):
+            v = rng.normal(size=2) + 1j * rng.normal(size=2)
+            lhs = cpt_conjugate(eta, cp_t @ v).components
+            fam.add(np.abs(lhs - v.conj() @ parity_matrix()).max(), 1e-12)
+    families.append(fam)
+    return {fam.name: fam.report(grid.tolerance) for fam in families}
+
+
+@pytest.mark.parametrize("n_random", [60, 1000])
+@pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+def test_random_draw_families_equal_a_scalar_reference_loop(params, seed, n_random):
+    grid = OracleGrid(etas=(0.3,), times=(0.0,), t0s=(0.0,), n_phases=2,
+                      n_random=n_random, seed=seed)
+    want = scalar_reference(params, grid)
+    got = {rep.check_name: rep for rep in check_all(params, grid)}
+    assert {name: got[name] for name in want} == want

@@ -15,8 +15,8 @@ is deterministic: fixed column order, rows in grid order, floats at 17
 significant digits, LF line endings.
 
 Exit codes: 0 success, 1 validation failure, 2 bad configuration (also an
-unparsable or non-finite number, an unwritable output), 3 domain error
-(exceptional point / broken PT phase / tachyonic mass).
+unparsable or non-finite number or result, an unwritable output), 3 domain
+error (exceptional point / broken PT phase / tachyonic mass).
 """
 
 import argparse
@@ -50,12 +50,6 @@ from .validation import OracleGrid, check_all
 TWO_PI = 2.0 * math.pi
 
 METHOD_ORDER = ("closed_form", "trace", "hermitian", "naive_continuation")
-METHOD_COLUMNS = {
-    "closed_form": ("pt_survival", "pt_transition"),
-    "trace": ("trace_survival", "trace_transition"),
-    "hermitian": ("herm_survival", "herm_transition"),
-    "naive_continuation": ("naive_transition",),
-}
 
 # reference mass scale for eta-parameterised sweeps: (m1^2, m2^2) = (2, 1)
 REFERENCE_SUM_SQ = 3.0
@@ -108,6 +102,8 @@ def _parse_grid(text: str, name: str) -> list[float]:
         raise _ConfigError(f"{name}: steps must be >= 2, got {steps}")
     if not lo < hi:
         raise _ConfigError(f"{name}: need min < max, got {lo} >= {hi}")
+    if not math.isfinite(hi - lo):
+        raise _ConfigError(f"{name}: range {lo}:{hi} is too wide to space evenly")
     return [float(v) for v in np.linspace(lo, hi, steps)]
 
 
@@ -164,27 +160,46 @@ def _merged(args: argparse.Namespace, keys: tuple[str, ...]) -> dict[str, str | 
 
 # --- output ----------------------------------------------------------------
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    value = float(value)
-    if value == 0.0:
-        value = 0.0  # normalise -0.0
-    return f"{value:.17g}"
+def _fmt(value: float) -> str:
+    return f"{float(value) + 0.0:.17g}"  # + 0.0 turns -0.0 into 0.0
 
 
-def _emit(columns: list[str], rows: list[dict], fmt: str, output: str | None) -> None:
+def _emit(axes: dict[str, list[float]], columns: dict, fmt: str,
+          output: str | None) -> None:
+    """Write one row per point of the grid spanned by ``axes`` (name -> grid
+    values, the first axis slowest), followed by the ``columns`` computed
+    over that grid (name -> float array in the same order, or a (values,
+    present) pair of arrays whose cells where present is False are missing:
+    empty in CSV, null in JSON).  A non-finite cell is refused
+    (DomainError) before anything is written."""
+    shape = [len(values) for values in axes.values()]
+    cells, specs = [], ["%s"] * len(axes)
+    for k, values in enumerate(axes.values()):
+        strings = [_fmt(v) for v in values]  # once per grid value
+        inner, outer = math.prod(shape[k + 1:]), math.prod(shape[:k])
+        cells.append([s for s in strings for _ in range(inner)] * outer)
+    for name, column in columns.items():
+        values, present = column if isinstance(column, tuple) else (column, True)
+        data = np.reshape(values, -1) + 0.0  # + 0.0 turns -0.0 into 0.0
+        missing = ~np.broadcast_to(present, data.shape)
+        bad = np.flatnonzero(~(np.isfinite(data) | missing))
+        if bad.size:
+            where = ", ".join(f"{axis} = {cell[bad[0]]}" for axis, cell in zip(axes, cells))
+            raise DomainError(f"{name} is {data[bad[0]]} at {where}: refusing non-finite output")
+        if missing.any():
+            absent = "" if fmt == "csv" else "null"
+            cells.append([absent if m else _fmt(v) for v, m in zip(data.tolist(), missing.tolist())])
+            specs.append("%s")
+        else:
+            cells.append(data.tolist())
+            specs.append("%.17g")
+    names = [*axes, *columns]
     if fmt == "csv":
-        lines = [",".join(columns)]
-        lines += [",".join(_fmt(row[c]) for c in columns) for row in rows]
+        template = ",".join(specs)
+        lines = [",".join(names), *(template % row for row in zip(*cells))]
     else:
-        body = []
-        for row in rows:
-            cells = ", ".join(
-                f'"{c}": ' + (_fmt(row[c]) if row[c] is not None else "null")
-                for c in columns)
-            body.append("  {" + cells + "}")
-        lines = ["[", ",\n".join(body), "]"]
+        template = "  {" + ", ".join(f'"{n}": {spec}' for n, spec in zip(names, specs)) + "}"
+        lines = ["[", ",\n".join(template % row for row in zip(*cells)), "]"]
     _write("\n".join(lines) + "\n", output)
 
 
@@ -235,36 +250,28 @@ def cmd_probabilities(cfg: SweepConfig) -> int:
                 f"eta = {eta:.6g} is at the exceptional point; methods "
                 f"{needs_states} are undefined there")
 
-    columns = ["eta", "phase"]
+    eta, phase = np.array(cfg.etas)[:, None], np.array(cfg.phases)
+    columns = {}
     for method in cfg.methods:
-        columns += list(METHOD_COLUMNS[method])
-
-    rows = []
-    for eta in cfg.etas:
-        if "trace" in cfg.methods:
-            params = cfg.params if cfg.params is not None else params_from_eta(
-                eta, REFERENCE_SUM_SQ, REFERENCE_RATIO)
-            es = eigensystem(params)
-            ts = cfg.t0 + 2.0 * np.array(cfg.phases) / es.delta_omega
-            survival = trace_probabilities(1, 1, cfg.t0, ts, es)
-            transition = trace_probabilities(1, 2, cfg.t0, ts, es)
-        for k, phase in enumerate(cfg.phases):
-            row = {"eta": eta, "phase": phase}
-            for method in cfg.methods:
-                if method == "closed_form":
-                    row["pt_survival"] = survival_probability(eta, phase)
-                    row["pt_transition"] = transition_probability(eta, phase)
-                elif method == "trace":
-                    row["trace_survival"] = survival[k]
-                    row["trace_transition"] = transition[k]
-                elif method == "hermitian":
-                    herm = hermitian_transition_probability(eta, phase)
-                    row["herm_survival"] = 1.0 - herm
-                    row["herm_transition"] = herm
-                else:
-                    row["naive_transition"] = naive_continuation_value(eta, phase)
-            rows.append(row)
-    _emit(columns, rows, cfg.fmt, cfg.output)
+        if method == "closed_form":
+            columns["pt_survival"] = survival_probability(eta, phase)
+            columns["pt_transition"] = transition_probability(eta, phase)
+        elif method == "trace":
+            pairs = []
+            for value in cfg.etas:
+                params = cfg.params if cfg.params is not None else params_from_eta(
+                    value, REFERENCE_SUM_SQ, REFERENCE_RATIO)
+                es = eigensystem(params)
+                ts = cfg.t0 + 2.0 * phase / es.delta_omega
+                pairs.append([trace_probabilities(1, j, cfg.t0, ts, es) for j in (1, 2)])
+            columns["trace_survival"], columns["trace_transition"] = np.array(pairs).swapaxes(0, 1)
+        elif method == "hermitian":
+            herm = hermitian_transition_probability(eta, phase)
+            columns["herm_survival"] = 1.0 - herm
+            columns["herm_transition"] = herm
+        else:
+            columns["naive_transition"] = naive_continuation_value(eta, phase)
+    _emit({"eta": cfg.etas, "phase": cfg.phases}, columns, cfg.fmt, cfg.output)
     return 0
 
 
@@ -291,24 +298,19 @@ def cmd_masses(cfg: SweepConfig) -> int:
     columns extend everywhere, with the lower one going negative past
     eta = sqrt(1/ratio^2 - 1).
     """
-    columns = ["eta", "pt_m_plus_sq", "pt_m_minus_sq", "herm_m_plus_sq", "herm_m_minus_sq"]
-    rows = []
-    for eta in cfg.etas:
-        params = params_from_eta(eta, REFERENCE_SUM_SQ, cfg.ratio)
-        try:
-            pt_plus, pt_minus = pt_eigenvalues(params)
-            pt_plus, pt_minus = pt_plus / REFERENCE_SUM_SQ, pt_minus / REFERENCE_SUM_SQ
-        except BrokenPTPhase:
-            pt_plus = pt_minus = None
-        herm_plus, herm_minus = hermitian_eigenvalues(params)
-        rows.append({
-            "eta": eta,
-            "pt_m_plus_sq": pt_plus,
-            "pt_m_minus_sq": pt_minus,
-            "herm_m_plus_sq": herm_plus / REFERENCE_SUM_SQ,
-            "herm_m_minus_sq": herm_minus / REFERENCE_SUM_SQ,
-        })
-    _emit(columns, rows, cfg.fmt, cfg.output)
+    params = params_from_eta(np.array(cfg.etas), REFERENCE_SUM_SQ, cfg.ratio)
+    unbroken = params.eta <= 1.0  # complex PT eigenvalues past eta = 1: missing cells
+    pt = pt_eigenvalues(ModelParams(params.m1_sq[unbroken], params.m2_sq[unbroken],
+                                    params.mu_sq[unbroken], params.p[unbroken]))
+    columns = {}
+    for name, values in zip(("pt_m_plus_sq", "pt_m_minus_sq"), pt):
+        column = np.zeros(len(cfg.etas))
+        column[unbroken] = values / REFERENCE_SUM_SQ
+        columns[name] = (column, unbroken)
+    herm_plus, herm_minus = hermitian_eigenvalues(params)
+    columns["herm_m_plus_sq"] = herm_plus / REFERENCE_SUM_SQ
+    columns["herm_m_minus_sq"] = herm_minus / REFERENCE_SUM_SQ
+    _emit({"eta": cfg.etas}, columns, cfg.fmt, cfg.output)
     return 0
 
 
@@ -328,14 +330,10 @@ def _resolve_cardioid(args: argparse.Namespace) -> SweepConfig:
 
 def cmd_cardioid(cfg: SweepConfig) -> int:
     """Dirac-norm polar curve r(phase) and its r(pi)-normalised variant."""
-    columns = ["eta", "phase", "r", "r_over_r_pi"]
-    rows = []
-    for eta in cfg.etas:
-        r_pi = cardioid_r(math.pi, eta)
-        for phase in cfg.phases:
-            r = cardioid_r(phase, eta)
-            rows.append({"eta": eta, "phase": phase, "r": r, "r_over_r_pi": r / r_pi})
-    _emit(columns, rows, cfg.fmt, cfg.output)
+    eta = np.array(cfg.etas)[:, None]
+    r = cardioid_r(np.array(cfg.phases), eta)
+    columns = {"r": r, "r_over_r_pi": r / cardioid_r(math.pi, eta)}
+    _emit({"eta": cfg.etas, "phase": cfg.phases}, columns, cfg.fmt, cfg.output)
     return 0
 
 
@@ -456,7 +454,8 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code) if exc.code is not None else 0
     resolve, run = _COMMANDS[args.command]
     try:
-        return run(resolve(args))
+        with np.errstate(over="ignore"):  # what overflows is refused as non-finite
+            return run(resolve(args))
     except _ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -39,6 +39,7 @@ one point is the shape-() batch and returns the same types as always.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -79,32 +80,51 @@ class ModelParams:
         return 2.0 * self.mu_sq / abs(self.m1_sq - self.m2_sq)
 
 
-def make_params(m1_sq: float, m2_sq: float, mu_sq: float, p: float = 0.0) -> ModelParams:
-    """Validate and package the model inputs.
+def _unbox(x):
+    """A shape-() result as the Python number a single-point call returns."""
+    return x.item() if x.ndim == 0 else x
 
-    Raises NonPositiveMass, NegativeMixing or DegenerateDiagonal for
-    out-of-domain values.  eta > 1 is accepted here (the Hermitian
+
+def _any(mask) -> bool:
+    """True if any element of a comparison holds; one point's comparison of
+    Python floats is a bool and costs no numpy call."""
+    return mask if isinstance(mask, bool) else bool(mask.any())
+
+
+def make_params(m1_sq: float, m2_sq: float, mu_sq: float, p: float = 0.0) -> ModelParams:
+    """Validate and package the model inputs; arrays broadcast to a batch.
+
+    Raises NonPositiveMass, NegativeMixing or DegenerateDiagonal if any
+    element is out of domain.  eta > 1 is accepted here (the Hermitian
     comparison model remains meaningful); it is the eigensystem
     construction that rejects the broken-PT regime.
     """
-    for name, value in (("m1_sq", m1_sq), ("m2_sq", m2_sq), ("mu_sq", mu_sq), ("p", p)):
-        if not math.isfinite(value):
-            raise DomainError(f"{name} must be finite, got {value!r}")
-    if m1_sq <= 0.0 or m2_sq <= 0.0:
+    fields = (m1_sq, m2_sq, mu_sq, p)
+    if all(isinstance(v, (int, float)) for v in fields):  # one point: no numpy call
+        fields = tuple(float(v) for v in fields)
+    else:
+        fields = tuple(_unbox(v) for v in np.broadcast_arrays(
+            *(np.asarray(v, dtype=float) for v in fields)))
+    for name, value in zip(("m1_sq", "m2_sq", "mu_sq", "p"), fields):
+        if _any(abs(value) > sys.float_info.max) or _any(value != value):  # inf or NaN
+            bad = float(np.asarray(value)[~np.isfinite(value)].flat[0])
+            raise DomainError(f"{name} must be finite, got {bad!r}")
+    m1_sq, m2_sq, mu_sq, p = fields
+    if _any(m1_sq <= 0.0) or _any(m2_sq <= 0.0):
         raise NonPositiveMass(f"diagonal squared masses must be positive, got {m1_sq}, {m2_sq}")
-    if mu_sq < 0.0:
+    if _any(mu_sq < 0.0):
         raise NegativeMixing(f"mu_sq must be non-negative, got {mu_sq}")
-    if p < 0.0:
+    if _any(p < 0.0):
         raise DomainError(f"momentum magnitude must be non-negative, got {p}")
-    if m1_sq == m2_sq:
+    if _any(m1_sq == m2_sq):
         raise DegenerateDiagonal("m1_sq == m2_sq: eta is undefined for a degenerate diagonal")
-    return ModelParams(float(m1_sq), float(m2_sq), float(mu_sq), float(p))
+    return ModelParams(*fields)
 
 
 def params_from_eta(eta: float, sum_sq: float = 3.0, ratio: float = 1.0 / 3.0,
                     p: float = 0.0) -> ModelParams:
-    """Build parameters from eta, a total squared-mass scale and the
-    asymmetry ratio (m1^2 - m2^2) / (m1^2 + m2^2).
+    """Build parameters from eta (or an eta array, giving a batch), a total
+    squared-mass scale and the asymmetry ratio (m1^2 - m2^2) / (m1^2 + m2^2).
 
     The defaults give (m1^2, m2^2) = (2, 1), so mu^2 = eta / 2.
     """
@@ -112,17 +132,12 @@ def params_from_eta(eta: float, sum_sq: float = 3.0, ratio: float = 1.0 / 3.0,
         raise DomainError(f"ratio must lie in (0, 1), got {ratio}")
     if sum_sq <= 0.0:
         raise NonPositiveMass(f"sum of squared masses must be positive, got {sum_sq}")
-    if eta < 0.0:
+    if _any(eta < 0.0):
         raise NegativeMixing(f"eta must be non-negative, got {eta}")
     m1_sq = 0.5 * sum_sq * (1.0 + ratio)
     m2_sq = 0.5 * sum_sq * (1.0 - ratio)
     mu_sq = 0.5 * eta * sum_sq * ratio
     return make_params(m1_sq, m2_sq, mu_sq, p)
-
-
-def _unbox(x):
-    """A shape-() result as the Python number a single-point call returns."""
-    return x.item() if x.ndim == 0 else x
 
 
 def _dot(v: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -293,9 +308,10 @@ def eigensystem(params: ModelParams) -> EigenSystem:
     """Solve the mass matrix: eigenvalues, PT-normalised eigenvectors,
     mixing angle and mode frequencies.
 
-    Raises BrokenPTPhase for eta > 1 and ExceptionalPoint for eta within
+    Raises BrokenPTPhase for eta > 1, ExceptionalPoint for eta within
     EXCEPTIONAL_POINT_BAND of 1 (the merged eigenvalue is attached to the
-    exception; eigenvectors do not exist there).
+    exception; eigenvectors do not exist there), and NonPositiveMass when
+    the lower squared mass rounds to zero or below.
     """
     eta = params.eta
     if eta > 1.0:
@@ -307,6 +323,10 @@ def eigensystem(params: ModelParams) -> EigenSystem:
             f"{0.5 * (params.m1_sq + params.m2_sq):.17g} and the eigenvectors coalesce",
             m_sq=0.5 * (params.m1_sq + params.m2_sq),
         )
+    if m_minus_sq <= 0.0:  # positive in exact arithmetic; cancellation can round it away
+        raise NonPositiveMass(
+            f"lower squared mass rounds to {m_minus_sq:.3g}: the diagonal masses "
+            f"{params.m1_sq:.6g} and {params.m2_sq:.6g} are too far apart to resolve")
 
     s = math.sqrt((1.0 - eta) * (1.0 + eta))
     theta = 0.5 * math.atanh(eta)

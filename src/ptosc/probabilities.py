@@ -19,13 +19,16 @@ so trace/closed-form agreement is a real consistency check rather than a
 shared code path.
 
 The closed forms stay finite on the whole eta in [0, 1] range, including
-the exceptional point where the trace route is undefined.  The Dirac-norm
+the exceptional point where the trace route is undefined.  They take eta
+and phase arrays, broadcast, with every element equal to its single-point
+value; one point returns a Python float.  The Dirac-norm
 diagnostics (time-dependent norm, flavour overlap and the polar cardioid)
 live here too; they quantify why the plain Hermitian inner product cannot
 give time-translation-invariant probabilities in this model.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +45,7 @@ from .model import (
     EXCEPTIONAL_POINT_BAND,
     EigenSystem,
     ModelParams,
+    _any,
     hermitian_eigenvalues,
 )
 from .oracle import tolerance_for_eta
@@ -51,6 +55,9 @@ from .states import mixed_basis_pair, mixed_basis_states  # noqa: F401 (bench/tr
 # of magnitude above the trace/closed-form agreement tolerance, so rounding
 # noise never trips it).
 NON_REAL_TRACE_TOLERANCE = 1e-9
+
+# The largest eta whose square is finite (the next float up squares to inf).
+ETA_SQUARE_LIMIT = math.sqrt(sys.float_info.max)
 
 CLOSED_FORM = "closed_form"
 TRACE = "trace"
@@ -89,42 +96,76 @@ def _check_flavour(i: int) -> None:
         raise DomainError(f"flavour index must be 1 or 2, got {i!r}")
 
 
-def _check_eta_closed_form(eta: float) -> None:
-    if eta < 0.0:
-        raise NegativeMixing(f"eta must be non-negative, got {eta}")
-    if eta > 1.0:
-        raise BrokenPTPhase(f"eta = {eta:.6g} > 1: no real-spectrum closed form")
+def _check_eta(eta, broken: str | None = None, exceptional: bool = False) -> None:
+    """Domain guard of the closed forms, over every element of eta.
+
+    eta must be non-negative; at most 1 unless ``broken`` is None (else it
+    says why the formula fails past 1); outside the exceptional-point band
+    if ``exceptional`` (the formula divides by 1 - eta^2); and not NaN nor so
+    large that eta^2 overflows.  One combined test accepts the usual case
+    cheaply; the ordered tests below run only to name a failure.
+    """
+    bad = (eta < 0.0) | (eta > (ETA_SQUARE_LIMIT if broken is None else 1.0)) | (eta != eta)
+    if exceptional:
+        bad = bad | (eta >= 1.0 - EXCEPTIONAL_POINT_BAND)
+    if not _any(bad):
+        return
+    if _any(eta < 0.0):
+        raise NegativeMixing(f"eta must be non-negative, got {np.min(eta)}")
+    if broken is not None and _any(eta > 1.0):
+        raise BrokenPTPhase(f"eta = {np.max(eta):.6g} > 1: {broken}")
+    if exceptional and _any(eta >= 1.0 - EXCEPTIONAL_POINT_BAND):
+        raise ExceptionalPoint(f"eta = {np.max(eta):.17g}: 1/(1 - eta^2) diverges")
+    raise DomainError(f"eta = {np.max(eta):.6g}: eta^2 is not a finite number")
 
 
-def transition_probability(eta: float, phase: float) -> float:
-    """eta^2 sin^2(phase); finite on all of eta in [0, 1]."""
-    _check_eta_closed_form(eta)
-    return eta * eta * math.sin(phase) ** 2
+def _per_element(fn, x):
+    """fn at every element of an array.  The closed forms take sin and cos
+    from the math module one phase at a time: numpy's need not round like it
+    on every build, and each element must equal the single-point value bit
+    for bit."""
+    x = np.asarray(x, dtype=float)
+    return np.fromiter(map(fn, x.flat), float, x.size).reshape(x.shape)
 
 
-def survival_probability(eta: float, phase: float) -> float:
+def _sin_sq(phase):
+    """sin^2(phase), per element of an array."""
+    if isinstance(phase, float):
+        return math.sin(phase) ** 2
+    return _per_element(_sin_sq, phase)
+
+
+def _result(x):
+    """A single point's value as a Python float; arrays as they are."""
+    if type(x) is float:
+        return x
+    return x if x.ndim else float(x)
+
+
+def transition_probability(eta, phase):
+    """eta^2 sin^2(phase); finite on all of eta in [0, 1].  eta and phase
+    may be arrays (broadcast); a single point gives a Python float."""
+    _check_eta(eta, broken="no real-spectrum closed form")
+    return _result(eta * eta * _sin_sq(phase))
+
+
+def survival_probability(eta, phase):
     """1 - eta^2 sin^2(phase)."""
     return 1.0 - transition_probability(eta, phase)
 
 
-def hermitian_transition_probability(eta: float, phase: float) -> float:
+def hermitian_transition_probability(eta, phase):
     """eta^2 / (1 + eta^2) sin^2(phase); saturates only as eta -> inf."""
-    if eta < 0.0:
-        raise NegativeMixing(f"eta must be non-negative, got {eta}")
-    return eta * eta / (1.0 + eta * eta) * math.sin(phase) ** 2
+    _check_eta(eta)
+    return _result(eta * eta / (1.0 + eta * eta) * _sin_sq(phase))
 
 
-def naive_continuation_value(eta: float, phase: float) -> float:
+def naive_continuation_value(eta, phase):
     """-eta^2 / (1 - eta^2) sin^2(phase): the mu^4 -> -mu^4 continuation of
     the Hermitian formula.  Deliberately not clamped; its modulus exceeds 1
     for eta > 1/sqrt(2)."""
-    if eta < 0.0:
-        raise NegativeMixing(f"eta must be non-negative, got {eta}")
-    if eta > 1.0:
-        raise BrokenPTPhase(f"eta = {eta:.6g} > 1: continuation undefined")
-    if eta >= 1.0 - EXCEPTIONAL_POINT_BAND:
-        raise ExceptionalPoint(f"eta = {eta:.17g}: 1/(1 - eta^2) diverges")
-    return -eta * eta / ((1.0 - eta) * (1.0 + eta)) * math.sin(phase) ** 2
+    _check_eta(eta, broken="continuation undefined", exceptional=True)
+    return _result(-eta * eta / ((1.0 - eta) * (1.0 + eta)) * _sin_sq(phase))
 
 
 def _operators(i: int, t, es: EigenSystem) -> np.ndarray:
@@ -181,7 +222,8 @@ def probability_trace(i: int, j: int, t0: float, t: float, es: EigenSystem) -> P
 
 
 def probability_closed_form(i: int, j: int, dt: float, es: EigenSystem) -> ProbabilityRecord:
-    """Closed-form P(i -> j) after a time separation dt."""
+    """Closed-form P(i -> j) after a time separation dt (or an array of
+    them, giving a record whose t and value are arrays)."""
     _check_flavour(i)
     _check_flavour(j)
     phase = 0.5 * es.delta_omega * dt
@@ -254,14 +296,12 @@ def dirac_overlap(t: float, es: EigenSystem) -> complex:
     return value.conjugate() if es.swapped else value
 
 
-def cardioid_r(theta_phase: float, eta: float) -> float:
+def cardioid_r(theta_phase, eta):
     """Polar radius (1 - eta^2 cos(phase)) / (1 - eta^2) traced by the
-    Dirac norm; 2 pi periodic, maximal at phase = pi."""
-    if eta < 0.0:
-        raise NegativeMixing(f"eta must be non-negative, got {eta}")
-    if eta > 1.0:
-        raise BrokenPTPhase(f"eta = {eta:.6g} > 1: no real-spectrum norm")
-    if eta >= 1.0 - EXCEPTIONAL_POINT_BAND:
-        raise ExceptionalPoint(f"eta = {eta:.17g}: 1/(1 - eta^2) diverges")
+    Dirac norm; 2 pi periodic, maximal at phase = pi.  Arrays broadcast as
+    in the transition probability."""
+    _check_eta(eta, broken="no real-spectrum norm", exceptional=True)
+    cos = math.cos(theta_phase) if isinstance(theta_phase, float) else _per_element(
+        math.cos, theta_phase)
     eta_sq = eta * eta
-    return (1.0 - eta_sq * math.cos(theta_phase)) / (1.0 - eta_sq)
+    return _result((1.0 - eta_sq * cos) / (1.0 - eta_sq))

@@ -60,8 +60,15 @@ class OracleGrid:
     tolerance: float | None = None
 
 
+def _worst(a: float, b: float) -> float:
+    """max(a, b), but NaN if either is NaN (Python's max keeps a NaN only as
+    its first argument)."""
+    return a if a != a or a >= b else b
+
+
 class _Family:
-    """Accumulates worst error over a sweep with per-point tolerances."""
+    """Accumulates worst error over a sweep with per-point tolerances; a NaN
+    error makes the worst error NaN and fails the family."""
 
     def __init__(self, name: str):
         self.name = name
@@ -72,7 +79,7 @@ class _Family:
 
     def add(self, err: float | complex, tol: float) -> None:
         err = float(abs(err))
-        self.max_err = max(self.max_err, err)
+        self.max_err = _worst(self.max_err, err)
         self.max_tol = max(self.max_tol, tol)
         self.ok = self.ok and err <= tol
         self.points += 1
@@ -81,7 +88,7 @@ class _Family:
         """add() for every element of an array of errors (hypot rounds like
         add()'s scalar abs; np.abs of a complex array need not)."""
         errs = np.hypot(np.real(errs), np.imag(errs))
-        self.max_err = max(self.max_err, float(errs.max(initial=0.0)))
+        self.max_err = _worst(self.max_err, float(errs.max(initial=0.0)))
         self.max_tol = max(self.max_tol, tol if errs.size else 0.0)
         self.ok = self.ok and bool((errs <= tol).all())
         self.points += errs.size
@@ -339,7 +346,7 @@ def _dts(grid: OracleGrid, es: EigenSystem) -> np.ndarray:  # phase = delta_omeg
 
 
 def _closed(i: int, j: int, dts: np.ndarray, es: EigenSystem) -> np.ndarray:
-    return np.array([prob.probability_closed_form(i, j, dt, es).value for dt in dts])
+    return prob.probability_closed_form(i, j, dts, es).value
 
 
 def _check_trace_vs_closed(params: ModelParams, grid: OracleGrid) -> _Family:

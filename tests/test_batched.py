@@ -14,9 +14,12 @@ import pytest
 
 from ptosc import (
     BrokenPTPhase,
+    DegenerateDiagonal,
+    DomainError,
     ExceptionalPoint,
     ModelParams,
     NegativeMixing,
+    NonPositiveMass,
     cprime_matrix,
     cpt_conjugate,
     cpt_inner,
@@ -27,6 +30,7 @@ from ptosc import (
     make_params,
     mass_matrix,
     numeric_eigensystem,
+    params_from_eta,
     parity_matrix,
     pt_conjugate,
     pt_eigenvalues,
@@ -196,3 +200,30 @@ def test_one_out_of_domain_eta_in_a_stack_raises(bad, error):
         cprime_matrix(eta)
     with pytest.raises(error):
         cpt_conjugate(eta, np.ones((2, 2, 2)))
+
+
+@examples
+@hyp.given(seed=seeds, shape=st.sampled_from(SHAPES))
+def test_parameters_from_an_eta_array(seed, shape):
+    rng = np.random.default_rng(seed)
+    eta = rng.uniform(0.0, 3.0, size=shape)
+    sum_sq, ratio = rng.uniform(0.5, 5.0), rng.uniform(0.05, 0.95)
+    batch = params_from_eta(eta, sum_sq, ratio)
+    for idx in np.ndindex(shape):
+        one = params_from_eta(float(eta[idx]), sum_sq, ratio)
+        for name in ("m1_sq", "m2_sq", "mu_sq", "p"):
+            assert np.asarray(getattr(batch, name))[idx] == getattr(one, name), name
+    if shape == ():
+        assert all(type(getattr(batch, name)) is float for name in ("m1_sq", "mu_sq"))
+
+
+@pytest.mark.parametrize("fields, error", [
+    ((2.0, 1.0, np.array([0.3, -0.1]), 0.0), NegativeMixing),
+    ((np.array([2.0, 0.0]), 1.0, 0.3, 0.0), NonPositiveMass),
+    ((np.array([2.0, 1.0]), 1.0, 0.3, 0.0), DegenerateDiagonal),
+    ((2.0, 1.0, np.array([0.3, np.inf]), 0.0), DomainError),
+    ((2.0, 1.0, 0.3, np.array([0.0, -1.0])), DomainError),
+])
+def test_one_out_of_domain_parameter_in_a_batch_raises(fields, error):
+    with pytest.raises(error):
+        make_params(*fields)

@@ -3,8 +3,23 @@
 import json
 import math
 
+import hypothesis as hyp
+import hypothesis.strategies as st
 import pytest
 
+from ptosc import (
+    BrokenPTPhase,
+    cardioid_r,
+    eigensystem,
+    hermitian_eigenvalues,
+    hermitian_transition_probability,
+    naive_continuation_value,
+    params_from_eta,
+    probability_trace,
+    pt_eigenvalues,
+    survival_probability,
+    transition_probability,
+)
 from ptosc.cli import main
 
 
@@ -135,6 +150,8 @@ class TestBadConfig:
         ("probabilities", "--eta", "-0.2"),
         ("validate", "--tolerance", "-1"),
         ("validate", "--eta", "1.5"),
+        ("validate", "--raw-params", "0.5,1e-300,0,0", "--eta", "0"),   # lower mass rounds to 0
+        ("probabilities", "--phase=-1e308:1e308:3"),                    # range span overflows
     ])
     def test_exit_code_two(self, capsys, argv):
         code, _, err = run(capsys, *argv)
@@ -329,3 +346,176 @@ def test_parser_built_once_gives_the_output_of_fresh_runs(capsys):
     assert reused == fresh
     assert [code for code, _, _ in reused] == [0, 2, 0, 2, 0]
     assert reused[0] == reused[-1]
+
+
+# --- output identity with the former row-by-row emitter ---------------------
+
+def former_fmt(value):
+    """Per-cell formatting as the CLI did it before the template emitter."""
+    if value is None:
+        return ""
+    value = float(value)
+    if value == 0.0:
+        value = 0.0  # normalise -0.0
+    return f"{value:.17g}"
+
+
+def former_render(columns, rows, fmt):
+    """The former emitter: one dict per row, one former_fmt call per cell."""
+    if fmt == "csv":
+        lines = [",".join(columns)]
+        lines += [",".join(former_fmt(row[c]) for c in columns) for row in rows]
+    else:
+        body = []
+        for row in rows:
+            cells = ", ".join(f'"{c}": ' + (former_fmt(row[c]) if row[c] is not None else "null")
+                              for c in columns)
+            body.append("  {" + cells + "}")
+        lines = ["[", ",\n".join(body), "]"]
+    return "\n".join(lines) + "\n"
+
+
+def listed(values):
+    return ",".join(repr(v) for v in values)
+
+
+REF_ETAS = [0.0, 0.3, 0.6, 0.95]                       # eta = 0: naive_transition is -0.0
+REF_PHASES = [-2.5, 0.0, 0.7853981633974483, 1.5707963267948966, 3.0, 11.0]
+
+
+def reference_probabilities(t0):
+    columns = ["eta", "phase", "pt_survival", "pt_transition", "trace_survival",
+               "trace_transition", "herm_survival", "herm_transition", "naive_transition"]
+    rows = []
+    for eta in REF_ETAS:
+        es = eigensystem(params_from_eta(eta, 3.0, 1.0 / 3.0))
+        for phase in REF_PHASES:
+            t = t0 + 2.0 * phase / es.delta_omega
+            herm = hermitian_transition_probability(eta, phase)
+            rows.append({
+                "eta": eta, "phase": phase,
+                "pt_survival": survival_probability(eta, phase),
+                "pt_transition": transition_probability(eta, phase),
+                "trace_survival": probability_trace(1, 1, t0, t, es).value,
+                "trace_transition": probability_trace(1, 2, t0, t, es).value,
+                "herm_survival": 1.0 - herm, "herm_transition": herm,
+                "naive_transition": naive_continuation_value(eta, phase),
+            })
+    return columns, rows
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("t0", [0.0, -3.25])
+def test_probabilities_match_the_former_rendering(capsys, fmt, t0):
+    code, out, _ = run(capsys, "probabilities", "--eta=" + listed(REF_ETAS),
+                       "--phase=" + listed(REF_PHASES), f"--t0={t0!r}", "--format", fmt,
+                       "--methods", "naive_continuation,hermitian,trace,closed_form")
+    assert code == 0
+    assert out == former_render(*reference_probabilities(t0), fmt)
+    assert "-0," not in out and "-0}" not in out and "-0\n" not in out
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_masses_match_the_former_rendering(capsys, fmt):
+    etas, ratio = [0.0, 0.5, 1.0, 1.25, 1.7320508075688772, 2.0, 5.0], 0.5
+    columns = ["eta", "pt_m_plus_sq", "pt_m_minus_sq", "herm_m_plus_sq", "herm_m_minus_sq"]
+    rows = []
+    for eta in etas:
+        params = params_from_eta(eta, 3.0, ratio)
+        try:
+            pt = [value / 3.0 for value in pt_eigenvalues(params)]
+        except BrokenPTPhase:
+            pt = [None, None]
+        herm = [value / 3.0 for value in hermitian_eigenvalues(params)]
+        rows.append(dict(zip(columns, [eta, *pt, *herm])))
+    assert rows[-1]["pt_m_plus_sq"] is None  # eta > 1 gives missing cells
+    code, out, _ = run(capsys, "masses", "--eta=" + listed(etas), f"--ratio={ratio!r}",
+                       "--format", fmt)
+    assert code == 0
+    assert out == former_render(columns, rows, fmt)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_cardioid_matches_the_former_rendering(capsys, fmt):
+    etas = [0.0, 0.1, 0.5, 0.9]
+    rows = []
+    for eta in etas:
+        r_pi = cardioid_r(math.pi, eta)
+        for phase in REF_PHASES:
+            r = cardioid_r(phase, eta)
+            rows.append({"eta": eta, "phase": phase, "r": r, "r_over_r_pi": r / r_pi})
+    code, out, _ = run(capsys, "cardioid", "--eta=" + listed(etas),
+                       "--phase=" + listed(REF_PHASES), "--format", fmt)
+    assert code == 0
+    assert out == former_render(["eta", "phase", "r", "r_over_r_pi"], rows, fmt)
+
+
+@pytest.mark.parametrize("argv", [
+    ("probabilities", "--eta", "1e200", "--methods", "hermitian", "--phase", "1"),
+    ("probabilities", "--eta", "0.5,1e160", "--methods", "hermitian"),
+    ("masses", "--eta", "1e160"),
+    ("masses", "--eta", "0.5,1e160", "--format", "json"),
+])
+def test_non_finite_output_is_refused(capsys, tmp_path, argv):
+    target = tmp_path / "rows.txt"
+    code, out, err = run(capsys, *argv, "--output", str(target))
+    assert code == 2
+    assert out == "" and not target.exists()
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert "Warning" not in err
+
+
+# --- the exit-code contract under fuzzed argv ---------------------------------
+
+numbers = st.sampled_from(["0", "0.5", "-0.0", "1", "0.999999999999", "1.2", "-0.3", "3.7",
+                           "1e-300", "1e160", "1e200", "1e308", "-1e308", "nan", "inf",
+                           "abc", ""]) | st.floats(-5.0, 5.0).map(repr)
+ranges = st.builds(lambda lo, hi, n: f"{lo}:{hi}:{n}", numbers, numbers,
+                   st.sampled_from(["0", "1", "2", "3", "7", "x"]))
+grids = numbers | ranges | st.lists(numbers, min_size=1, max_size=3).map(",".join)
+methods = st.lists(st.sampled_from(["closed_form", "trace", "hermitian", "naive_continuation",
+                                    "magic", ""]), min_size=1, max_size=4).map(",".join)
+flags = {
+    "probabilities": {"--eta": grids, "--phase": grids, "--t0": numbers, "--methods": methods,
+                      "--format": st.sampled_from(["csv", "json", "xml"]),
+                      "--raw-params": st.lists(numbers, min_size=3, max_size=5).map(",".join)},
+    "masses": {"--eta": grids, "--ratio": numbers,
+               "--format": st.sampled_from(["csv", "json", "xml"])},
+    "cardioid": {"--eta": grids, "--phase": grids,
+                 "--format": st.sampled_from(["csv", "json", "xml"])},
+    # one or two etas keep a validate example short
+    "validate": {"--eta": st.lists(numbers, min_size=1, max_size=2).map(",".join),
+                 "--tolerance": numbers, "--json": st.just(None),
+                 "--raw-params": st.lists(numbers, min_size=4, max_size=4).map(",".join)},
+}
+
+
+@st.composite
+def argvs(draw):
+    command = draw(st.sampled_from(sorted(flags)))
+    chosen = draw(st.lists(st.sampled_from(sorted(flags[command])), unique=True, max_size=4))
+    if command == "validate" and "--eta" not in chosen:
+        chosen.append("--eta")
+    argv = [command]
+    for flag in chosen:
+        value = draw(flags[command][flag])
+        argv += [flag] if value is None else [f"{flag}={value}"]
+    return argv
+
+
+@hyp.settings(max_examples=100, deadline=None,
+              suppress_health_check=[hyp.HealthCheck.function_scoped_fixture])
+@hyp.given(argv=argvs())
+def test_fuzzed_argv_keeps_the_exit_code_contract(capsys, tmp_path, argv):
+    target = tmp_path / "out.txt"
+    target.unlink(missing_ok=True)
+    code = main(argv + ["--output", str(target)])
+    captured = capsys.readouterr()
+    assert code in (0, 1, 2, 3), argv
+    assert "Traceback" not in captured.err, argv
+    assert captured.out == ""
+    if code in (2, 3):
+        assert not target.exists(), argv
+    if code == 0 and argv[0] != "validate":
+        text = target.read_text(encoding="utf-8")
+        assert "nan" not in text and "inf" not in text, argv

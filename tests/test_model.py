@@ -116,6 +116,13 @@ class TestEigensystem:
             eigensystem(make_params(2.0, 1.0, 0.5 * (1.0 - 1e-13)))
         eigensystem(make_params(2.0, 1.0, 0.5 * (1.0 - 1e-11)))  # just outside
 
+    @pytest.mark.parametrize("m1, m2", [(0.5, 1e-300), (1e-300, 0.5)])
+    def test_lower_mass_rounding_to_zero_rejected(self, m1, m2):
+        # exactly m_minus^2 = min(m1^2, m2^2) > 0 at eta = 0, but
+        # (m1^2 + m2^2)/2 - |m1^2 - m2^2|/2 rounds to 0
+        with pytest.raises(NonPositiveMass):
+            eigensystem(make_params(m1, m2, 0.0))
+
     def test_broken_phase_rejected(self):
         with pytest.raises(BrokenPTPhase):
             eigensystem(make_params(2.0, 1.0, 0.500001))

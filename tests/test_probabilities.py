@@ -13,6 +13,7 @@ from ptosc import (
     BrokenPTPhase,
     DomainError,
     ExceptionalPoint,
+    NegativeMixing,
     NonRealTrace,
     TachyonicMass,
     brute_force_probability,
@@ -415,3 +416,135 @@ class TestTraceProbabilities:
             assert stack.shape == (3, 2, 2)
             for k, t0 in enumerate(t0s):
                 np.testing.assert_array_equal(stack[k], density_operator(i, t0, es).entries)
+
+
+# --- array closed forms -------------------------------------------------------
+
+def _cardioid(eta, phase):
+    return cardioid_r(phase, eta)
+
+
+# name -> (function of (eta, phase), largest eta drawn)
+CLOSED_FORMS = {
+    "transition_probability": (transition_probability, 1.0),
+    "survival_probability": (survival_probability, 1.0),
+    "hermitian_transition_probability": (hermitian_transition_probability, 1e150),
+    "naive_continuation_value": (naive_continuation_value, 0.999),
+    "cardioid_r": (_cardioid, 0.999),
+}
+
+
+def former_single_point(name, eta, phase):
+    """The closed forms as written before they took arrays (the reference)."""
+    if name == "transition_probability":
+        return eta * eta * math.sin(phase) ** 2
+    if name == "survival_probability":
+        return 1.0 - eta * eta * math.sin(phase) ** 2
+    if name == "hermitian_transition_probability":
+        return eta * eta / (1.0 + eta * eta) * math.sin(phase) ** 2
+    if name == "naive_continuation_value":
+        return -eta * eta / ((1.0 - eta) * (1.0 + eta)) * math.sin(phase) ** 2
+    eta_sq = eta * eta
+    return (1.0 - eta_sq * math.cos(phase)) / (1.0 - eta_sq)
+
+
+phases = st.floats(-1e3, 1e3) | st.sampled_from([0.0, -0.0, math.pi, 1e300])
+
+
+@st.composite
+def eta_phase_grids(draw, eta_max):
+    """(eta, phase) as floats, equal-length arrays, or an (n, 1) x (1, m) grid."""
+    etas = st.floats(0.0, eta_max) | st.just(0.0)
+    shape = draw(st.sampled_from(["scalar", "vector", "grid"]))
+    if shape == "scalar":
+        return draw(etas), draw(phases)
+    n = draw(st.integers(1, 5))
+    eta = np.array(draw(st.lists(etas, min_size=n, max_size=n)))
+    if shape == "vector":
+        return eta, np.array(draw(st.lists(phases, min_size=n, max_size=n)))
+    phase = np.array(draw(st.lists(phases, min_size=1, max_size=5)))
+    return eta[:, None], phase[None, :]
+
+
+class TestArrayClosedForms:
+    @hyp.settings(max_examples=80, deadline=None)
+    @hyp.given(data=st.data(), name=st.sampled_from(sorted(CLOSED_FORMS)))
+    def test_array_call_equals_a_loop_of_single_points(self, data, name):
+        fn, eta_max = CLOSED_FORMS[name]
+        eta, phase = data.draw(eta_phase_grids(eta_max))
+        values = fn(eta, phase)
+        shape = np.broadcast_shapes(np.shape(eta), np.shape(phase))
+        if shape == ():
+            assert type(values) is float
+        else:
+            assert values.shape == shape
+        etas, phases_ = np.broadcast_arrays(eta, phase)
+        for idx in np.ndindex(shape):
+            one = fn(float(etas[idx]), float(phases_[idx]))
+            assert type(one) is float
+            assert np.asarray(values)[idx] == one
+
+    @hyp.settings(max_examples=60, deadline=None)
+    @hyp.given(data=st.data(), name=st.sampled_from(sorted(CLOSED_FORMS)))
+    def test_single_points_equal_the_former_formulas(self, data, name):
+        fn, eta_max = CLOSED_FORMS[name]
+        eta, phase = data.draw(st.floats(0.0, eta_max)), data.draw(phases)
+        assert fn(eta, phase) == former_single_point(name, eta, phase)
+
+    @pytest.mark.parametrize("name", sorted(CLOSED_FORMS))
+    def test_shape_zero_arrays_and_numpy_scalars_give_python_floats(self, name):
+        fn, _ = CLOSED_FORMS[name]
+        for eta, phase in ((np.float64(0.5), 1.3), (np.array(0.5), np.array(1.3)), (0, 1)):
+            value = fn(eta, phase)
+            assert type(value) is float
+            assert value == former_single_point(name, float(eta), float(phase))
+
+    @pytest.mark.parametrize("name, eta, error", [
+        ("transition_probability", -0.1, NegativeMixing),
+        ("transition_probability", 1.2, BrokenPTPhase),
+        ("survival_probability", 1.2, BrokenPTPhase),
+        ("naive_continuation_value", 1.0, ExceptionalPoint),
+        ("naive_continuation_value", 1.5, BrokenPTPhase),
+        ("cardioid_r", 1.0, ExceptionalPoint),
+        ("cardioid_r", 1.2, BrokenPTPhase),
+        ("hermitian_transition_probability", -0.1, NegativeMixing),
+        ("hermitian_transition_probability", 1e200, DomainError),
+    ])
+    def test_one_out_of_domain_eta_in_an_array_raises(self, name, eta, error):
+        fn, _ = CLOSED_FORMS[name]
+        with pytest.raises(error):
+            fn(eta, 1.0)
+        with pytest.raises(error):
+            fn(np.array([0.1, eta, 0.5]), 1.0)
+        with pytest.raises(error):
+            fn(np.array([[0.1], [eta]]), np.array([[0.0, 1.0]]))
+
+    @pytest.mark.parametrize("name", sorted(CLOSED_FORMS))
+    @pytest.mark.parametrize("eta", [math.nan, math.inf])
+    def test_non_finite_eta_refused(self, name, eta):
+        fn, _ = CLOSED_FORMS[name]
+        with pytest.raises(DomainError):
+            fn(eta, 1.0)
+        with pytest.raises(DomainError):
+            fn(np.array([0.5, eta]), 1.0)
+
+    def test_hermitian_refuses_exactly_the_etas_whose_square_overflows(self):
+        from ptosc.probabilities import ETA_SQUARE_LIMIT
+
+        assert math.isfinite(ETA_SQUARE_LIMIT * ETA_SQUARE_LIMIT)
+        past = math.nextafter(ETA_SQUARE_LIMIT, math.inf)
+        assert past * past == math.inf
+        assert hermitian_transition_probability(ETA_SQUARE_LIMIT, 1.0) == math.sin(1.0) ** 2
+        with pytest.raises(DomainError, match="not a finite number"):
+            hermitian_transition_probability(past, 1.0)
+        with pytest.raises(DomainError, match="not a finite number"):
+            hermitian_transition_probability(np.array([1.0, 1e160]), np.array([0.5, 1.0]))
+
+    def test_closed_form_record_over_an_array_of_separations(self, es, swapped_es):
+        dts = np.linspace(-7.0, 30.0, 23)
+        for system in (es, swapped_es):
+            for i, j in PAIRS:
+                record = probability_closed_form(i, j, dts, system)
+                assert record.value.shape == dts.shape
+                for dt, value in zip(dts, record.value):
+                    assert value == probability_closed_form(i, j, float(dt), system).value

@@ -80,6 +80,40 @@ def test_oracle_report_factory():
     assert good.passed and not bad.passed
 
 
+class TestFamilyNaN:
+    """A NaN error must make the worst error NaN and fail the family, with
+    or without a tolerance override (Python's max drops a NaN)."""
+
+    @staticmethod
+    def assert_failed_on_nan(fam):
+        for override in (None, 1.0, 1e300):
+            report = fam.report(override)
+            assert np.isnan(report.max_abs_error) and not report.passed, override
+
+    def test_add_all(self):
+        fam = _Family("x")
+        fam.add_all(np.array([0.5, np.nan]), 1.0)
+        self.assert_failed_on_nan(fam)
+        fam.add_all(np.array([0.7]), 1.0)  # a later finite error keeps the NaN
+        self.assert_failed_on_nan(fam)
+
+    @pytest.mark.parametrize("errors", [[np.nan], [np.nan, 0.5], [0.5, np.nan, 0.7],
+                                        [complex(np.nan, 0.0)]])
+    def test_add(self, errors):
+        fam = _Family("x")
+        for err in errors:
+            fam.add(err, 1.0)
+        self.assert_failed_on_nan(fam)
+
+    def test_finite_errors_keep_their_worst(self):
+        fam = _Family("x")
+        fam.add(0.25, 1.0)
+        fam.add_all(np.array([0.5, 0.125]), 1.0)
+        fam.add(-0.375, 1.0)
+        assert fam.report(None) == OracleReport("x", 0.5, 1.0, True, 4)
+        assert fam.report(0.4) == OracleReport("x", 0.5, 0.4, False, 4)
+
+
 def test_out_of_domain_reference_params_raise_up_front():
     from ptosc import BrokenPTPhase
 

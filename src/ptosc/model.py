@@ -59,6 +59,9 @@ from .errors import (
 # the band is dominated by cancellation noise.
 EXCEPTIONAL_POINT_BAND = 1e-12
 
+# The largest value whose square is finite.
+_SQUARE_LIMIT = math.sqrt(sys.float_info.max)
+
 # 2x2 metric / density / projection operators are plain arrays.
 LinearOperator = np.ndarray
 
@@ -95,7 +98,8 @@ def make_params(m1_sq: float, m2_sq: float, mu_sq: float, p: float = 0.0) -> Mod
     """Validate and package the model inputs; arrays broadcast to a batch.
 
     Raises NonPositiveMass, NegativeMixing or DegenerateDiagonal if any
-    element is out of domain.  eta > 1 is accepted here (the Hermitian
+    element is out of domain, and DomainError for a non-finite value or a
+    momentum whose square overflows.  eta > 1 is accepted here (the Hermitian
     comparison model remains meaningful); it is the eigensystem
     construction that rejects the broken-PT regime.
     """
@@ -116,6 +120,8 @@ def make_params(m1_sq: float, m2_sq: float, mu_sq: float, p: float = 0.0) -> Mod
         raise NegativeMixing(f"mu_sq must be non-negative, got {mu_sq}")
     if _any(p < 0.0):
         raise DomainError(f"momentum magnitude must be non-negative, got {p}")
+    if _any(p > _SQUARE_LIMIT):
+        raise DomainError(f"momentum magnitude {np.max(p):.6g} is too large: p^2 overflows")
     if _any(m1_sq == m2_sq):
         raise DegenerateDiagonal("m1_sq == m2_sq: eta is undefined for a degenerate diagonal")
     return ModelParams(*fields)
@@ -310,8 +316,9 @@ def eigensystem(params: ModelParams) -> EigenSystem:
 
     Raises BrokenPTPhase for eta > 1, ExceptionalPoint for eta within
     EXCEPTIONAL_POINT_BAND of 1 (the merged eigenvalue is attached to the
-    exception; eigenvectors do not exist there), and NonPositiveMass when
-    the lower squared mass rounds to zero or below.
+    exception; eigenvectors do not exist there), NonPositiveMass when
+    the lower squared mass rounds to zero or below, and DomainError when
+    p^2 + m^2 overflows, leaving the mode frequencies infinite.
     """
     eta = params.eta
     if eta > 1.0:
@@ -336,6 +343,8 @@ def eigensystem(params: ModelParams) -> EigenSystem:
 
     omega_plus = math.sqrt(params.p * params.p + m_plus_sq)
     omega_minus = math.sqrt(params.p * params.p + m_minus_sq)
+    if not (math.isfinite(omega_plus) and math.isfinite(omega_minus)):
+        raise DomainError(f"p^2 + m^2 overflows at p = {params.p:.6g}: infinite mode frequencies")
     # m_plus_sq - m_minus_sq = |m1^2 - m2^2| s, computed without cancellation
     delta_omega = abs(params.m1_sq - params.m2_sq) * s / (omega_plus + omega_minus)
 

@@ -13,8 +13,10 @@ genuine cross-check rather than a tautology.  The construction is also
 orientation-free: it works identically for either ordering of the diagonal
 squared masses.
 
-Every brute-force function takes a time or an array of times (t0 and t
-broadcast together) and solves the spectrum once per call.
+Every brute-force function takes a time or an array of times, and a
+flavour index or an array of them; indices and times broadcast together.
+One call solves the spectrum once, so all four (i, j) pairs of a system
+over a whole time grid cost a single solve.
 
 Conditioning of the eigenvector basis degrades like (1 - eta^2)^(-1/2)
 near the exceptional point; use tolerance_for_eta for the documented
@@ -91,6 +93,7 @@ def numeric_eigensystem(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 class _SpectralData:
     eigenvalues: np.ndarray      # (lam_plus, lam_minus), real, descending
     basis: np.ndarray            # PT-normalised eigenvectors as columns
+    weights: np.ndarray          # row i - 1: flavour i's coefficients in the basis
     metric: np.ndarray           # (V V^dag)^{-1}: the positive-definite metric
     symmetry: np.ndarray         # V diag(PT signs) V^{-1}: C'-like ket operator
     omegas: np.ndarray           # frequencies sqrt(p^2 + lam)
@@ -114,44 +117,54 @@ def _spectral_data(params: ModelParams) -> _SpectralData:
         raise DomainError("PT-null eigenvector: parameters are at the exceptional point")
     signs = np.sign(norms)
     basis = vectors / np.sqrt(np.abs(norms))
+    weights = np.array([np.linalg.solve(basis, unit) for unit in np.eye(2)])
     metric = np.linalg.inv(basis @ basis.T)
     symmetry = basis @ np.diag(signs) @ np.linalg.inv(basis)
     omegas = np.sqrt(params.p * params.p + eigenvalues)
-    return _SpectralData(eigenvalues, basis, metric, symmetry, omegas)
+    return _SpectralData(eigenvalues, basis, weights, metric, symmetry, omegas)
 
 
-def _ket(data: _SpectralData, i: int, t) -> np.ndarray:
-    if i not in (1, 2):
+def _is_flavour_one(i) -> np.ndarray:
+    """i == 1 for a flavour index or each of an array of them; DomainError
+    unless every index is 1 or 2."""
+    index = np.asarray(i)
+    one = index == 1
+    if not (one | (index == 2)).all():
         raise DomainError(f"flavour index must be 1 or 2, got {i!r}")
-    weights = np.linalg.solve(data.basis, np.eye(2)[i - 1])
+    return one
+
+
+def _ket(data: _SpectralData, i, t) -> np.ndarray:
+    weights = np.where(_is_flavour_one(i)[..., None], data.weights[0], data.weights[1])
     phases = np.exp(1j * np.multiply.outer(t, data.omegas))
     return _dot(weights * phases, data.basis.T)
 
 
-def _operator(data: _SpectralData, i: int, t) -> np.ndarray:
-    ket = _ket(data, i, t)
-    if i == 1:
-        left, right = ket, _dot(ket.conj(), data.metric)
-    else:
-        left, right = _dot(ket, data.symmetry.T), _dot(ket.conj(), parity_matrix())
+def _operator(data: _SpectralData, i, t) -> np.ndarray:
+    one = _is_flavour_one(i)[..., None]
+    ket1, ket2 = _ket(data, 1, t), _ket(data, 2, t)
+    left = np.where(one, ket1, _dot(ket2, data.symmetry.T))
+    right = np.where(one, _dot(ket1.conj(), data.metric), _dot(ket2.conj(), parity_matrix()))
     op = left[..., :, None] * right[..., None, :]
     return op / (op[..., 0, 0] + op[..., 1, 1])[..., None, None]
 
 
-def brute_force_flavour_ket(params: ModelParams, i: int, t: float) -> np.ndarray:
+def brute_force_flavour_ket(params: ModelParams, i, t) -> np.ndarray:
     """Flavour ket components at time t, from a linear solve against the
     numeric eigenbasis (no mixing-angle formulas)."""
     return _ket(_spectral_data(params), i, t)
 
 
-def brute_force_operator(params: ModelParams, i: int, t: float) -> np.ndarray:
+def brute_force_operator(params: ModelParams, i, t) -> np.ndarray:
     """Density/projection operator for flavour i at time t, normalised by
     its own trace instead of any sech(2 theta) closed form."""
     return _operator(_spectral_data(params), i, t)
 
 
-def brute_force_probability(params: ModelParams, i: int, j: int, t0: float, t: float) -> float:
-    """P(i -> j) from the raw-matrix construction above."""
+def brute_force_probability(params: ModelParams, i, j, t0, t) -> float:
+    """P(i -> j) from the raw-matrix construction above.  With index
+    columns i = [[1], [1], [2], [2]], j = [[1], [2], [1], [2]] and an array
+    of times t, row k holds the k-th (i, j) pair over the whole grid."""
     data = _spectral_data(params)
     product = _operator(data, i, t0) @ _operator(data, j, t)
     value = product[..., 0, 0] + product[..., 1, 1]
@@ -161,7 +174,7 @@ def brute_force_probability(params: ModelParams, i: int, j: int, t0: float, t: f
     return value.real[()]
 
 
-def brute_force_dirac_norm(params: ModelParams, i: int, t: float) -> float:
+def brute_force_dirac_norm(params: ModelParams, i, t) -> float:
     """<fi(t)|fi(t)> by direct contraction of the brute-force ket."""
     ket = brute_force_flavour_ket(params, i, t)
     return (ket.conj() * ket).sum(axis=-1).real[()]

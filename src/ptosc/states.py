@@ -26,9 +26,12 @@ Flavour indices follow the caller's labelling; for m1^2 < m2^2 they are
 mapped onto the heavy-first orientation internally (see model.EigenSystem)
 and components refer to heavy-first axes.  Negative t is allowed
 everywhere; states are evaluated eagerly at the given time.
-mixed_basis_states also takes an array of times and returns stacks of
-components of shape np.shape(t) + (2,): the batched form the trace route
-uses.
+
+Every function here also takes an array of times: xi returns one phase
+per time, and flavour_ket, tilde_bra, cpt_bra, pt_bra, dirac_bra,
+cprime_ket and the mixed_basis_* functions return components of shape
+np.shape(t) + (2,), each element equal to its single-time value bit for
+bit.  mixed_basis_states is the batched form the trace route uses.
 """
 
 import cmath
@@ -42,7 +45,7 @@ from .model import EigenSystem, _dot
 
 @dataclass(frozen=True)
 class FlavourState:
-    """A flavour ket or bra evaluated at one instant."""
+    """A flavour ket or bra at one instant, or a stack over an array of times."""
 
     index: int          # 1 | 2, caller's labelling
     kind: str           # ket | tilde_bra | cpt_bra | pt_bra | dirac_bra | cprime_ket
@@ -50,11 +53,16 @@ class FlavourState:
     components: np.ndarray
 
 
-def xi(branch: str, t: float, es: EigenSystem) -> complex:
+def xi(branch: str, t, es: EigenSystem) -> complex:
     """Mode phase exp(i omega_branch t), one plane-wave mode of the
     classical equation of motion d^2 xi / dt^2 = -omega^2 xi; unit modulus
-    for every t."""
-    return cmath.exp(1j * es.omega(branch) * t)
+    for every t.  For an array of times each phase comes from cmath, one
+    element at a time, so every element equals its single-time value."""
+    omega = es.omega(branch)
+    if np.ndim(t) == 0:
+        return cmath.exp(1j * omega * t)
+    return np.array([cmath.exp(1j * omega * x) for x in np.ravel(t).tolist()],
+                    dtype=complex).reshape(np.shape(t))
 
 
 def _ket_components(i: int, t, es: EigenSystem) -> np.ndarray:
@@ -73,17 +81,17 @@ def _scaled(components: np.ndarray, es: EigenSystem, normalised: bool) -> np.nda
     return components * es.mixed_basis_norm if normalised else components
 
 
-def flavour_ket(i: int, t: float, es: EigenSystem, normalised: bool = False) -> FlavourState:
+def flavour_ket(i: int, t, es: EigenSystem, normalised: bool = False) -> FlavourState:
     """The flavour ket |fi(t)>; equals the i-th basis vector at t = 0 when
     unnormalised."""
     return FlavourState(i, "ket", normalised, _scaled(_ket_components(i, t, es), es, normalised))
 
 
-def tilde_bra(i: int, t: float, es: EigenSystem) -> FlavourState:
+def tilde_bra(i: int, t, es: EigenSystem) -> FlavourState:
     """The biorthogonal bra <f~i(t)|, dual to the kets for every t."""
     c = es.canonical_flavour(i)
     sect_plus, sect_minus = cpt_conjugate(es.eta, [es.e_plus, es.e_minus]).components
-    xp, xm = xi("plus", t, es).conjugate(), xi("minus", t, es).conjugate()
+    xp, xm = (np.conj(xi(branch, t, es))[..., None] for branch in ("plus", "minus"))
     if c == 1:
         comps = es.cosh_theta * xp * sect_plus - es.sinh_theta * xm * sect_minus
     else:
@@ -94,34 +102,34 @@ def tilde_bra(i: int, t: float, es: EigenSystem) -> FlavourState:
 _PARITY_SIGNS = np.array([1.0, -1.0])
 
 
-def cpt_bra(i: int, t: float, es: EigenSystem, normalised: bool = False) -> FlavourState:
+def cpt_bra(i: int, t, es: EigenSystem, normalised: bool = False) -> FlavourState:
     """The C'PT conjugate <fi^C'PT(t)| of the flavour ket, u^dag C' P.
 
     At t = 0 this is [1, eta] / sqrt(1 - eta^2) (or index-reversed), which
     is not a flavour state itself.
     """
-    comps = _ket_components(i, t, es).conj() @ es.cpt_metric
+    comps = _dot(_ket_components(i, t, es).conj(), es.cpt_metric)
     return FlavourState(i, "cpt_bra", normalised, _scaled(comps, es, normalised))
 
 
-def pt_bra(i: int, t: float, es: EigenSystem, normalised: bool = False) -> FlavourState:
+def pt_bra(i: int, t, es: EigenSystem, normalised: bool = False) -> FlavourState:
     """The PT conjugate <fi^PT(t)| = (|fi(t)>)^dag P."""
     comps = _ket_components(i, t, es).conj() * _PARITY_SIGNS
     return FlavourState(i, "pt_bra", normalised, _scaled(comps, es, normalised))
 
 
-def dirac_bra(i: int, t: float, es: EigenSystem) -> FlavourState:
+def dirac_bra(i: int, t, es: EigenSystem) -> FlavourState:
     """The Hermitian-conjugate bra <fi(t)| of the Dirac inner product."""
     return FlavourState(i, "dirac_bra", False, _ket_components(i, t, es).conj())
 
 
-def cprime_ket(i: int, t: float, es: EigenSystem, normalised: bool = False) -> FlavourState:
+def cprime_ket(i: int, t, es: EigenSystem, normalised: bool = False) -> FlavourState:
     """The C'-reflected ket |fi^C'(t)> = C'^T |fi(t)>.
 
     Satisfies (C'^T v)^sect = v^dag P, which ties the mixed-basis overlaps
     to the PT inner product.
     """
-    comps = es.cprime_transpose @ _ket_components(i, t, es)
+    comps = _dot(_ket_components(i, t, es), es.cprime_transpose.T)
     return FlavourState(i, "cprime_ket", normalised, _scaled(comps, es, normalised))
 
 
@@ -138,22 +146,22 @@ def mixed_basis_states(i: int, t, es: EigenSystem,
     return scale * _dot(base, es.cprime_transpose.T), scale * (base.conj() * _PARITY_SIGNS)
 
 
-def mixed_basis_pair(i: int, t: float, es: EigenSystem,
+def mixed_basis_pair(i: int, t, es: EigenSystem,
                      normalised: bool = True) -> tuple[FlavourState, FlavourState]:
-    """mixed_basis_states at one time, as tagged FlavourStates."""
+    """mixed_basis_states as tagged FlavourStates."""
     ket, bra = mixed_basis_states(i, t, es, normalised)
     kinds = ("ket", "cpt_bra") if es.canonical_flavour(i) == 1 else ("cprime_ket", "pt_bra")
     return (FlavourState(i, kinds[0], normalised, ket),
             FlavourState(i, kinds[1], normalised, bra))
 
 
-def mixed_basis_ket(i: int, t: float, es: EigenSystem, normalised: bool = True) -> FlavourState:
+def mixed_basis_ket(i: int, t, es: EigenSystem, normalised: bool = True) -> FlavourState:
     """The ket member of the orthonormal mixed basis: |f1(t)> for flavour 1
     and |f2^C'(t)> for flavour 2 (heavy-first labelling)."""
     return mixed_basis_pair(i, t, es, normalised)[0]
 
 
-def mixed_basis_bra(i: int, t: float, es: EigenSystem, normalised: bool = True) -> FlavourState:
+def mixed_basis_bra(i: int, t, es: EigenSystem, normalised: bool = True) -> FlavourState:
     """The bra member of the orthonormal mixed basis: <f1^C'PT(t)| for
     flavour 1 and <f2^PT(t)| for flavour 2 (heavy-first labelling)."""
     return mixed_basis_pair(i, t, es, normalised)[1]

@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import hypothesis as hyp
 import hypothesis.strategies as st
@@ -463,6 +464,22 @@ def test_non_finite_output_is_refused(capsys, tmp_path, argv):
     assert out == "" and not target.exists()
     assert err.startswith("error: ") and "Traceback" not in err
     assert "Warning" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("validate", "--raw-params=0.5,1.0,0,1e160", "--eta=0"),
+    ("validate", "--raw-params=1e308,5e307,0,1.3e154", "--eta=0"),  # p^2 + m^2 overflows
+    ("probabilities", "--raw-params=0.5,1.0,0.1,1e160", "--methods", "closed_form,trace"),
+    ("probabilities", "--raw-params=0.5,1.0,0.1,1e160", "--methods", "closed_form"),
+    ("probabilities", "--raw-params=1e308,5e307,0,1.3e154", "--methods", "closed_form,trace"),
+])
+def test_overflowing_momentum_exits_two_with_one_error_line(capsys, argv):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert [str(w.message) for w in caught] == []
 
 
 # --- the exit-code contract under fuzzed argv ---------------------------------

@@ -273,3 +273,19 @@ def test_eigenvector_residuals_on_random_draws():
         for vec, lam in ((es.e_plus, es.m_plus_sq), (es.e_minus, es.m_minus_sq)):
             worst = max(worst, np.linalg.norm(m2 @ vec - lam * vec) / scale)
     assert worst < 1e-10
+
+
+def test_momentum_whose_square_overflows_is_refused():
+    from ptosc.model import ModelParams
+
+    with pytest.raises(DomainError, match="p\\^2 overflows"):
+        make_params(0.5, 1.0, 0.1, 1e160)
+    with pytest.raises(DomainError, match="p\\^2 overflows"):
+        make_params(2.0, 1.0, 0.3, np.array([0.5, 1e160]))
+    # past make_params, and where p^2 is finite but p^2 + m^2 is not: the
+    # mode frequencies would be inf and delta_omega 0
+    for params in (ModelParams(0.5, 1.0, 0.1, 1e160), make_params(1e308, 5e307, 0.0, 1.3e154)):
+        with pytest.raises(DomainError, match="infinite mode frequencies"):
+            eigensystem(params)
+    es = eigensystem(make_params(0.5, 1.0, 0.1, 1e150))
+    assert math.isfinite(es.omega_plus) and es.delta_omega > 0.0

@@ -150,3 +150,72 @@ class TestTimeArrays:
             assert overlaps[k] == brute_force_dirac_overlap(params, t)
         np.testing.assert_allclose(brute_force_flavour_ket(params, 2, times)[1],
                                    [0.0, 1.0], atol=1e-12)
+
+
+class TestFlavourArrays:
+    """Flavour indices broadcast with the times: all four (i, j) pairs of a
+    system come from one call and one spectral solve."""
+
+    PAIR_I = np.array([[1], [1], [2], [2]])
+    PAIR_J = np.array([[1], [2], [1], [2]])
+
+    @pytest.mark.parametrize("fixture", ["params", "swapped_params"])
+    def test_all_pairs_in_one_call_equal_per_pair_single_calls(self, request, fixture):
+        p = request.getfixturevalue(fixture)
+        times = -0.4 + np.linspace(0.0, 9.0, 11)
+        values = brute_force_probability(p, self.PAIR_I, self.PAIR_J, -0.4, times)
+        assert values.shape == (4, 11)
+        for k, (i, j) in enumerate(zip(self.PAIR_I[:, 0], self.PAIR_J[:, 0])):
+            assert np.array_equal(values[k], brute_force_probability(p, int(i), int(j),
+                                                                     -0.4, times))
+            for n, t in enumerate(times.tolist()):
+                assert values[k, n] == brute_force_probability(p, int(i), int(j), -0.4, t)
+
+    def test_dirac_norms_of_both_flavours_in_one_call(self, swapped_params):
+        times = np.array([-2.0, 0.0, 3.3, 40.0])
+        norms = brute_force_dirac_norm(swapped_params, np.array([[1], [2]]), times)
+        assert norms.shape == (2, 4)
+        for row, i in enumerate((1, 2)):
+            for k, t in enumerate(times.tolist()):
+                assert norms[row, k] == brute_force_dirac_norm(swapped_params, i, t)
+
+    def test_one_spectral_solve_for_all_pairs(self, params, monkeypatch):
+        from ptosc import oracle
+
+        calls = []
+        original = oracle._spectral_data
+        monkeypatch.setattr(oracle, "_spectral_data",
+                            lambda p: calls.append(p) or original(p))
+        brute_force_probability(params, self.PAIR_I, self.PAIR_J, 0.0,
+                                np.linspace(0.0, 10.0, 64))
+        brute_force_dirac_norm(params, np.array([[1], [2]]), np.linspace(0.0, 10.0, 64))
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("bad", [0, 3, "1", np.array([[1], [3]])])
+    def test_flavour_outside_one_and_two_is_refused(self, params, bad):
+        from ptosc import DomainError
+
+        with pytest.raises(DomainError, match="flavour index must be 1 or 2"):
+            brute_force_probability(params, bad, 1, 0.0, 1.0)
+        with pytest.raises(DomainError, match="flavour index must be 1 or 2"):
+            brute_force_flavour_ket(params, bad, 1.0)
+
+
+def test_oracle_imports_only_errors_and_model():
+    """The oracle is the independent third route: it may build on the raw
+    matrices (model) and the error types, never on states, probabilities,
+    inner or validation."""
+    import ast
+    from pathlib import Path
+
+    import ptosc.oracle
+
+    tree = ast.parse(Path(ptosc.oracle.__file__).read_text(encoding="utf-8"))
+    package_imports = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith(
+                "ptosc")):
+            package_imports.add((node.module or "").removeprefix("ptosc").lstrip("."))
+        elif isinstance(node, ast.Import):
+            assert not any(alias.name.startswith("ptosc") for alias in node.names)
+    assert package_imports == {"errors", "model"}

@@ -209,3 +209,39 @@ def test_cprime_section_identity():
             v = rng.normal(size=2) + 1j * rng.normal(size=2)
             lhs = cpt_conjugate(eta, cp_t @ v).components
             np.testing.assert_allclose(lhs, v.conj() @ par, atol=1e-12)
+
+
+class TestTimeArrays:
+    """Every state function takes an array of times; each element equals the
+    single-time call bit for bit (the stacked check_all families rely on it)."""
+
+    TIMES = np.array([-5.0, -0.0, 0.0, 0.3, 7.9, 1e3, -123.456])
+
+    @pytest.mark.parametrize("fixture", ["es", "swapped_es"])
+    @pytest.mark.parametrize("fn", [flavour_ket, tilde_bra, cpt_bra, pt_bra, dirac_bra,
+                                    cprime_ket, mixed_basis_ket, mixed_basis_bra])
+    @pytest.mark.parametrize("i", [1, 2])
+    def test_state_stacks_equal_single_time_calls(self, request, fixture, fn, i):
+        system = request.getfixturevalue(fixture)
+        stack = fn(i, self.TIMES, system).components
+        assert stack.shape == self.TIMES.shape + (2,)
+        for k, t in enumerate(self.TIMES.tolist()):
+            single = fn(i, t, system).components
+            assert single.shape == (2,)
+            assert np.array_equal(stack[k], single), (fn.__name__, t)
+
+    @pytest.mark.parametrize("branch", ["plus", "minus"])
+    def test_xi_over_a_time_grid_equals_single_calls(self, es, branch):
+        times = self.TIMES.reshape(7, 1) + np.array([0.0, 1e-4])
+        phases = xi(branch, times, es)
+        assert phases.shape == times.shape
+        for index in np.ndindex(times.shape):
+            single = xi(branch, float(times[index]), es)
+            assert type(single) is complex and phases[index] == single
+
+    def test_tilde_bra_at_many_random_times(self, es):
+        times = np.random.default_rng(5).uniform(-50.0, 50.0, size=200)
+        for i in (1, 2):
+            stack = tilde_bra(i, times, es).components
+            for k, t in enumerate(times.tolist()):
+                assert np.array_equal(stack[k], tilde_bra(i, t, es).components)

@@ -1,5 +1,7 @@
 """The check_all invariant suite: green by construction, red when corrupted."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -7,19 +9,38 @@ from helpers import random_params
 from ptosc import (
     OracleGrid,
     OracleReport,
+    brute_force_dirac_norm,
+    brute_force_dirac_overlap,
+    brute_force_probability,
     check_all,
     cprime_matrix,
+    cpt_bra,
     cpt_conjugate,
     cpt_inner,
+    dirac_bra,
     dirac_inner,
+    dirac_norm,
+    dirac_overlap,
+    eigensystem,
+    flavour_ket,
     hermitian_eigenvalues,
+    hermitian_transition_probability,
     inner,
     make_params,
     mass_matrix,
+    mixed_basis_bra,
+    mixed_basis_ket,
+    naive_continuation_value,
     numeric_eigensystem,
     parity_matrix,
+    probability_closed_form,
     pt_conjugate,
     pt_eigenvalues,
+    pt_inner,
+    tilde_bra,
+    tolerance_for_eta,
+    transition_probability,
+    xi,
 )
 from ptosc.validation import _Family
 
@@ -252,3 +273,168 @@ def test_random_draw_families_equal_a_scalar_reference_loop(params, seed, n_rand
     want = scalar_reference(params, grid)
     got = {rep.check_name: rep for rep in check_all(params, grid)}
     assert {name: got[name] for name in want} == want
+
+
+def reference_systems(params, grid):
+    """One (params, eigensystem) per distinct grid eta below 1, then the
+    reference eta, from single-point calls."""
+    out, seen = [], set()
+    for eta in (*grid.etas, params.eta):
+        if eta in seen or eta >= 1.0:
+            continue
+        seen.add(eta)
+        p = make_params(params.m1_sq, params.m2_sq,
+                        0.5 * eta * abs(params.m1_sq - params.m2_sq), params.p)
+        out.append((p, eigensystem(p)))
+    return out
+
+
+def per_point_reference(params, grid):
+    """The stacked per-system families of check_all, one time, one flavour
+    pair and one single-point call at a time.  Returns {check_name: OracleReport}."""
+    systems = reference_systems(params, grid)
+    phases = np.linspace(0.0, 2.0 * math.pi, grid.n_phases).tolist()
+    families = []
+
+    def state_tolerance(es):
+        return 1e-12 if es.eta <= 0.95 else tolerance_for_eta(es.eta)
+
+    fam = _Family("pt_and_cpt_eigenvector_norms")
+    for _, es in systems:
+        fam.add(pt_inner(es.e_plus, es.e_plus) - 1.0, 1e-12)
+        fam.add(pt_inner(es.e_minus, es.e_minus) + 1.0, 1e-12)
+        fam.add(pt_inner(es.e_plus, es.e_minus), 1e-12)
+        fam.add(cpt_inner(es.eta, es.e_plus, es.e_plus) - 1.0, 1e-12)
+        fam.add(cpt_inner(es.eta, es.e_minus, es.e_minus) - 1.0, 1e-12)
+        fam.add(cpt_inner(es.eta, es.e_plus, es.e_minus), 1e-12)
+    families.append(fam)
+
+    for name, bra, ket in (("tilde_biorthonormality", tilde_bra, flavour_ket),
+                           ("mixed_basis_orthonormality", mixed_basis_bra, mixed_basis_ket)):
+        fam = _Family(name)
+        for _, es in systems:
+            for t in grid.times:
+                for i in (1, 2):
+                    for j in (1, 2):
+                        value = inner(bra(i, t, es), ket(j, t, es))
+                        fam.add(abs(value - (1.0 if i == j else 0.0)), 1e-12)
+        families.append(fam)
+
+    fam = _Family("cpt_basis_nonorthogonality")
+    for _, es in systems:
+        for t in grid.times:
+            for i in (1, 2):
+                for j in (1, 2):
+                    value = inner(cpt_bra(i, t, es), flavour_ket(j, t, es))
+                    want = es.cosh_two_theta if i == j else es.sinh_two_theta
+                    fam.add(abs(value - want),
+                            tolerance_for_eta(es.eta) if es.eta > 0.95 else 1e-12)
+    families.append(fam)
+
+    fam = _Family("mode_equation_of_motion")
+    h = 1e-4
+    for _, es in systems:
+        for branch in ("plus", "minus"):
+            omega_sq = es.omega(branch) ** 2
+            for t in grid.times:
+                second = (xi(branch, t + h, es) - 2.0 * xi(branch, t, es)
+                          + xi(branch, t - h, es)) / (h * h)
+                fam.add(abs(second + omega_sq * xi(branch, t, es)) / omega_sq, 1e-6)
+    families.append(fam)
+
+    fam = _Family("brute_force_vs_closed_form")
+    t0 = grid.t0s[0]
+    for p, es in systems:
+        for i, j in ((1, 1), (1, 2), (2, 1), (2, 2)):
+            for phase in phases:
+                dt = 2.0 * phase / es.delta_omega
+                brute = brute_force_probability(p, i, j, t0, t0 + dt)
+                fam.add(brute - probability_closed_form(i, j, dt, es).value,
+                        tolerance_for_eta(es.eta))
+    families.append(fam)
+
+    fam = _Family("dirac_norm_closed_form")
+    for p, es in systems:
+        for t in grid.times:
+            for i in (1, 2):
+                closed = dirac_norm(i, t, es)
+                contracted = inner(dirac_bra(i, t, es), flavour_ket(i, t, es))
+                fam.add(abs(contracted - closed), state_tolerance(es))
+                fam.add(abs(brute_force_dirac_norm(p, i, t) - closed), state_tolerance(es))
+    families.append(fam)
+
+    fam = _Family("dirac_overlap_closed_form")
+    for p, es in systems:
+        for t in grid.times:
+            closed = dirac_overlap(t, es)
+            brute = brute_force_dirac_overlap(p, t)
+            fam.add(abs(inner(dirac_bra(1, t, es), flavour_ket(2, t, es)) - closed),
+                    state_tolerance(es))
+            fam.add(abs(inner(dirac_bra(2, t, es), flavour_ket(1, t, es)) - closed.conjugate()),
+                    state_tolerance(es))
+            if es.swapped:
+                fam.add(abs(abs(brute) - abs(closed)), state_tolerance(es))
+            else:
+                fam.add(abs(brute - closed), state_tolerance(es))
+    families.append(fam)
+
+    fam = _Family("hermitian_gap")
+    for eta in grid.etas:
+        if eta > 1.0:
+            continue
+        for phase in phases:
+            gap = transition_probability(eta, phase) - hermitian_transition_probability(eta, phase)
+            fam.add(gap - eta ** 4 / (1.0 + eta * eta) * math.sin(phase) ** 2, 1e-12)
+            fam.add(max(0.0, gap - eta ** 4), 0.0)
+    families.append(fam)
+
+    fam = _Family("naive_continuation_pathology")
+    for eta in grid.etas:
+        if eta >= 1.0:
+            continue
+        worst = max(abs(naive_continuation_value(eta, phase)) for phase in phases + [0.5 * math.pi])
+        if eta <= 1.0 / math.sqrt(2.0):
+            fam.add(max(0.0, worst - 1.0), 0.0)
+        else:
+            fam.add(0.0 if worst > 1.0 else 1.0, 0.0)
+    families.append(fam)
+    return {fam.name: fam.report(grid.tolerance) for fam in families}
+
+
+CUSTOM_GRID = OracleGrid(etas=(0.0, 0.3, 0.8, 0.96, 0.999), times=(-2.0, 0.0, 1.1, 40.0),
+                         t0s=(0.5, -1.0), n_phases=7, n_random=60)
+
+
+@pytest.mark.parametrize("grid", [OracleGrid(), CUSTOM_GRID,
+                                  OracleGrid(etas=CUSTOM_GRID.etas, n_random=60, tolerance=1e-20)],
+                         ids=["default", "custom", "tolerance_override"])
+@pytest.mark.parametrize("raw", [(2.0, 1.0, 0.3, 0.0), (1.0, 2.0, 0.3, 0.0),
+                                 (4.2, 1.3, 0.8, 0.7), (1.3, 4.2, 0.8, 0.7)],
+                         ids=["heavy_first", "swapped", "heavy_first_p", "swapped_p"])
+def test_stacked_families_equal_a_per_point_reference_loop(raw, grid):
+    params = make_params(*raw)
+    want = per_point_reference(params, grid)
+    got = {rep.check_name: rep for rep in check_all(params, grid)}
+    assert len(want) == 10
+    assert {name: got[name] for name in want} == want
+
+
+def test_one_eigensystem_per_system_and_at_most_three_spectral_solves(params, monkeypatch):
+    from ptosc import oracle, validation
+
+    calls = {"eigensystem": 0, "spectral": 0}
+
+    def counted(key, fn):
+        def wrapper(p):
+            calls[key] += 1
+            return fn(p)
+        return wrapper
+
+    monkeypatch.setattr(validation, "eigensystem", counted("eigensystem", eigensystem))
+    monkeypatch.setattr(oracle, "_spectral_data", counted("spectral", oracle._spectral_data))
+    grid = small_grid(etas=(0.0, 0.3, 0.8, 0.999))
+    check_all(params, grid)
+    n_systems = len(reference_systems(params, grid))
+    # plus the reference point checked up front and the Hermitian-limit point
+    assert calls["eigensystem"] == n_systems + 2
+    assert calls["spectral"] <= 3 * n_systems

@@ -17,6 +17,7 @@ from ptosc import (
     cpt_bra,
     cpt_conjugate,
     cpt_inner,
+    density_operator,
     dirac_bra,
     dirac_inner,
     dirac_norm,
@@ -34,6 +35,8 @@ from ptosc import (
     numeric_eigensystem,
     parity_matrix,
     probability_closed_form,
+    probability_trace,
+    projection_operator,
     pt_conjugate,
     pt_eigenvalues,
     pt_inner,
@@ -290,14 +293,53 @@ def reference_systems(params, grid):
 
 
 def per_point_reference(params, grid):
-    """The stacked per-system families of check_all, one time, one flavour
-    pair and one single-point call at a time.  Returns {check_name: OracleReport}."""
+    """The per-system families of check_all, one system, one time, one
+    flavour pair and one single-point call at a time.  Returns {check_name: OracleReport}."""
     systems = reference_systems(params, grid)
     phases = np.linspace(0.0, 2.0 * math.pi, grid.n_phases).tolist()
     families = []
 
     def state_tolerance(es):
         return 1e-12 if es.eta <= 0.95 else tolerance_for_eta(es.eta)
+
+    fam = _Family("eigenvector_residuals")
+    for _, es in systems:
+        m2 = es.oriented_mass_matrix()
+        scale = np.linalg.norm(m2)
+        for vec, lam in ((es.e_plus, es.m_plus_sq), (es.e_minus, es.m_minus_sq)):
+            fam.add(np.linalg.norm(m2 @ vec - lam * vec) / scale, tolerance_for_eta(es.eta))
+    families.append(fam)
+
+    fam = _Family("parity_pseudo_hermiticity")
+    par = parity_matrix()
+    for p, _ in systems:
+        m2 = mass_matrix(p)
+        fam.add(np.abs(par @ m2 @ par - m2.conj().T).max(), 1e-14)
+    fam.add(np.abs(par @ par - np.eye(2)).max(), 0.0)
+    families.append(fam)
+
+    fam = _Family("cprime_invariance")
+    for _, es in systems:
+        if es.eta > 0.99:
+            continue
+        cp = cprime_matrix(es.eta)
+        m2 = es.oriented_mass_matrix()
+        fam.add(np.abs(cp.T @ m2 @ cp.T - m2).max(), 1e-10)
+        fam.add(np.abs(cp @ cp - np.eye(2)).max(), 1e-12)
+        fam.add(np.abs((cp @ par).T - cp @ par).max(), 0.0)
+        fam.add(np.abs(cp.T @ es.e_plus - es.e_plus).max(), 1e-12)
+        fam.add(np.abs(cp.T @ es.e_minus + es.e_minus).max(), 1e-12)
+    families.append(fam)
+
+    fam = _Family("theta_parameterisation")
+    for _, es in systems:
+        fam.add(math.tanh(2.0 * es.theta) - es.eta, 1e-12)
+        fam.add(es.cosh_theta - math.cosh(es.theta), 1e-12)
+        fam.add(es.sinh_theta - math.sinh(es.theta), 1e-12)
+        fam.add(es.cosh_theta ** 2 - es.sinh_theta ** 2 - 1.0, 1e-12)
+        if es.eta > 0.0:
+            fam.add(es.n_factor * es.eta - es.cosh_theta, 1e-12)
+    families.append(fam)
 
     fam = _Family("pt_and_cpt_eigenvector_norms")
     for _, es in systems:
@@ -351,6 +393,59 @@ def per_point_reference(params, grid):
                 brute = brute_force_probability(p, i, j, t0, t0 + dt)
                 fam.add(brute - probability_closed_form(i, j, dt, es).value,
                         tolerance_for_eta(es.eta))
+    families.append(fam)
+
+    def closed(i, j, dt, es):
+        return probability_closed_form(i, j, dt, es).value
+
+    def trace(i, j, t0, t, es):
+        return probability_trace(i, j, t0, t, es).value
+
+    fam = _Family("trace_vs_closed_form")
+    for _, es in systems:
+        for i, j in ((1, 1), (1, 2), (2, 1), (2, 2)):
+            for phase in phases:
+                dt = 2.0 * phase / es.delta_omega
+                for t0 in grid.t0s:
+                    fam.add(trace(i, j, t0, t0 + dt, es) - closed(i, j, dt, es),
+                            tolerance_for_eta(es.eta))
+    families.append(fam)
+
+    fam = _Family("unitarity")
+    for _, es in systems:
+        for phase in phases:
+            dt = 2.0 * phase / es.delta_omega
+            fam.add(closed(1, 1, dt, es) + closed(1, 2, dt, es) - 1.0, 1e-12)
+            fam.add(trace(1, 1, 0.0, dt, es) + trace(1, 2, 0.0, dt, es) - 1.0,
+                    max(1e-10, tolerance_for_eta(es.eta)))
+    families.append(fam)
+
+    fam = _Family("probability_symmetry")
+    for _, es in systems:
+        for phase in phases:
+            dt = 2.0 * phase / es.delta_omega
+            fam.add(closed(1, 2, dt, es) - closed(2, 1, dt, es), 0.0)
+            fam.add(trace(1, 2, 0.0, dt, es) - trace(2, 1, 0.0, dt, es), state_tolerance(es))
+            fam.add(trace(1, 1, 0.0, dt, es) - trace(2, 2, 0.0, dt, es), state_tolerance(es))
+    families.append(fam)
+
+    fam = _Family("time_translation_invariance")
+    for _, es in systems:
+        for phase in phases:
+            dt = 2.0 * phase / es.delta_omega
+            values = [trace(1, 2, shift, shift + dt, es) for shift in (*grid.t0s, 100.0)]
+            fam.add(max(values) - min(values), tolerance_for_eta(es.eta))
+    families.append(fam)
+
+    fam = _Family("density_projection_operators")
+    for _, es in systems:
+        for i in (1, 2):
+            for t0 in grid.t0s:
+                rho = density_operator(i, t0, es).entries
+                pi = projection_operator(i, t0, es).entries
+                fam.add(rho[0, 0] + rho[1, 1] - 1.0, state_tolerance(es))
+                fam.add(np.abs(rho @ rho - rho).max(), state_tolerance(es))
+                fam.add(np.abs(pi - rho).max(), 0.0)
     families.append(fam)
 
     fam = _Family("dirac_norm_closed_form")
@@ -415,7 +510,7 @@ def test_stacked_families_equal_a_per_point_reference_loop(raw, grid):
     params = make_params(*raw)
     want = per_point_reference(params, grid)
     got = {rep.check_name: rep for rep in check_all(params, grid)}
-    assert len(want) == 10
+    assert len(want) == 19
     assert {name: got[name] for name in want} == want
 
 

@@ -40,7 +40,7 @@ from .model import (
 from .probabilities import (
     hermitian_transition_probability,
     naive_continuation_value,
-    survival_probability,
+    survival_probability,  # noqa: F401 (bench/tracing.py wraps it here)
     trace_probabilities,
     transition_probability,
     cardioid_r,
@@ -254,17 +254,17 @@ def cmd_probabilities(cfg: SweepConfig) -> int:
     columns = {}
     for method in cfg.methods:
         if method == "closed_form":
-            columns["pt_survival"] = survival_probability(eta, phase)
-            columns["pt_transition"] = transition_probability(eta, phase)
+            transition = transition_probability(eta, phase)
+            columns["pt_survival"] = 1.0 - transition  # survival_probability, sin^2 once
+            columns["pt_transition"] = transition
         elif method == "trace":
-            pairs = []
-            for value in cfg.etas:
-                params = cfg.params if cfg.params is not None else params_from_eta(
-                    value, REFERENCE_SUM_SQ, REFERENCE_RATIO)
-                es = eigensystem(params)
-                ts = cfg.t0 + 2.0 * phase / es.delta_omega
-                pairs.append([trace_probabilities(1, j, cfg.t0, ts, es) for j in (1, 2)])
-            columns["trace_survival"], columns["trace_transition"] = np.array(pairs).swapaxes(0, 1)
+            # one eigensystem stack over the eta grid and one trace call for both j
+            params = cfg.params if cfg.params is not None else params_from_eta(
+                eta, REFERENCE_SUM_SQ, REFERENCE_RATIO)
+            es = eigensystem(params)
+            ts = cfg.t0 + 2.0 * phase / es.delta_omega
+            trace = trace_probabilities(1, np.array([1, 2])[:, None, None], cfg.t0, ts, es)
+            columns["trace_survival"], columns["trace_transition"] = trace
         elif method == "hermitian":
             herm = hermitian_transition_probability(eta, phase)
             columns["herm_survival"] = 1.0 - herm

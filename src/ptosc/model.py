@@ -33,14 +33,15 @@ For m1^2 < m2^2 the eigensystem is built in the heavy-first orientation and
 ``swapped`` records that flavour indices 1 and 2 must be exchanged; all
 observable probabilities are symmetric under that relabelling.
 
-The matrix and eigenvalue functions also take ModelParams with equal-shape
-array fields (or an array of eta), each element rounded as one point is;
-one point is the shape-() batch and returns the same types as always.
+The matrix and eigenvalue functions and eigensystem also take ModelParams
+with equal-shape array fields (or an array of eta), each element rounded as
+one point is; one point is the shape-() batch and returns the same types as
+always.  es[k] or es[:, None] picks or reshapes the systems of a stack.
 """
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -82,16 +83,39 @@ class ModelParams:
         """Dimensionless mixing strength 2 mu^2 / |m1^2 - m2^2|."""
         return 2.0 * self.mu_sq / abs(self.m1_sq - self.m2_sq)
 
+    def __getitem__(self, key) -> "ModelParams":
+        """The points of a batch at ``key`` (index, slice, mask or None)."""
+        fields = np.broadcast_arrays(self.m1_sq, self.m2_sq, self.mu_sq, self.p)
+        return ModelParams(*(_unbox(v[key]) for v in fields))
+
 
 def _unbox(x):
     """A shape-() result as the Python number a single-point call returns."""
-    return x.item() if x.ndim == 0 else x
+    return x.item() if getattr(x, "ndim", None) == 0 else x
+
+
+def _per_element(fn, x):
+    """fn from math (numpy's need not round like it) at each element of an
+    array, so each equals its single-point value; a float gives a float."""
+    if isinstance(x, float):
+        return fn(x)
+    x = np.asarray(x, dtype=float)
+    return np.fromiter(map(fn, x.flat), float, x.size).reshape(x.shape)
 
 
 def _any(mask) -> bool:
-    """True if any element of a comparison holds; one point's comparison of
-    Python floats is a bool and costs no numpy call."""
-    return mask if isinstance(mask, bool) else bool(mask.any())
+    """True if any element of a comparison holds (a bool costs no reduction)."""
+    return bool(mask) if isinstance(mask, (bool, np.bool_)) else bool(mask.any())
+
+
+def _all(mask) -> bool:
+    """True if every element of a comparison holds (a bool costs no reduction)."""
+    return bool(mask) if isinstance(mask, (bool, np.bool_)) else bool(mask.all())
+
+
+def _select(mask, a, b):
+    """a where mask holds, else b; np.where, or plain Python for a bool mask."""
+    return (a if mask else b) if isinstance(mask, bool) else np.where(mask, a, b)
 
 
 def make_params(m1_sq: float, m2_sq: float, mu_sq: float, p: float = 0.0) -> ModelParams:
@@ -161,9 +185,10 @@ def _cmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _matrix(a, b, c, d) -> LinearOperator:
-    """[[a, b], [c, d]], batched over the entries' common shape."""
+    """[[a, b], [c, d]], batched over the entries' common shape (C-contiguous,
+    so each matrix's products take one matrix's path)."""
     m = np.array([[a, b], [c, d]], dtype=float)
-    return m.transpose(*range(2, m.ndim), 0, 1)
+    return np.ascontiguousarray(m.transpose(*range(2, m.ndim), 0, 1))
 
 
 def mass_matrix(params: ModelParams) -> LinearOperator:
@@ -243,6 +268,7 @@ class EigenSystem:
     ``swapped`` is True when the input had m1_sq < m2_sq, in which case
     flavour index 1 refers to the second heavy-first axis (and vice versa).
     n_factor is the textbook eigenvector normalisation, +inf at eta = 0.
+    A batch of params gives array fields (e_plus / e_minus: batch + (2,)).
     """
 
     params: ModelParams
@@ -260,11 +286,17 @@ class EigenSystem:
     e_minus: np.ndarray
     swapped: bool
 
+    def __getitem__(self, key) -> "EigenSystem":
+        """The systems at ``key`` (index, slice, mask or None) of a stack."""
+        return EigenSystem(**{f.name: getattr(self, f.name)[key] if f.name == "params"
+                              else _unbox(np.asarray(getattr(self, f.name))[key])
+                              for f in fields(self)})
+
     @property
     def sech_two_theta(self) -> float:
         """sech(2 theta) = sqrt(1 - eta^2); the mixed-basis states are each
         scaled by its square root."""
-        return math.sqrt((1.0 - self.eta) * (1.0 + self.eta))
+        return _unbox(np.sqrt((1.0 - np.asarray(self.eta)) * (1.0 + self.eta)))
 
     @property
     def cosh_two_theta(self) -> float:
@@ -277,7 +309,7 @@ class EigenSystem:
     @cached_property
     def mixed_basis_norm(self) -> float:
         """sqrt(sech(2 theta)), applied once per ket and once per bra."""
-        return math.sqrt(self.sech_two_theta)
+        return _unbox(np.sqrt(self.sech_two_theta))
 
     @cached_property
     def cpt_metric(self) -> np.ndarray:
@@ -287,13 +319,19 @@ class EigenSystem:
     @cached_property
     def cprime_transpose(self) -> np.ndarray:
         """C'^T, the symmetry operator acting on kets."""
-        return cprime_matrix(self.eta).T
+        return np.swapaxes(cprime_matrix(self.eta), -1, -2)
 
-    def canonical_flavour(self, i: int) -> int:
-        """Map a flavour label to the heavy-first orientation."""
-        if i not in (1, 2):
+    def canonical_flavour(self, i):
+        """Map flavour label(s) to the heavy-first orientation."""
+        return _unbox(_select(self._heavy_first_one(i), 1, 2))
+
+    def _heavy_first_one(self, i):
+        """Where label(s) i map to heavy-first flavour 1 (a bool for one of each)."""
+        index = i if isinstance(i, int) else np.asarray(i)  # one label: no numpy call
+        one = index == 1
+        if not _all(one | (index == 2)):
             raise DomainError(f"flavour index must be 1 or 2, got {i!r}")
-        return i if not self.swapped else 3 - i
+        return one != self.swapped
 
     def omega(self, branch: str) -> float:
         if branch == "plus":
@@ -305,62 +343,54 @@ class EigenSystem:
     def oriented_mass_matrix(self) -> LinearOperator:
         """The heavy-first squared mass matrix that e_plus / e_minus
         diagonalise (equals mass_matrix(params) unless swapped)."""
-        hi = max(self.params.m1_sq, self.params.m2_sq)
-        lo = min(self.params.m1_sq, self.params.m2_sq)
-        return np.array([[hi, self.params.mu_sq], [-self.params.mu_sq, lo]])
+        p = self.params
+        return _matrix(np.maximum(p.m1_sq, p.m2_sq), p.mu_sq, -p.mu_sq,
+                       np.minimum(p.m1_sq, p.m2_sq))
 
 
 def eigensystem(params: ModelParams) -> EigenSystem:
     """Solve the mass matrix: eigenvalues, PT-normalised eigenvectors,
-    mixing angle and mode frequencies.
+    mixing angle and mode frequencies, for one point or a batch.
 
     Raises BrokenPTPhase for eta > 1, ExceptionalPoint for eta within
     EXCEPTIONAL_POINT_BAND of 1 (the merged eigenvalue is attached to the
     exception; eigenvectors do not exist there), NonPositiveMass when
     the lower squared mass rounds to zero or below, and DomainError when
-    p^2 + m^2 overflows, leaving the mode frequencies infinite.
+    p^2 + m^2 overflows, leaving the mode frequencies infinite.  In a
+    batch, the first system out of domain raises, as in a loop.
     """
-    eta = params.eta
-    if eta > 1.0:
-        raise BrokenPTPhase(f"eta = {eta:.6g} > 1: the squared-mass eigenvalues are complex")
-    m_plus_sq, m_minus_sq = pt_eigenvalues(params)
-    if eta >= 1.0 - EXCEPTIONAL_POINT_BAND:
-        raise ExceptionalPoint(
-            f"eta = {eta:.17g} is at the exceptional point: eigenvalues merge at "
-            f"{0.5 * (params.m1_sq + params.m2_sq):.17g} and the eigenvectors coalesce",
-            m_sq=0.5 * (params.m1_sq + params.m2_sq),
-        )
-    if m_minus_sq <= 0.0:  # positive in exact arithmetic; cancellation can round it away
-        raise NonPositiveMass(
-            f"lower squared mass rounds to {m_minus_sq:.3g}: the diagonal masses "
-            f"{params.m1_sq:.6g} and {params.m2_sq:.6g} are too far apart to resolve")
+    m1, m2, p, eta = params.m1_sq, params.m2_sq, params.p, params.eta
+    with np.errstate(all="ignore"):  # a batch's out-of-domain systems raise below
+        s = np.sqrt((1.0 - eta) * (1.0 + eta))
+        sigma = 0.5 * (m1 + m2)
+        half_split = 0.5 * abs(m1 - m2) * s  # as pt_eigenvalues rounds it
+        m_plus_sq, m_minus_sq = sigma + half_split, sigma - half_split
+        omega_plus, omega_minus = np.sqrt(p * p + m_plus_sq), np.sqrt(p * p + m_minus_sq)
+        cosh_theta = np.sqrt((1.0 + s) / (2.0 * s))
+        sinh_theta = eta / np.sqrt(2.0 * s * (1.0 + s))
+        n_factor = cosh_theta / abs(eta)  # +inf at eta = 0
+    failed = ((eta >= 1.0 - EXCEPTIONAL_POINT_BAND) | (m_minus_sq <= 0.0)
+              | ~np.isfinite(omega_plus + omega_minus))
+    if _any(failed):
+        if np.ndim(failed):
+            eigensystem(params[np.unravel_index(np.argmax(failed), failed.shape)])  # raises
+        if eta > 1.0:
+            raise BrokenPTPhase(f"eta = {eta:.6g} > 1: the squared-mass eigenvalues are complex")
+        if eta >= 1.0 - EXCEPTIONAL_POINT_BAND:
+            raise ExceptionalPoint(
+                f"eta = {eta:.17g} is at the exceptional point: eigenvalues merge at "
+                f"{sigma:.17g} and the eigenvectors coalesce", m_sq=sigma)
+        if m_minus_sq <= 0.0:  # positive in exact arithmetic; cancellation can round it away
+            raise NonPositiveMass(
+                f"lower squared mass rounds to {m_minus_sq:.3g}: the diagonal masses "
+                f"{m1:.6g} and {m2:.6g} are too far apart to resolve")
+        raise DomainError(f"p^2 + m^2 overflows at p = {p:.6g}: infinite mode frequencies")
 
-    s = math.sqrt((1.0 - eta) * (1.0 + eta))
-    theta = 0.5 * math.atanh(eta)
-    cosh_theta = math.sqrt((1.0 + s) / (2.0 * s))
-    sinh_theta = eta / math.sqrt(2.0 * s * (1.0 + s))
-    n_factor = cosh_theta / eta if eta > 0.0 else math.inf
-
-    omega_plus = math.sqrt(params.p * params.p + m_plus_sq)
-    omega_minus = math.sqrt(params.p * params.p + m_minus_sq)
-    if not (math.isfinite(omega_plus) and math.isfinite(omega_minus)):
-        raise DomainError(f"p^2 + m^2 overflows at p = {params.p:.6g}: infinite mode frequencies")
     # m_plus_sq - m_minus_sq = |m1^2 - m2^2| s, computed without cancellation
-    delta_omega = abs(params.m1_sq - params.m2_sq) * s / (omega_plus + omega_minus)
-
-    return EigenSystem(
-        params=params,
-        eta=eta,
-        theta=theta,
-        cosh_theta=cosh_theta,
-        sinh_theta=sinh_theta,
-        n_factor=n_factor,
-        m_plus_sq=m_plus_sq,
-        m_minus_sq=m_minus_sq,
-        omega_plus=omega_plus,
-        omega_minus=omega_minus,
-        delta_omega=delta_omega,
-        e_plus=np.array([cosh_theta, -sinh_theta]),
-        e_minus=np.array([-sinh_theta, cosh_theta]),
-        swapped=params.m1_sq < params.m2_sq,
-    )
+    delta_omega = abs(m1 - m2) * s / (omega_plus + omega_minus)
+    values = (eta, 0.5 * _per_element(math.atanh, eta), cosh_theta, sinh_theta, n_factor,
+              m_plus_sq, m_minus_sq, omega_plus, omega_minus, delta_omega)
+    return EigenSystem(params, *map(_unbox, values),
+                       e_plus=np.stack([cosh_theta, -sinh_theta], axis=-1),
+                       e_minus=np.stack([-sinh_theta, cosh_theta], axis=-1),
+                       swapped=_unbox(m1 < m2))

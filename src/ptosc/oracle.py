@@ -13,10 +13,11 @@ genuine cross-check rather than a tautology.  The construction is also
 orientation-free: it works identically for either ordering of the diagonal
 squared masses.
 
-Every brute-force function takes a time or an array of times, and a
-flavour index or an array of them; indices and times broadcast together.
-One call solves the spectrum once, so all four (i, j) pairs of a system
-over a whole time grid cost a single solve.
+Every brute-force function takes a time, a flavour index and a parameter
+point, or arrays of them (ModelParams with array fields for a batch), all
+broadcast together.  One call makes one spectral solve over the whole
+(..., 2, 2) batch, so all four (i, j) pairs of every system over a time
+grid cost a single solve, each element equal to its single-point value.
 
 Conditioning of the eigenvector basis degrades like (1 - eta^2)^(-1/2)
 near the exceptional point; use tolerance_for_eta for the documented
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BrokenPTPhase, DomainError, NonRealTrace
-from .model import ModelParams, _cmul, _dot, mass_matrix, parity_matrix
+from .model import ModelParams, _any, _cmul, _dot, _select, mass_matrix, parity_matrix
 
 # Eigenvalues whose imaginary part exceeds this (relative to the matrix
 # scale) are classified as the broken-PT regime by the probability path.
@@ -36,8 +37,8 @@ _REAL_SPECTRUM_TOLERANCE = 1e-12
 
 
 def tolerance_for_eta(eta: float) -> float:
-    """Comparison tolerance schedule for eigenvector-based checks."""
-    return 1e-10 if eta <= 0.95 else 1e-8
+    """Comparison tolerance schedule for eigenvector-based checks (per element)."""
+    return _select(eta <= 0.95, 1e-10, 1e-8)
 
 
 @dataclass(frozen=True)
@@ -100,27 +101,33 @@ class _SpectralData:
 
 
 def _spectral_data(params: ModelParams) -> _SpectralData:
-    m2 = mass_matrix(params)
-    eigenvalues, vectors = numeric_eigensystem(m2)
-    scale = np.abs(eigenvalues).max()
-    if np.abs(eigenvalues.imag).max() > _REAL_SPECTRUM_TOLERANCE * scale:
-        raise BrokenPTPhase(
-            f"complex eigenvalue pair {eigenvalues} (eta = {params.eta:.6g})"
-        )
-    order = np.argsort(-eigenvalues.real)
-    eigenvalues = eigenvalues.real[order]
-    vectors = vectors[:, order].real
+    """The spectrum of one point, or of a batch with one (..., 2, 2) solve."""
+    values, vectors = numeric_eigensystem(mass_matrix(params))
+    scale = np.abs(values).max(axis=-1)
+    broken = np.abs(values.imag).max(axis=-1) > _REAL_SPECTRUM_TOLERANCE * scale
+    order = np.argsort(-values.real, axis=-1)
+    eigenvalues = np.take_along_axis(values.real, order, axis=-1)
+    vectors = np.take_along_axis(vectors, order[..., None, :], axis=-1).real
 
     parity = parity_matrix()
-    norms = np.array([vectors[:, k] @ parity @ vectors[:, k] for k in range(2)])
-    if np.abs(norms).min() < 1e-13:
+    # v^T P v of each column, from the same two np.dot products as one matrix's
+    norms = np.stack([(_dot(v, parity)[..., None, :] @ v[..., :, None])[..., 0, 0]
+                      for v in (vectors[..., :, 0], vectors[..., :, 1])], axis=-1)
+    failed = broken | (np.abs(norms).min(axis=-1) < 1e-13)
+    if _any(failed):
+        if np.ndim(failed):
+            _spectral_data(params[np.unravel_index(np.argmax(failed), failed.shape)])  # raises
+        if broken:
+            raise BrokenPTPhase(f"complex eigenvalue pair {values} (eta = {params.eta:.6g})")
         raise DomainError("PT-null eigenvector: parameters are at the exceptional point")
     signs = np.sign(norms)
-    basis = vectors / np.sqrt(np.abs(norms))
-    weights = np.array([np.linalg.solve(basis, unit) for unit in np.eye(2)])
-    metric = np.linalg.inv(basis @ basis.T)
-    symmetry = basis @ np.diag(signs) @ np.linalg.inv(basis)
-    omegas = np.sqrt(params.p * params.p + eigenvalues)
+    basis = vectors / np.sqrt(np.abs(norms))[..., None, :]
+    # row i - 1 solves basis x = e_i, one right-hand side at a time
+    weights = np.linalg.solve(basis[..., None, :, :], np.eye(2)[..., None])[..., 0]
+    metric = np.linalg.inv(basis @ basis.swapaxes(-1, -2))
+    diagonal = np.where(np.eye(2, dtype=bool), signs[..., None, :], 0.0)  # np.diag(signs)
+    symmetry = basis @ diagonal @ np.linalg.inv(basis)
+    omegas = np.sqrt(np.multiply(params.p, params.p)[..., None] + eigenvalues)
     return _SpectralData(eigenvalues, basis, weights, metric, symmetry, omegas)
 
 
@@ -135,15 +142,16 @@ def _is_flavour_one(i) -> np.ndarray:
 
 
 def _ket(data: _SpectralData, i, t) -> np.ndarray:
-    weights = np.where(_is_flavour_one(i)[..., None], data.weights[0], data.weights[1])
-    phases = np.exp(1j * np.multiply.outer(t, data.omegas))
-    return _dot(weights * phases, data.basis.T)
+    weights = np.where(_is_flavour_one(i)[..., None], data.weights[..., 0, :],
+                       data.weights[..., 1, :])
+    phases = np.exp(1j * (np.asarray(t)[..., None] * data.omegas))
+    return _dot(weights * phases, data.basis.swapaxes(-1, -2))
 
 
 def _operator(data: _SpectralData, i, t) -> np.ndarray:
     one = _is_flavour_one(i)[..., None]
     ket1, ket2 = _ket(data, 1, t), _ket(data, 2, t)
-    left = np.where(one, ket1, _dot(ket2, data.symmetry.T))
+    left = np.where(one, ket1, _dot(ket2, data.symmetry.swapaxes(-1, -2)))
     right = np.where(one, _dot(ket1.conj(), data.metric), _dot(ket2.conj(), parity_matrix()))
     op = left[..., :, None] * right[..., None, :]
     return op / (op[..., 0, 0] + op[..., 1, 1])[..., None, None]

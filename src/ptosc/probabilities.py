@@ -21,7 +21,8 @@ shared code path.
 The closed forms stay finite on the whole eta in [0, 1] range, including
 the exceptional point where the trace route is undefined.  They take eta
 and phase arrays, broadcast, with every element equal to its single-point
-value; one point returns a Python float.  The Dirac-norm
+value; one point returns a Python float.  The trace route broadcasts over
+flavour-index and time arrays and a stacked EigenSystem alike.  The Dirac-norm
 diagnostics (time-dependent norm, flavour overlap and the polar cardioid)
 live here too; they quantify why the plain Hermitian inner product cannot
 give time-translation-invariant probabilities in this model.
@@ -45,7 +46,10 @@ from .model import (
     EXCEPTIONAL_POINT_BAND,
     EigenSystem,
     ModelParams,
+    _all,
     _any,
+    _per_element,
+    _unbox,
     hermitian_eigenvalues,
 )
 from .oracle import tolerance_for_eta
@@ -119,15 +123,6 @@ def _check_eta(eta, broken: str | None = None, exceptional: bool = False) -> Non
     raise DomainError(f"eta = {np.max(eta):.6g}: eta^2 is not a finite number")
 
 
-def _per_element(fn, x):
-    """fn at every element of an array.  The closed forms take sin and cos
-    from the math module one phase at a time: numpy's need not round like it
-    on every build, and each element must equal the single-point value bit
-    for bit."""
-    x = np.asarray(x, dtype=float)
-    return np.fromiter(map(fn, x.flat), float, x.size).reshape(x.shape)
-
-
 def _sin_sq(phase):
     """sin^2(phase), per element of an array."""
     if isinstance(phase, float):
@@ -135,18 +130,11 @@ def _sin_sq(phase):
     return _per_element(_sin_sq, phase)
 
 
-def _result(x):
-    """A single point's value as a Python float; arrays as they are."""
-    if type(x) is float:
-        return x
-    return x if x.ndim else float(x)
-
-
 def transition_probability(eta, phase):
     """eta^2 sin^2(phase); finite on all of eta in [0, 1].  eta and phase
     may be arrays (broadcast); a single point gives a Python float."""
     _check_eta(eta, broken="no real-spectrum closed form")
-    return _result(eta * eta * _sin_sq(phase))
+    return _unbox(eta * eta * _sin_sq(phase))
 
 
 def survival_probability(eta, phase):
@@ -157,7 +145,7 @@ def survival_probability(eta, phase):
 def hermitian_transition_probability(eta, phase):
     """eta^2 / (1 + eta^2) sin^2(phase); saturates only as eta -> inf."""
     _check_eta(eta)
-    return _result(eta * eta / (1.0 + eta * eta) * _sin_sq(phase))
+    return _unbox(eta * eta / (1.0 + eta * eta) * _sin_sq(phase))
 
 
 def naive_continuation_value(eta, phase):
@@ -165,42 +153,44 @@ def naive_continuation_value(eta, phase):
     the Hermitian formula.  Deliberately not clamped; its modulus exceeds 1
     for eta > 1/sqrt(2)."""
     _check_eta(eta, broken="continuation undefined", exceptional=True)
-    return _result(-eta * eta / ((1.0 - eta) * (1.0 + eta)) * _sin_sq(phase))
+    return _unbox(-eta * eta / ((1.0 - eta) * (1.0 + eta)) * _sin_sq(phase))
 
 
-def _operators(i: int, t, es: EigenSystem) -> np.ndarray:
-    """Stack of |ket><bra| from the normalised mixed basis at time(s) t,
-    shape np.shape(t) + (2, 2)."""
+def _operators(i, t, es: EigenSystem) -> np.ndarray:
+    """Stack of |ket><bra| from the normalised mixed basis, shape: the
+    broadcast of flavour(s) i, time(s) t and the systems, + (2, 2)."""
     kets, bras = mixed_basis_states(i, t, es)
     return kets[..., :, None] * bras[..., None, :]
 
 
-def density_operator(i: int, t0: float, es: EigenSystem) -> DensityOperator:
-    """Initial density operator for flavour i prepared at t0."""
+def density_operator(i, t0, es: EigenSystem) -> DensityOperator:
+    """Initial density operator for flavour i prepared at t0 (or a stack)."""
     return DensityOperator(_operators(i, t0, es), t0)
 
 
-def projection_operator(j: int, t: float, es: EigenSystem) -> ProjectionOperator:
+def projection_operator(j, t, es: EigenSystem) -> ProjectionOperator:
     """Final-state projector for flavour j measured at t."""
     return ProjectionOperator(_operators(j, t, es), t)
 
 
 def _check_time_resolution(es: EigenSystem, *times) -> None:
     """Refuse |t| so large that one ulp of t moves a mode phase by more than
-    the trace tolerance (t0 + dt rounds dt away), and non-finite t."""
+    the trace tolerance of its system (t0 + dt rounds dt away), and non-finite t."""
     tol = tolerance_for_eta(es.eta)
+    omega = es.omega_plus  # the larger frequency: m_plus_sq >= m_minus_sq
     for t in times:
-        t_max = abs(t) if isinstance(t, float) else np.abs(t).max(initial=0.0)  # float: no numpy call
-        bound = max(es.omega_plus, es.omega_minus) * math.ulp(t_max)
-        if not bound <= tol:
+        t_abs = abs(t)
+        bound = omega * (math.ulp(t_abs) if isinstance(t_abs, float) else np.spacing(t_abs))
+        if not _all(bound <= tol):
             raise DomainError(
-                f"|t| = {t_max:.6g} resolves the mode phases only to {bound:.3e} "
-                f"> {tol:.0e}: the trace route needs smaller times")
+                f"|t| = {np.max(t_abs):.6g} resolves the mode phases only to "
+                f"{np.max(bound):.3e} > {np.min(tol):.0e}: the trace route needs smaller times")
 
 
-def trace_probabilities(i: int, j: int, t0s, ts, es: EigenSystem) -> np.ndarray:
+def trace_probabilities(i, j, t0s, ts, es: EigenSystem) -> np.ndarray:
     """P(i -> j) = tr[rho_i(t0) pi_j(t)] as a batched matrix-product trace
-    over the broadcast shape of t0s and ts (floats or numpy arrays).
+    over the broadcast of the flavour indices i, j (ints or integer arrays),
+    the times t0s, ts (floats or arrays) and the systems of es.
 
     Raises DomainError for times too large to resolve dt, and NonRealTrace
     if any imaginary part exceeds NON_REAL_TRACE_TOLERANCE; otherwise the
@@ -210,7 +200,7 @@ def trace_probabilities(i: int, j: int, t0s, ts, es: EigenSystem) -> np.ndarray:
     product = _operators(i, t0s, es) @ _operators(j, ts, es)
     values = product[..., 0, 0] + product[..., 1, 1]
     imag = np.abs(values.imag)
-    if (imag > NON_REAL_TRACE_TOLERANCE).any():
+    if _any(imag > NON_REAL_TRACE_TOLERANCE):
         raise NonRealTrace(
             f"tr[rho_{i}(t0) pi_{j}(t)] has imaginary part {imag.max():.3e}")
     return values.real[()]
@@ -267,33 +257,31 @@ def probability_naive_continuation(i: int, j: int, dt: float, es: EigenSystem) -
     return ProbabilityRecord(i, j, 0.0, dt, value, NAIVE_CONTINUATION)
 
 
-def dirac_norm(i: int, t: float, es: EigenSystem) -> float:
+def dirac_norm(i: int, t, es: EigenSystem) -> float:
     """<fi(t)|fi(t)> = (1 - eta^2 cos(delta_omega t)) / (1 - eta^2).
 
     The same for both flavours, equal to 1 at t = 0 and periodically
     pumped above/below 1 otherwise, which is why Dirac-inner-product
-    probabilities violate time-translation invariance.
+    probabilities violate time-translation invariance.  Arrays broadcast.
     """
     _check_flavour(i)
     eta_sq = es.eta * es.eta
-    return (1.0 - eta_sq * math.cos(es.delta_omega * t)) / (1.0 - eta_sq)
+    return (1.0 - eta_sq * _per_element(math.cos, es.delta_omega * t)) / (1.0 - eta_sq)
 
 
-def dirac_overlap(t: float, es: EigenSystem) -> complex:
+def dirac_overlap(t, es: EigenSystem) -> complex:
     """<f1(t)|f2(t)>: zero at t = 0 only.
 
     Equals eta/(1 - eta^2) [1 - cos(delta_omega t) + i sqrt(1 - eta^2)
     sin(delta_omega t)]; the sign of the imaginary part follows from the
     exp(+i omega t) mode convention, and the heavy-first relabelling of a
     swapped system conjugates it.  The reverse overlap <f2|f1> is the
-    complex conjugate.
+    complex conjugate.  Arrays of times and stacked systems broadcast.
     """
-    eta = es.eta
-    x = es.delta_omega * t
-    value = eta / ((1.0 - eta) * (1.0 + eta)) * complex(
-        1.0 - math.cos(x), math.sqrt((1.0 - eta) * (1.0 + eta)) * math.sin(x)
-    )
-    return value.conjugate() if es.swapped else value
+    eta, x = es.eta, es.delta_omega * t
+    sin = np.sqrt((1.0 - eta) * (1.0 + eta)) * _per_element(math.sin, x)
+    value = eta / ((1.0 - eta) * (1.0 + eta)) * (1.0 - _per_element(math.cos, x) + 1j * sin)
+    return _unbox(np.where(es.swapped, np.conj(value), value))
 
 
 def cardioid_r(theta_phase, eta):
@@ -301,7 +289,5 @@ def cardioid_r(theta_phase, eta):
     Dirac norm; 2 pi periodic, maximal at phase = pi.  Arrays broadcast as
     in the transition probability."""
     _check_eta(eta, broken="no real-spectrum norm", exceptional=True)
-    cos = math.cos(theta_phase) if isinstance(theta_phase, float) else _per_element(
-        math.cos, theta_phase)
     eta_sq = eta * eta
-    return _result((1.0 - eta_sq * cos) / (1.0 - eta_sq))
+    return _unbox((1.0 - eta_sq * _per_element(math.cos, theta_phase)) / (1.0 - eta_sq))

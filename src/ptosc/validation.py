@@ -7,6 +7,8 @@ biorthonormality, positivity, unitarity, time-translation invariance) on a
 configurable grid.  One OracleReport per invariant family; a family passes
 only if every grid point met its own tolerance (1e-10 for eta <= 0.95,
 1e-8 up to 0.999, tighter fixed tolerances where the identity is exact).
+All grid systems are one stacked eigensystem, and each per-system family
+makes one call over systems x times x flavour pairs.
 """
 
 import math
@@ -21,6 +23,7 @@ from .model import (
     EigenSystem,
     ModelParams,
     _cmul,
+    _per_element,
     cprime_matrix,
     eigensystem,
     hermitian_eigenvalues,
@@ -41,7 +44,7 @@ from .oracle import (
 
 TWO_PI = 2.0 * math.pi
 PAIRS = ((1, 1), (1, 2), (2, 1), (2, 2))
-# the pairs as (4, 1) index columns: one oracle call gives P(i -> j) for all four
+# the pairs as (4, 1) index columns: one call gives P(i -> j) for all four
 PAIR_I, PAIR_J = np.array(PAIRS).T[..., None]
 FLAVOURS = np.array([[1], [2]])
 
@@ -87,12 +90,13 @@ class _Family:
         self.ok = self.ok and err <= tol
         self.points += 1
 
-    def add_all(self, errs: np.ndarray, tol: float) -> None:
-        """add() for every element of an array of errors (hypot rounds like
-        add()'s scalar abs; np.abs of a complex array need not)."""
+    def add_all(self, errs: np.ndarray, tol) -> None:
+        """add() for every element of an array of errors against tol, a float
+        or an array broadcast against errs (hypot rounds like add()'s scalar
+        abs; np.abs of a complex array need not)."""
         errs = np.hypot(np.real(errs), np.imag(errs))
         self.max_err = _worst(self.max_err, float(errs.max(initial=0.0)))
-        self.max_tol = max(self.max_tol, tol if errs.size else 0.0)
+        self.max_tol = max(self.max_tol, float(np.broadcast_to(tol, errs.shape).max(initial=0.0)))
         self.ok = self.ok and bool((errs <= tol).all())
         self.points += errs.size
 
@@ -104,23 +108,22 @@ class _Family:
                             self.ok, self.points)
 
 
-def _with_eta(params: ModelParams, eta: float) -> ModelParams:
-    """Same mass scale and momentum, mixing rescaled to the requested eta."""
-    return make_params(params.m1_sq, params.m2_sq,
-                       0.5 * eta * abs(params.m1_sq - params.m2_sq), params.p)
-
-
-def _systems(params: ModelParams, grid: OracleGrid) -> list[tuple[ModelParams, EigenSystem]]:
-    """(params, eigensystem) per distinct eta below 1; check_all builds it once."""
-    out = []
-    seen = set()
+def _systems(params: ModelParams, grid: OracleGrid) -> tuple[ModelParams, EigenSystem]:
+    """Params and eigensystem stacks of each distinct eta < 1 of the grid and
+    the reference (its masses and momentum), then of eta = 1e-8."""
+    etas = []
     for eta in (*grid.etas, params.eta):
-        if eta in seen or eta >= 1.0:
-            continue
-        seen.add(eta)
-        p = _with_eta(params, eta)
-        out.append((p, eigensystem(p)))
-    return out
+        if not (eta in etas or eta >= 1.0):
+            etas.append(eta)
+    eta = np.array([*etas, 1e-8])
+    stack = make_params(params.m1_sq, params.m2_sq,
+                        0.5 * eta * abs(params.m1_sq - params.m2_sq), params.p)
+    return stack, eigensystem(stack)
+
+
+def _state_tolerance(es: EigenSystem) -> np.ndarray:
+    """1e-12 per system, or tolerance_for_eta above eta = 0.95."""
+    return np.where(es.eta <= 0.95, 1e-12, tolerance_for_eta(es.eta))
 
 
 def _random_params(rng: np.random.Generator, n: int, *head: ModelParams) -> ModelParams:
@@ -161,13 +164,19 @@ def _check_eigenvalues(params: ModelParams, grid: OracleGrid, rng) -> _Family:
     return fam
 
 
-def _check_eigenvector_residuals(systems: list) -> _Family:
+def _norms(x: np.ndarray) -> np.ndarray:
+    """np.linalg.norm of each vector of a real stack (its np.dot, then sqrt)."""
+    return np.sqrt((x[..., None, :] @ x[..., :, None])[..., 0, 0])
+
+
+def _check_eigenvector_residuals(es: EigenSystem) -> _Family:
     fam = _Family("eigenvector_residuals")
-    for p, es in systems:
-        m2 = es.oriented_mass_matrix()
-        scale = np.linalg.norm(m2)
-        for vec, lam in ((es.e_plus, es.m_plus_sq), (es.e_minus, es.m_minus_sq)):
-            fam.add(np.linalg.norm(m2 @ vec - lam * vec) / scale, tolerance_for_eta(es.eta))
+    m2 = es.oriented_mass_matrix()
+    scale = _norms(m2.reshape(m2.shape[:-2] + (4,)))[..., None]
+    vecs = np.stack([es.e_plus, es.e_minus], axis=-2)
+    lams = np.stack([es.m_plus_sq, es.m_minus_sq], axis=-1)[..., None]
+    residuals = (m2[..., None, :, :] @ vecs[..., None])[..., 0] - lams * vecs
+    fam.add_all(_norms(residuals) / scale, tolerance_for_eta(es.eta)[..., None])
     return fam
 
 
@@ -181,47 +190,48 @@ def _check_trace_determinant(params: ModelParams, grid: OracleGrid, rng) -> _Fam
     return fam
 
 
-def _check_parity_relation(systems: list) -> _Family:
+def _entry_max(m: np.ndarray) -> np.ndarray:
+    """Largest |entry| of each 2x2 matrix of a stack."""
+    return np.abs(m).max(axis=(-2, -1))
+
+
+def _check_parity_relation(ps: ModelParams) -> _Family:
     fam = _Family("parity_pseudo_hermiticity")
     par = parity_matrix()
-    for p, _ in systems:
-        m2 = mass_matrix(p)
-        fam.add(np.abs(par @ m2 @ par - m2.conj().T).max(), 1e-14)
+    m2 = mass_matrix(ps)
+    fam.add_all(_entry_max(par @ m2 @ par - m2.conj().swapaxes(-1, -2)), 1e-14)
     fam.add(np.abs(par @ par - np.eye(2)).max(), 0.0)
     return fam
 
 
-def _check_cprime_relations(systems: list) -> _Family:
+def _check_cprime_relations(es: EigenSystem) -> _Family:
     fam = _Family("cprime_invariance")
     par = parity_matrix()
-    for p, es in systems:
-        if es.eta > 0.99:
-            continue  # conditioning of C' degrades like (1 - eta^2)^(-1/2)
-        cp = cprime_matrix(es.eta)
-        m2 = es.oriented_mass_matrix()
-        fam.add(np.abs(cp.T @ m2 @ cp.T - m2).max(), 1e-10)
-        fam.add(np.abs(cp @ cp - np.eye(2)).max(), 1e-12)
-        fam.add(np.abs((cp @ par).T - cp @ par).max(), 0.0)
-        fam.add(np.abs(cp.T @ es.e_plus - es.e_plus).max(), 1e-12)
-        fam.add(np.abs(cp.T @ es.e_minus + es.e_minus).max(), 1e-12)
+    es = es[es.eta <= 0.99]  # conditioning of C' degrades like (1 - eta^2)^(-1/2)
+    cp = cprime_matrix(es.eta)
+    cp_t, m2 = cp.swapaxes(-1, -2), es.oriented_mass_matrix()
+    fam.add_all(_entry_max(cp_t @ m2 @ cp_t - m2), 1e-10)
+    fam.add_all(_entry_max(cp @ cp - np.eye(2)), 1e-12)
+    fam.add_all(_entry_max((cp @ par).swapaxes(-1, -2) - cp @ par), 0.0)
+    for vec, sign in ((es.e_plus, 1.0), (es.e_minus, -1.0)):
+        reflected = (cp_t @ vec[..., None])[..., 0]
+        fam.add_all(np.abs(reflected - sign * vec).max(axis=-1), 1e-12)
     return fam
 
 
-def _check_theta(systems: list) -> _Family:
+def _check_theta(es: EigenSystem) -> _Family:
     fam = _Family("theta_parameterisation")
-    for p, es in systems:
-        fam.add(math.tanh(2.0 * es.theta) - es.eta, 1e-12)
-        fam.add(es.cosh_theta - math.cosh(es.theta), 1e-12)
-        fam.add(es.sinh_theta - math.sinh(es.theta), 1e-12)
-        fam.add(es.cosh_theta ** 2 - es.sinh_theta ** 2 - 1.0, 1e-12)
-        if es.eta > 0.0:
-            fam.add(es.n_factor * es.eta - es.cosh_theta, 1e-12)
+    fam.add_all(_per_element(math.tanh, 2.0 * es.theta) - es.eta, 1e-12)
+    fam.add_all(es.cosh_theta - _per_element(math.cosh, es.theta), 1e-12)
+    fam.add_all(es.sinh_theta - _per_element(math.sinh, es.theta), 1e-12)
+    fam.add_all(es.cosh_theta ** 2 - es.sinh_theta ** 2 - 1.0, 1e-12)
+    mixed = es[es.eta > 0.0]
+    fam.add_all(mixed.n_factor * mixed.eta - mixed.cosh_theta, 1e-12)
     return fam
 
 
-def _check_hermitian_limit(params: ModelParams) -> _Family:
+def _check_hermitian_limit(es: EigenSystem) -> _Family:
     fam = _Family("hermitian_limit_eigenvectors")
-    es = eigensystem(_with_eta(params, 1e-8))
     fam.add(np.abs(es.e_plus - np.array([1.0, 0.0])).max(), 1e-6)
     fam.add(np.abs(es.e_minus - np.array([0.0, 1.0])).max(), 1e-6)
     return fam
@@ -259,14 +269,15 @@ def _check_cpt_positivity(grid: OracleGrid, rng) -> _Family:
     return fam
 
 
-def _check_pt_norms(systems: list) -> _Family:
+def _check_pt_norms(es: EigenSystem) -> _Family:
     fam = _Family("pt_and_cpt_eigenvector_norms")
-    for p, es in systems:
-        vecs = np.array([es.e_plus, es.e_minus])
-        pt = pt_inner(vecs[:, None], vecs[None, :])  # [a, b] = <e_a, e_b>
-        cpt = cpt_inner(es.eta, vecs[:, None], vecs[None, :])
-        fam.add_all(np.array([pt[0, 0] - 1.0, pt[1, 1] + 1.0, pt[0, 1],
-                              cpt[0, 0] - 1.0, cpt[1, 1] - 1.0, cpt[0, 1]]), 1e-12)
+    vecs = np.stack([es.e_plus, es.e_minus], axis=-2)
+    bras, kets = vecs[..., :, None, :], vecs[..., None, :, :]
+    pt = pt_inner(bras, kets)  # [..., a, b] = <e_a, e_b>
+    cpt = cpt_inner(np.asarray(es.eta)[..., None, None], bras, kets)
+    fam.add_all(np.stack([pt[..., 0, 0] - 1.0, pt[..., 1, 1] + 1.0, pt[..., 0, 1],
+                          cpt[..., 0, 0] - 1.0, cpt[..., 1, 1] - 1.0, cpt[..., 0, 1]], axis=-1),
+                1e-12)
     return fam
 
 
@@ -279,13 +290,14 @@ def _check_cpt_dirac_consistency(grid: OracleGrid, rng) -> _Family:
 
 # --- states families ------------------------------------------------------
 
-def _overlaps(bra, ket, grid: OracleGrid, es: EigenSystem) -> np.ndarray:
-    """inner(bra(i, t), ket(j, t)) for flavours i, j and every grid time, as
-    one stacked contraction of shape (2, 2, len(grid.times))."""
-    times = np.array(grid.times)
-    bras = np.stack([bra(i, times, es).components for i in (1, 2)])
-    kets = np.stack([ket(j, times, es).components for j in (1, 2)])
-    return inner(bras[:, None], kets[None, :])
+def _flavour_stack(state, grid: OracleGrid, es: EigenSystem) -> np.ndarray:
+    """state(i, t) components, shape (systems, flavours, times, 2)."""
+    return state(FLAVOURS, np.array(grid.times), es[:, None, None]).components
+
+
+def _overlaps(bras: np.ndarray, kets: np.ndarray) -> np.ndarray:
+    """inner(bra_i(t), ket_j(t)), shape (systems, 2, 2, times)."""
+    return inner(bras[:, :, None], kets[:, None, :])
 
 
 def _modulus(z: np.ndarray) -> np.ndarray:
@@ -293,44 +305,44 @@ def _modulus(z: np.ndarray) -> np.ndarray:
     return np.hypot(z.real, z.imag)
 
 
-def _check_biorthonormality(systems: list, grid: OracleGrid) -> _Family:
+def _check_biorthonormality(es: EigenSystem, grid: OracleGrid) -> _Family:
     fam = _Family("tilde_biorthonormality")
-    for p, es in systems:
-        values = _overlaps(states.tilde_bra, states.flavour_ket, grid, es)
-        fam.add_all(values - np.eye(2)[..., None], 1e-12)
+    values = _overlaps(_flavour_stack(states.tilde_bra, grid, es),
+                       _flavour_stack(states.flavour_ket, grid, es))
+    fam.add_all(values - np.eye(2)[..., None], 1e-12)
     return fam
 
 
-def _check_mixed_basis(systems: list, grid: OracleGrid) -> _Family:
+def _check_mixed_basis(es: EigenSystem, grid: OracleGrid) -> _Family:
     fam = _Family("mixed_basis_orthonormality")
-    for p, es in systems:
-        values = _overlaps(states.mixed_basis_bra, states.mixed_basis_ket, grid, es)
-        fam.add_all(values - np.eye(2)[..., None], 1e-12)
+    kets, bras = states.mixed_basis_states(FLAVOURS, np.array(grid.times), es[:, None, None])
+    fam.add_all(_overlaps(bras, kets) - np.eye(2)[..., None], 1e-12)
     return fam
 
 
-def _check_cpt_nonorthogonality(systems: list, grid: OracleGrid) -> _Family:
+def _check_cpt_nonorthogonality(es: EigenSystem, grid: OracleGrid) -> _Family:
     fam = _Family("cpt_basis_nonorthogonality")
-    diagonal = np.eye(2, dtype=bool)[..., None]
-    for p, es in systems:
-        values = _overlaps(states.cpt_bra, states.flavour_ket, grid, es)
-        want = np.where(diagonal, es.cosh_two_theta, es.sinh_two_theta)
-        fam.add_all(values - want, tolerance_for_eta(es.eta) if es.eta > 0.95 else 1e-12)
+    values = _overlaps(_flavour_stack(states.cpt_bra, grid, es),
+                       _flavour_stack(states.flavour_ket, grid, es))
+    per_system = es[:, None, None, None]
+    want = np.where(np.eye(2, dtype=bool)[..., None], per_system.cosh_two_theta,
+                    per_system.sinh_two_theta)
+    fam.add_all(values - want, _state_tolerance(es)[:, None, None, None])
     return fam
 
 
-def _check_mode_equation(systems: list, grid: OracleGrid) -> _Family:
+def _check_mode_equation(es: EigenSystem, grid: OracleGrid) -> _Family:
     fam = _Family("mode_equation_of_motion")
     h = 1e-4
     times = np.array(grid.times)
-    for p, es in systems:
-        for branch in ("plus", "minus"):
-            omega_sq = es.omega(branch) ** 2
-            ahead, here, behind = (states.xi(branch, t, es) for t in (times + h, times, times - h))
-            # divide each part, as Python's complex / float does (numpy's
-            # complex division multiplies by a reciprocal)
-            second = ((ahead - 2.0 * here + behind).view(float) / (h * h)).view(complex)
-            fam.add_all(_modulus(second + omega_sq * here) / omega_sq, 1e-6)
+    es = es[:, None]
+    for branch in ("plus", "minus"):
+        omega_sq = es.omega(branch) ** 2
+        ahead, here, behind = (states.xi(branch, t, es) for t in (times + h, times, times - h))
+        # divide each part, as Python's complex / float does (numpy's
+        # complex division multiplies by a reciprocal)
+        second = ((ahead - 2.0 * here + behind).view(float) / (h * h)).view(complex)
+        fam.add_all(_modulus(second + omega_sq * here) / omega_sq, 1e-6)
     return fam
 
 
@@ -352,107 +364,98 @@ def _phases(grid: OracleGrid) -> np.ndarray:
 
 
 def _dts(grid: OracleGrid, es: EigenSystem) -> np.ndarray:  # phase = delta_omega dt / 2
-    return 2.0 * _phases(grid) / es.delta_omega
+    """Time separations of the phase grid, shape (systems, phases)."""
+    return 2.0 * _phases(grid) / es.delta_omega[:, None]
 
 
-def _closed(i: int, j: int, dts: np.ndarray, es: EigenSystem) -> np.ndarray:
-    return prob.probability_closed_form(i, j, dts, es).value
+def _closed(dts: np.ndarray, es: EigenSystem) -> np.ndarray:
+    """Closed-form P(i -> j) of the four PAIRS, shape (systems, 4, phases),
+    from one sin^2 per phase: survival is 1 - transition, as it rounds."""
+    per_system = es[:, None]
+    transition = prob.transition_probability(per_system.eta, 0.5 * per_system.delta_omega * dts)
+    return np.where(PAIR_I == PAIR_J, 1.0 - transition[:, None], transition[:, None])
 
 
-def _check_trace_vs_closed(systems: list, grid: OracleGrid) -> _Family:
+def _check_trace_vs_closed(es: EigenSystem, grid: OracleGrid, dts, closed) -> _Family:
     fam = _Family("trace_vs_closed_form")
     t0s = np.array(grid.t0s)
-    for p, es in systems:
-        dts = _dts(grid, es)
-        for i, j in PAIRS:
-            trace = prob.trace_probabilities(i, j, t0s, t0s + dts[:, None], es)
-            fam.add_all(trace - _closed(i, j, dts, es)[:, None], tolerance_for_eta(es.eta))
+    trace = prob.trace_probabilities(PAIR_I[..., None], PAIR_J[..., None], t0s,
+                                     t0s + dts[:, None, :, None], es[:, None, None, None])
+    fam.add_all(trace - closed[..., None], tolerance_for_eta(es.eta)[:, None, None, None])
     return fam
 
 
-def _check_brute_force(systems: list, grid: OracleGrid) -> _Family:
+def _check_brute_force(ps: ModelParams, es: EigenSystem, grid: OracleGrid, dts,
+                       closed) -> _Family:
     fam = _Family("brute_force_vs_closed_form")
     t0 = grid.t0s[0]
-    for p, es in systems:
-        dts = _dts(grid, es)
-        brute = brute_force_probability(p, PAIR_I, PAIR_J, t0, t0 + dts)
-        closed = np.array([_closed(i, j, dts, es) for i, j in PAIRS])
-        fam.add_all(brute - closed, tolerance_for_eta(es.eta))
+    brute = brute_force_probability(ps[:, None, None], PAIR_I, PAIR_J, t0, t0 + dts[:, None])
+    fam.add_all(brute - closed, tolerance_for_eta(es.eta)[:, None, None])
     return fam
 
 
-def _check_unitarity(systems: list, grid: OracleGrid) -> _Family:
+def _check_unitarity(es: EigenSystem, closed, at_zero) -> _Family:
     fam = _Family("unitarity")
-    for p, es in systems:
-        dts = _dts(grid, es)
-        fam.add_all(_closed(1, 1, dts, es) + _closed(1, 2, dts, es) - 1.0, 1e-12)
-        trace = (prob.trace_probabilities(1, 1, 0.0, dts, es)
-                 + prob.trace_probabilities(1, 2, 0.0, dts, es))
-        fam.add_all(trace - 1.0, max(1e-10, tolerance_for_eta(es.eta)))
+    fam.add_all(closed[:, 0] + closed[:, 1] - 1.0, 1e-12)
+    tol = np.maximum(1e-10, tolerance_for_eta(es.eta))[:, None]
+    fam.add_all(at_zero[:, 0] + at_zero[:, 1] - 1.0, tol)
     return fam
 
 
-def _check_symmetry(systems: list, grid: OracleGrid) -> _Family:
+def _check_symmetry(es: EigenSystem, closed, at_zero) -> _Family:
     fam = _Family("probability_symmetry")
-    for p, es in systems:
-        tol = 1e-12 if es.eta <= 0.95 else tolerance_for_eta(es.eta)
-        dts = _dts(grid, es)
-        fam.add_all(_closed(1, 2, dts, es) - _closed(2, 1, dts, es), 0.0)
-        for (i, j), (k, m) in (((1, 2), (2, 1)), ((1, 1), (2, 2))):
-            fam.add_all(prob.trace_probabilities(i, j, 0.0, dts, es)
-                        - prob.trace_probabilities(k, m, 0.0, dts, es), tol)
+    tol = _state_tolerance(es)[:, None]
+    fam.add_all(closed[:, 1] - closed[:, 2], 0.0)
+    fam.add_all(at_zero[:, 1] - at_zero[:, 2], tol)  # 1 -> 2 against 2 -> 1
+    fam.add_all(at_zero[:, 0] - at_zero[:, 3], tol)  # 1 -> 1 against 2 -> 2
     return fam
 
 
-def _check_time_translation(systems: list, grid: OracleGrid) -> _Family:
+def _check_time_translation(es: EigenSystem, grid: OracleGrid, dts) -> _Family:
     fam = _Family("time_translation_invariance")
     shifts = np.array((*grid.t0s, 100.0))
-    for p, es in systems:
-        values = prob.trace_probabilities(1, 2, shifts, shifts + _dts(grid, es)[:, None], es)
-        fam.add_all(values.max(axis=1) - values.min(axis=1), tolerance_for_eta(es.eta))
+    values = prob.trace_probabilities(1, 2, shifts, shifts + dts[..., None], es[:, None, None])
+    fam.add_all(values.max(axis=-1) - values.min(axis=-1), tolerance_for_eta(es.eta)[:, None])
     return fam
 
 
-def _check_operators(systems: list, grid: OracleGrid) -> _Family:
+def _check_operators(es: EigenSystem, grid: OracleGrid) -> _Family:
     fam = _Family("density_projection_operators")
     t0s = np.array(grid.t0s)
-    for p, es in systems:
-        tol = 1e-12 if es.eta <= 0.95 else tolerance_for_eta(es.eta)
-        for i in (1, 2):
-            rho = prob.density_operator(i, t0s, es).entries
-            pi = prob.projection_operator(i, t0s, es).entries
-            fam.add_all(rho[:, 0, 0] + rho[:, 1, 1] - 1.0, tol)
-            fam.add_all(np.abs(rho @ rho - rho).max(axis=(1, 2)), tol)
-            fam.add_all(np.abs(pi - rho).max(axis=(1, 2)), 0.0)  # same construction at equal times
+    tol = _state_tolerance(es)[:, None, None]
+    rho = prob.density_operator(FLAVOURS, t0s, es[:, None, None]).entries
+    pi = prob.projection_operator(FLAVOURS, t0s, es[:, None, None]).entries
+    fam.add_all(rho[..., 0, 0] + rho[..., 1, 1] - 1.0, tol)
+    fam.add_all(_entry_max(rho @ rho - rho), tol)
+    fam.add_all(_entry_max(pi - rho), 0.0)  # same construction at equal times
     return fam
 
 
-def _check_dirac_norm(systems: list, grid: OracleGrid) -> _Family:
+def _check_dirac_norm(ps: ModelParams, es: EigenSystem, grid: OracleGrid) -> _Family:
     fam = _Family("dirac_norm_closed_form")
-    for p, es in systems:
-        tol = 1e-12 if es.eta <= 0.95 else tolerance_for_eta(es.eta)
-        closed = np.array([[prob.dirac_norm(i, t, es) for t in grid.times] for i in (1, 2)])
-        contracted = _overlaps(states.dirac_bra, states.flavour_ket, grid, es)[(0, 1), (0, 1)]
-        fam.add_all(contracted - closed, tol)
-        fam.add_all(brute_force_dirac_norm(p, FLAVOURS, np.array(grid.times)) - closed, tol)
+    times = np.array(grid.times)
+    tol = _state_tolerance(es)[:, None, None]
+    closed = prob.dirac_norm(1, times, es[:, None, None])  # the same for both flavours
+    kets = _flavour_stack(states.flavour_ket, grid, es)
+    fam.add_all(inner(kets.conj(), kets) - closed, tol)  # <fi| is dirac_bra, |fi>^dag
+    fam.add_all(brute_force_dirac_norm(ps[:, None, None], FLAVOURS, times) - closed, tol)
     return fam
 
 
-def _check_dirac_overlap(systems: list, grid: OracleGrid) -> _Family:
+def _check_dirac_overlap(ps: ModelParams, es: EigenSystem, grid: OracleGrid) -> _Family:
     fam = _Family("dirac_overlap_closed_form")
-    for p, es in systems:
-        tol = 1e-12 if es.eta <= 0.95 else tolerance_for_eta(es.eta)
-        closed = np.array([prob.dirac_overlap(t, es) for t in grid.times])
-        contracted = _overlaps(states.dirac_bra, states.flavour_ket, grid, es)
-        fam.add_all(contracted[0, 1] - closed, tol)
-        fam.add_all(contracted[1, 0] - closed.conj(), tol)
-        brute = brute_force_dirac_overlap(p, np.array(grid.times))
-        # the user-basis brute force can differ by the relabelling's
-        # overall state sign, so compare moduli when swapped
-        if es.swapped:
-            fam.add_all(_modulus(brute) - _modulus(closed), tol)
-        else:
-            fam.add_all(brute - closed, tol)
+    times = np.array(grid.times)
+    tol = _state_tolerance(es)[:, None]
+    closed = prob.dirac_overlap(times, es[:, None])
+    contracted = _overlaps(_flavour_stack(states.dirac_bra, grid, es),
+                           _flavour_stack(states.flavour_ket, grid, es))
+    fam.add_all(contracted[:, 0, 1] - closed, tol)
+    fam.add_all(contracted[:, 1, 0] - closed.conj(), tol)
+    brute = brute_force_dirac_overlap(ps[:, None], times)
+    # the user-basis brute force can differ by the relabelling's overall
+    # state sign, so compare moduli when swapped
+    fam.add_all(np.where(es.swapped[:, None], _modulus(brute) - _modulus(closed),
+                         brute - closed), tol)
     return fam
 
 
@@ -501,33 +504,37 @@ def check_all(params: ModelParams, grid: OracleGrid | None = None) -> list[Oracl
     eigensystem(params)  # validates eta < 1 - EXCEPTIONAL_POINT_BAND
     grid = grid or OracleGrid()
     rng = np.random.default_rng(grid.seed)
-    systems = _systems(params, grid)
+    ps, es = _systems(params, grid)
+    limit, ps, es = es[-1], ps[:-1], es[:-1]
+    dts = _dts(grid, es)
+    closed = _closed(dts, es)
+    at_zero = prob.trace_probabilities(PAIR_I, PAIR_J, 0.0, dts[:, None], es[:, None, None])
     families = [
         _check_eigenvalues(params, grid, rng),
-        _check_eigenvector_residuals(systems),
+        _check_eigenvector_residuals(es),
         _check_trace_determinant(params, grid, rng),
-        _check_parity_relation(systems),
-        _check_cprime_relations(systems),
-        _check_theta(systems),
-        _check_hermitian_limit(params),
+        _check_parity_relation(ps),
+        _check_cprime_relations(es),
+        _check_theta(es),
+        _check_hermitian_limit(limit),
         _check_hermitian_masses(params, grid, rng),
         _check_sesquilinearity(grid, rng),
         _check_cpt_positivity(grid, rng),
-        _check_pt_norms(systems),
+        _check_pt_norms(es),
         _check_cpt_dirac_consistency(grid, rng),
-        _check_biorthonormality(systems, grid),
-        _check_mixed_basis(systems, grid),
-        _check_cpt_nonorthogonality(systems, grid),
-        _check_mode_equation(systems, grid),
+        _check_biorthonormality(es, grid),
+        _check_mixed_basis(es, grid),
+        _check_cpt_nonorthogonality(es, grid),
+        _check_mode_equation(es, grid),
         _check_cprime_section_identity(params, grid, rng),
-        _check_trace_vs_closed(systems, grid),
-        _check_brute_force(systems, grid),
-        _check_unitarity(systems, grid),
-        _check_symmetry(systems, grid),
-        _check_time_translation(systems, grid),
-        _check_operators(systems, grid),
-        _check_dirac_norm(systems, grid),
-        _check_dirac_overlap(systems, grid),
+        _check_trace_vs_closed(es, grid, dts, closed),
+        _check_brute_force(ps, es, grid, dts, closed),
+        _check_unitarity(es, closed, at_zero),
+        _check_symmetry(es, closed, at_zero),
+        _check_time_translation(es, grid, dts),
+        _check_operators(es, grid),
+        _check_dirac_norm(ps, es, grid),
+        _check_dirac_overlap(ps, es, grid),
         _check_hermitian_gap(grid),
         _check_naive_pathology(grid),
     ]

@@ -24,6 +24,7 @@ from ptosc import (
     cpt_conjugate,
     cpt_inner,
     dirac_inner,
+    eigensystem,
     hermitian_eigenvalues,
     hermitian_mass_matrix,
     inner,
@@ -34,6 +35,7 @@ from ptosc import (
     parity_matrix,
     pt_conjugate,
     pt_eigenvalues,
+    trace_probabilities,
 )
 
 SHAPES = [(), (1,), (7,), (3, 4)]
@@ -227,3 +229,132 @@ def test_parameters_from_an_eta_array(seed, shape):
 def test_one_out_of_domain_parameter_in_a_batch_raises(fields, error):
     with pytest.raises(error):
         make_params(*fields)
+
+
+# --- stacked eigensystems, the trace route and the oracle ----------------------
+
+PAIR_I, PAIR_J = np.array([[1], [1], [2], [2]]), np.array([[1], [2], [1], [2]])
+ES_FIELDS = ("eta", "theta", "cosh_theta", "sinh_theta", "n_factor", "m_plus_sq", "m_minus_sq",
+             "omega_plus", "omega_minus", "delta_omega", "swapped")
+
+
+def system_stack(rng, shape) -> ModelParams:
+    """param_stack with about one point in five at eta = 0."""
+    params = param_stack(rng, shape)
+    mu_sq = np.where(rng.random(size=shape) < 0.2, 0.0, params.mu_sq)
+    return ModelParams(params.m1_sq, params.m2_sq, mu_sq, params.p)
+
+
+def along(shape, extra):
+    """Index keeping the stack axes and adding ``extra`` trailing ones."""
+    return (slice(None),) * len(shape) + (None,) * extra
+
+
+@examples
+@hyp.given(seed=seeds, shape=st.sampled_from(SHAPES))
+def test_eigensystem_of_a_stack_equals_per_system_calls(seed, shape):
+    params = system_stack(np.random.default_rng(seed), shape)
+    es = eigensystem(params)
+    assert np.shape(es.eta) == shape and es.e_plus.shape == shape + (2,)
+    for idx in np.ndindex(shape):
+        one, picked = eigensystem(single(params, idx)), es[idx]
+        for name in ES_FIELDS:
+            assert np.asarray(getattr(es, name))[idx] == getattr(one, name), name
+            assert type(getattr(picked, name)) is type(getattr(one, name)), name
+        for name in ("sech_two_theta", "cosh_two_theta", "sinh_two_theta", "mixed_basis_norm"):
+            assert np.asarray(getattr(es, name))[idx] == getattr(one, name), name
+        for name in ("e_plus", "e_minus", "cpt_metric", "cprime_transpose"):
+            assert np.array_equal(getattr(es, name)[idx], getattr(one, name)), name
+        assert np.array_equal(es.oriented_mass_matrix()[idx], one.oriented_mass_matrix())
+        assert picked.canonical_flavour(1) == one.canonical_flavour(1)
+
+
+@examples
+@hyp.given(seed=seeds, shape=st.sampled_from(SHAPES))
+def test_trace_over_systems_and_flavour_pairs_equals_per_pair_calls(seed, shape):
+    rng = np.random.default_rng(seed)
+    params = system_stack(rng, shape)
+    es = eigensystem(params)
+    t0s = rng.uniform(-20.0, 20.0, size=3)
+    ts = t0s + rng.uniform(0.0, 10.0, size=(4, 1))
+    values = trace_probabilities(PAIR_I[..., None], PAIR_J[..., None], t0s, ts,
+                                 es[along(shape, 3)])
+    assert values.shape == shape + (4, 4, 3)
+    for idx in np.ndindex(shape):
+        one = eigensystem(single(params, idx))
+        for k, (i, j) in enumerate(zip(PAIR_I[:, 0].tolist(), PAIR_J[:, 0].tolist())):
+            assert np.array_equal(values[idx + (k,)], trace_probabilities(i, j, t0s, ts, one))
+
+
+@examples
+@hyp.given(seed=seeds, shape=st.sampled_from(SHAPES))
+def test_oracle_over_a_params_stack_equals_per_point_calls(seed, shape):
+    from ptosc import (
+        brute_force_dirac_norm,
+        brute_force_dirac_overlap,
+        brute_force_flavour_ket,
+        brute_force_operator,
+        brute_force_probability,
+    )
+    from ptosc.oracle import _spectral_data
+
+    rng = np.random.default_rng(seed)
+    params = system_stack(rng, shape)
+    times = rng.uniform(-20.0, 20.0, size=5)
+    flavours = np.array([[1], [2]])
+    data = _spectral_data(params)
+    stacked = {
+        "probability": brute_force_probability(params[along(shape, 2)], PAIR_I, PAIR_J,
+                                               0.3, times),
+        "norm": brute_force_dirac_norm(params[along(shape, 2)], flavours, times),
+        "overlap": brute_force_dirac_overlap(params[along(shape, 1)], times),
+        "ket": brute_force_flavour_ket(params[along(shape, 2)], flavours, times),
+        "operator": brute_force_operator(params[along(shape, 2)], flavours, times),
+    }
+    for idx in np.ndindex(shape):
+        one = single(params, idx)
+        reference = _spectral_data(one)
+        for name in ("eigenvalues", "basis", "weights", "metric", "symmetry", "omegas"):
+            assert np.array_equal(getattr(data, name)[idx], getattr(reference, name)), name
+        per_point = {
+            "probability": brute_force_probability(one, PAIR_I, PAIR_J, 0.3, times),
+            "norm": brute_force_dirac_norm(one, flavours, times),
+            "overlap": brute_force_dirac_overlap(one, times),
+            "ket": brute_force_flavour_ket(one, flavours, times),
+            "operator": brute_force_operator(one, flavours, times),
+        }
+        for name, value in per_point.items():
+            assert np.array_equal(stacked[name][idx], value), name
+
+
+GOOD_POINTS = [(2.0, 1.0, 0.3, 0.0), (1.0, 2.0, 0.2, 0.5), (4.2, 1.3, 0.0, 0.7)]
+BAD_POINTS = [
+    (2.0, 1.0, 0.6, 0.0),              # eta = 1.2: broken PT phase
+    (2.0, 1.0, 0.5, 0.0),              # eta = 1: exceptional point
+    (2.0, 1.0, 0.5 - 1e-14, 0.0),      # inside the exceptional-point band
+    (1.0, 1e-17, 0.0, 0.0),            # lower squared mass rounds to 0
+    (1e308, 5e307, 0.0, 1.3e154),      # p^2 + m^2 overflows
+]
+
+
+def raised(fn, *args):
+    """The exception class fn(*args) raises, or None."""
+    try:
+        fn(*args)
+    except Exception as exc:  # noqa: BLE001 - the class is what is compared
+        return type(exc)
+    return None
+
+
+@examples
+@hyp.given(points=st.lists(st.sampled_from(GOOD_POINTS + BAD_POINTS), min_size=1, max_size=5))
+def test_a_stack_raises_as_a_loop_over_its_points_does(points):
+    """The first point out of domain decides the exception class, and so
+    the CLI's exit code, as it would in a loop of single-point calls."""
+    from ptosc.oracle import _spectral_data
+
+    stack = ModelParams(*(np.array(field) for field in zip(*points)))
+    with np.errstate(over="ignore", invalid="ignore"):  # the oracle at m^2 = 1e308
+        for fn in (eigensystem, _spectral_data):
+            in_loop = next(filter(None, (raised(fn, ModelParams(*p)) for p in points)), None)
+            assert raised(fn, stack) is in_loop, fn.__name__

@@ -168,6 +168,22 @@ class TestBadConfig:
         assert out == ""
         assert err.startswith("error: ") and "Traceback" not in err
 
+    @pytest.mark.parametrize("etas", ["0.96,0.97", "0.5,0.97", "0.97,0.5", "0,0.3,0.3"])
+    def test_trace_over_an_eta_grid_exits_as_its_points_do(self, capsys, etas):
+        """One trace call covers the eta grid, and each eta keeps its own
+        tolerance: at |t| = 1e7 the phases resolve to about 2.6e-9, inside
+        1e-8 above eta = 0.95 and outside 1e-10 below it."""
+        argv = ("probabilities", "--methods", "trace", "--t0", "1e7", "--phase", "0:6:5")
+        code, out, err = run(capsys, *argv, "--eta", etas)
+        singles = [run(capsys, *argv, "--eta", eta) for eta in etas.split(",")]
+        assert code == next((c for c, _, _ in singles if c), 0)
+        assert code == (2 if any(float(eta) <= 0.95 for eta in etas.split(",")) else 0)
+        if code:
+            assert out == "" and err.startswith("error: |t| = 1e+07 resolves")
+        else:
+            rows = [line for _, single, _ in singles for line in single.splitlines()[1:]]
+            assert out.splitlines()[1:] == rows
+
     def test_large_t0_allowed_without_trace(self, capsys):
         code, out, _ = run(capsys, "probabilities", "--eta", "0.6", "--t0", "1e17",
                            "--methods", "closed_form")

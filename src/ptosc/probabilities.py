@@ -125,9 +125,7 @@ def _check_eta(eta, broken: str | None = None, exceptional: bool = False) -> Non
 
 def _sin_sq(phase):
     """sin^2(phase), per element of an array."""
-    if isinstance(phase, float):
-        return math.sin(phase) ** 2
-    return _per_element(_sin_sq, phase)
+    return _per_element(lambda x: math.sin(x) ** 2, phase)
 
 
 def transition_probability(eta, phase):

@@ -287,9 +287,13 @@ class EigenSystem:
     swapped: bool
 
     def __getitem__(self, key) -> "EigenSystem":
-        """The systems at ``key`` (index, slice, mask or None) of a stack."""
+        """The systems at ``key`` (index, slice, mask, None, ...) of a stack;
+        e_plus / e_minus keep their component axis last."""
+        key = key if isinstance(key, tuple) else (key,)
+        vector = (slice(None),)
         return EigenSystem(**{f.name: getattr(self, f.name)[key] if f.name == "params"
-                              else _unbox(np.asarray(getattr(self, f.name))[key])
+                              else _unbox(np.asarray(getattr(self, f.name))[
+                                  key + vector if f.name.startswith("e_") else key])
                               for f in fields(self)})
 
     @property

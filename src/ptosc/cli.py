@@ -178,21 +178,23 @@ def _emit(axes: dict[str, list[float]], columns: dict, fmt: str,
         strings = [_fmt(v) for v in values]  # once per grid value
         inner, outer = math.prod(shape[k + 1:]), math.prod(shape[:k])
         cells.append([s for s in strings for _ in range(inner)] * outer)
-    for name, column in columns.items():
-        values, present = column if isinstance(column, tuple) else (column, True)
-        data = np.reshape(values, -1) + 0.0  # + 0.0 turns -0.0 into 0.0
-        missing = ~np.broadcast_to(present, data.shape)
-        bad = np.flatnonzero(~(np.isfinite(data) | missing))
-        if bad.size:
-            where = ", ".join(f"{axis} = {cell[bad[0]]}" for axis, cell in zip(axes, cells))
-            raise DomainError(f"{name} is {data[bad[0]]} at {where}: refusing non-finite output")
-        if missing.any():
-            absent = "" if fmt == "csv" else "null"
-            cells.append([absent if m else _fmt(v) for v, m in zip(data.tolist(), missing.tolist())])
-            specs.append("%s")
-        else:
-            cells.append(data.tolist())
-            specs.append("%.17g")
+    # one finiteness pass over all the value columns; cells not present are exempt
+    data = np.array([np.reshape(c[0] if isinstance(c, tuple) else c, -1)
+                     for c in columns.values()]) + 0.0  # + 0.0 turns -0.0 into 0.0
+    missing = {k: ~np.broadcast_to(c[1], data.shape[1:]) for k, c in enumerate(columns.values())
+               if isinstance(c, tuple) and not np.all(c[1])}
+    bad = ~np.isfinite(data)
+    for k, absent in missing.items():
+        bad[k] &= ~absent
+    if bad.any():  # name the first column with a bad cell, at its first
+        k, n = np.unravel_index(np.argmax(bad), bad.shape)
+        where = ", ".join(f"{axis} = {cell[n]}" for axis, cell in zip(axes, cells))
+        raise DomainError(f"{[*columns][k]} is {data[k, n]} at {where}: refusing non-finite output")
+    empty = "" if fmt == "csv" else "null"
+    for k, row in enumerate(data.tolist()):
+        cells.append([empty if m else _fmt(v) for v, m in zip(row, missing[k].tolist())]
+                     if k in missing else row)
+        specs.append("%s" if k in missing else "%.17g")
     names = [*axes, *columns]
     if fmt == "csv":
         template = ",".join(specs)
@@ -403,6 +405,7 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="ptosc",
         description="PT-symmetric two-state oscillation sweeps and validation.")
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices  # each command's sub-parser, for main
 
     def add_common(p: argparse.ArgumentParser, *, phase: bool = True) -> None:
         p.add_argument("--eta", help="single value, comma list, or min:max:steps")
@@ -447,9 +450,16 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser, extra = _build_parser(), True
     try:
-        args = parser.parse_args(argv)
+        if argv and argv[0] in _COMMANDS:
+            # the full parser hands these arguments to this same sub-parser, so
+            # it alone parses them alike and prints the same help and errors
+            args, extra = parser.commands[argv[0]].parse_known_args(
+                argv[1:], argparse.Namespace(command=argv[0]))
+        if extra:  # no known command, or arguments left over
+            args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     resolve, run = _COMMANDS[args.command]

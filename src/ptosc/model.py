@@ -65,6 +65,7 @@ _SQUARE_LIMIT = math.sqrt(sys.float_info.max)
 
 # 2x2 metric / density / projection operators are plain arrays.
 LinearOperator = np.ndarray
+_PARITY_SIGNS = np.array([1.0, -1.0])  # diag(P): rows times it are P applied exactly
 
 
 @dataclass(frozen=True)
@@ -203,15 +204,7 @@ def hermitian_mass_matrix(params: ModelParams) -> LinearOperator:
 
 def parity_matrix() -> LinearOperator:
     """P = diag(1, -1); P^2 = 1 and P M^2 P = (M^2)^dag."""
-    return np.diag([1.0, -1.0])
-
-
-def _reject_exceptional_and_broken(eta, what: str) -> None:
-    if np.count_nonzero(eta > 1.0):
-        raise BrokenPTPhase(f"eta = {np.max(eta):.6g} > 1: complex eigenvalues, {what} undefined")
-    if np.count_nonzero(eta >= 1.0 - EXCEPTIONAL_POINT_BAND):
-        raise ExceptionalPoint(
-            f"eta = {np.max(eta):.17g} is at the exceptional point; {what} diverges")
+    return np.diag(_PARITY_SIGNS)
 
 
 def cprime_matrix(eta) -> LinearOperator:
@@ -224,7 +217,15 @@ def cprime_matrix(eta) -> LinearOperator:
     """
     if np.count_nonzero(eta < 0.0):
         raise NegativeMixing(f"eta must be non-negative, got {np.min(eta)}")
-    _reject_exceptional_and_broken(eta, "C'")
+    if np.count_nonzero(eta > 1.0):
+        raise BrokenPTPhase(f"eta = {np.max(eta):.6g} > 1: complex eigenvalues, C' undefined")
+    if np.count_nonzero(eta >= 1.0 - EXCEPTIONAL_POINT_BAND):
+        raise ExceptionalPoint(f"eta = {np.max(eta):.17g} is at the exceptional point; C' diverges")
+    return _cprime_matrix(eta)
+
+
+def _cprime_matrix(eta) -> LinearOperator:
+    """cprime_matrix without its domain guards, for an eta already validated."""
     s = np.sqrt((1.0 - eta) * (1.0 + eta))
     return _matrix(1.0 / s, -eta / s, eta / s, -1.0 / s)
 
@@ -317,13 +318,15 @@ class EigenSystem:
 
     @cached_property
     def cpt_metric(self) -> np.ndarray:
-        """C' P, the positive-definite metric contracted by the C'PT bras."""
-        return cprime_matrix(self.eta) @ parity_matrix()
+        """C' P, the positive-definite metric contracted by the C'PT bras (C'
+        with its second column negated: exactly the product with P)."""
+        return self.cprime_transpose.swapaxes(-1, -2) * _PARITY_SIGNS
 
     @cached_property
     def cprime_transpose(self) -> np.ndarray:
-        """C'^T, the symmetry operator acting on kets."""
-        return np.swapaxes(cprime_matrix(self.eta), -1, -2)
+        """C'^T, the symmetry operator acting on kets; C' is built here once,
+        without cprime_matrix's guards (eigensystem has validated eta)."""
+        return np.swapaxes(_cprime_matrix(self.eta), -1, -2)
 
     def canonical_flavour(self, i):
         """Map flavour label(s) to the heavy-first orientation."""

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .inner import cpt_conjugate
-from .model import EigenSystem, _all, _any, _dot, _select, _unbox
+from .model import _PARITY_SIGNS, EigenSystem, _all, _any, _dot, _select, _unbox
 
 
 @dataclass(frozen=True)
@@ -97,9 +97,6 @@ def tilde_bra(i, t, es: EigenSystem) -> FlavourState:
     comps = np.where(one, cosh * xp * sect_plus - sinh * xm * sect_minus,
                      cosh * xm * sect_minus - sinh * xp * sect_plus)
     return FlavourState(i, "tilde_bra", False, comps)
-
-
-_PARITY_SIGNS = np.array([1.0, -1.0])
 
 
 def cpt_bra(i, t, es: EigenSystem, normalised: bool = False) -> FlavourState:

@@ -126,7 +126,7 @@ def _state_tolerance(es: EigenSystem) -> np.ndarray:
     return np.where(es.eta <= 0.95, 1e-12, tolerance_for_eta(es.eta))
 
 
-def _random_params(rng: np.random.Generator, n: int, *head: ModelParams) -> ModelParams:
+def _random_params(rng: "np.random.Generator", n: int, *head: ModelParams) -> ModelParams:
     """The head points, then n random valid draws as one batch of array
     fields.  Each draw takes five uniforms, as one draw at a time would: a
     (lo, hi) pair, redrawn while closer than 1e-3, the ordering, eta, p."""
@@ -242,10 +242,11 @@ def _check_hermitian_limit(es: EigenSystem) -> _Family:
 def _check_sesquilinearity(grid: OracleGrid, rng) -> _Family:
     fam = _Family("sesquilinearity")
     # per draw: u, v, w as two real then two imaginary parts, alpha, beta as (re, im), eta
-    z, eta = np.empty((grid.n_random, 16)), np.empty(grid.n_random)
-    for k in range(grid.n_random):
-        # 0.95 * random() is rng.uniform(0.0, 0.95) bit for bit, without its argument checks
-        z[k], eta[k] = rng.normal(size=16), 0.95 * rng.random()
+    z, eta, uniform = np.empty((grid.n_random, 16)), np.empty(grid.n_random), rng.random
+    for k, row in enumerate(z):
+        rng.standard_normal(out=row)  # rng.normal(size=16), drawn in place
+        eta[k] = uniform()
+    eta *= 0.95  # 0.95 * random() is rng.uniform(0.0, 0.95) bit for bit
     u, v, w = (z[:, k:k + 2] + 1j * z[:, k + 2:k + 4] for k in (0, 4, 8))
     alpha, beta = z[:, 12:].view(complex).T
     for bra in (pt_conjugate(u), cpt_conjugate(eta, u), u.conj()):
@@ -257,12 +258,13 @@ def _check_sesquilinearity(grid: OracleGrid, rng) -> _Family:
 
 def _check_cpt_positivity(grid: OracleGrid, rng) -> _Family:
     fam = _Family("cpt_inner_positivity")
-    vs, etas = np.empty((grid.n_random, 2)), np.empty(grid.n_random)
-    for k in range(grid.n_random):
-        v = rng.normal(size=2)
+    vs, etas, uniform = np.empty((grid.n_random, 2)), np.empty(grid.n_random), rng.random
+    for k, v in enumerate(vs):
+        rng.standard_normal(out=v)
         while math.sqrt(v.dot(v)) < 1e-3:  # np.linalg.norm's arithmetic
-            v = rng.normal(size=2)
-        vs[k], etas[k] = v, 0.95 * rng.random()  # rng.uniform(0.0, 0.95), as above
+            rng.standard_normal(out=v)
+        etas[k] = uniform()
+    etas *= 0.95  # rng.uniform(0.0, 0.95), as above
     values = cpt_inner(etas, vs, vs)
     fam.add_all(values.imag, 1e-12)
     fam.add_all(np.maximum(0.0, -values.real), 0.0)  # strictly positive

@@ -2,12 +2,16 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import hypothesis as hyp
 import hypothesis.strategies as st
 import pytest
 
+import ptosc
 from ptosc import (
     BrokenPTPhase,
     cardioid_r,
@@ -21,7 +25,7 @@ from ptosc import (
     survival_probability,
     transition_probability,
 )
-from ptosc.cli import main
+from ptosc.cli import _build_parser, main
 
 
 def run(capsys, *argv):
@@ -345,8 +349,6 @@ class TestValidate:
 
 
 def test_parser_built_once_gives_the_output_of_fresh_runs(capsys):
-    from ptosc.cli import _build_parser
-
     sequence = [
         ("probabilities", "--eta", "0.6", "--phase", "0:1:3"),
         ("masses", "--ratio", "abc"),                  # exit 2 from the resolver
@@ -363,6 +365,49 @@ def test_parser_built_once_gives_the_output_of_fresh_runs(capsys):
     assert reused == fresh
     assert [code for code, _, _ in reused] == [0, 2, 0, 2, 0]
     assert reused[0] == reused[-1]
+
+
+PARSE_PATHS = [
+    ("probabilities", "--bogus", "1"),
+    ("probabilities", "extra"),
+    ("probabilities", "--eta"),  # missing value
+    ("bogus",),
+    (),
+    ("--help",),
+    ("probabilities", "--help"),
+    ("validate", "--json", "extra"),
+]
+
+
+@pytest.mark.parametrize("argv", PARSE_PATHS)
+def test_parse_paths_print_what_the_full_parser_prints(capsys, monkeypatch, argv):
+    """main parses a known command with its sub-parser alone; help, errors
+    and exit codes stay those of the full parser's parse_args."""
+    monkeypatch.setenv("COLUMNS", "80")
+    got = run(capsys, *argv)
+    with pytest.raises(SystemExit) as exit_info:
+        _build_parser().parse_args(list(argv))
+    captured = capsys.readouterr()
+    assert got == (exit_info.value.code, captured.out, captured.err)
+
+
+def test_a_known_command_is_parsed_without_the_full_parser(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the full parser ran")
+
+    monkeypatch.setattr(_build_parser(), "parse_args", refuse)
+    code, out, _ = run(capsys, "probabilities", "--eta", "0.6", "--phase", "0:1:3")
+    assert code == 0 and len(out.splitlines()) == 4
+
+
+def test_importing_ptosc_leaves_numpy_random_unloaded():
+    """Only validate draws random numbers; the other commands do not pay
+    for importing numpy.random."""
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(ptosc.__file__))}
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, ptosc; print('numpy.random' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=120, check=True)
+    assert done.stdout.strip() == "False"
 
 
 # --- output identity with the former row-by-row emitter ---------------------

@@ -211,6 +211,21 @@ class TestMetricMatrices:
         m2 = es.oriented_mass_matrix()
         np.testing.assert_allclose(cp_t @ m2 @ cp_t, m2, atol=1e-10)
 
+    @pytest.mark.parametrize("heavy_first", [True, False])
+    def test_eigensystem_metrics_are_the_matrix_products_bit_for_bit(self, heavy_first):
+        """es.cpt_metric is C' P and es.cprime_transpose is C'^T exactly, signs
+        of zero included, for single systems and for a stack of them."""
+        m1, m2 = (2.0, 1.0) if heavy_first else (1.0, 2.0)
+        etas = np.array([0.0, 1e-8, 0.5, 0.95, 1.0 - 1e-9])
+        systems = [eigensystem(make_params(m1, m2, 0.5 * eta, 0.3)) for eta in etas]
+        systems.append(eigensystem(make_params(np.full(5, m1), m2, 0.5 * etas, 0.3)))
+        for es in systems:
+            cp = cprime_matrix(es.eta)
+            for got, want in ((es.cpt_metric, cp @ parity_matrix()),
+                              (es.cprime_transpose, cp.swapaxes(-1, -2))):
+                assert got.shape == want.shape and got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes()
+
     def test_cprime_rejects_exceptional_point_and_beyond(self):
         with pytest.raises(ExceptionalPoint):
             cprime_matrix(1.0)

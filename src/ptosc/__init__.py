@@ -17,8 +17,6 @@ from .errors import (
     TachyonicMass,
 )
 from .inner import (
-    CoStateVector,
-    StateVector,
     cpt_conjugate,
     cpt_inner,
     dirac_dagger,
@@ -52,9 +50,7 @@ from .oracle import (
     tolerance_for_eta,
 )
 from .probabilities import (
-    DensityOperator,
     ProbabilityRecord,
-    ProjectionOperator,
     cardioid_r,
     density_operator,
     dirac_norm,
@@ -71,7 +67,6 @@ from .probabilities import (
     transition_probability,
 )
 from .states import (
-    FlavourState,
     cprime_ket,
     cpt_bra,
     dirac_bra,
@@ -79,7 +74,6 @@ from .states import (
     mixed_basis_bra,
     mixed_basis_ket,
     mixed_basis_pair,
-    mixed_basis_states,
     pt_bra,
     tilde_bra,
     xi,

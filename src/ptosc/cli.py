@@ -118,6 +118,18 @@ def _parse_methods(text: str) -> list[str]:
     return sorted(set(methods), key=METHOD_ORDER.index)
 
 
+def _parse_format(text: str | None) -> str:
+    fmt = text or "csv"
+    if fmt not in ("csv", "json"):
+        raise _ConfigError(f"--format must be csv or json, got {fmt!r}")
+    return fmt
+
+
+def _check_non_negative(etas: list[float]) -> None:
+    if any(eta < 0.0 for eta in etas):
+        raise _ConfigError("eta values must be non-negative")
+
+
 def _parse_raw_params(text: str) -> ModelParams:
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != 4:
@@ -225,9 +237,7 @@ def _resolve_probabilities(args: argparse.Namespace) -> SweepConfig:
     cfg.methods = _parse_methods(merged["methods"] or "closed_form,hermitian")
     cfg.phases = _parse_grid(merged["phase"] or f"0:{TWO_PI!r}:64", "--phase")
     cfg.t0 = _number(merged["t0"] or "0", "--t0")
-    cfg.fmt = merged["format"] or "csv"
-    if cfg.fmt not in ("csv", "json"):
-        raise _ConfigError(f"--format must be csv or json, got {cfg.fmt!r}")
+    cfg.fmt = _parse_format(merged["format"])
     cfg.output = merged["output"]
     if merged["raw_params"] is not None:
         if merged["eta"] is not None:
@@ -236,8 +246,7 @@ def _resolve_probabilities(args: argparse.Namespace) -> SweepConfig:
         cfg.etas = [cfg.params.eta]
     else:
         cfg.etas = _parse_grid(merged["eta"] or "0:0.95:20", "--eta")
-    if any(eta < 0.0 for eta in cfg.etas):
-        raise _ConfigError("eta values must be non-negative")
+    _check_non_negative(cfg.etas)
     return cfg
 
 
@@ -284,11 +293,8 @@ def _resolve_masses(args: argparse.Namespace) -> SweepConfig:
     cfg.ratio = _number(merged["ratio"] or "0.5", "--ratio")
     if not 0.0 < cfg.ratio < 1.0:
         raise _ConfigError(f"--ratio must lie in (0, 1), got {cfg.ratio}")
-    if any(eta < 0.0 for eta in cfg.etas):
-        raise _ConfigError("eta values must be non-negative")
-    cfg.fmt = merged["format"] or "csv"
-    if cfg.fmt not in ("csv", "json"):
-        raise _ConfigError(f"--format must be csv or json, got {cfg.fmt!r}")
+    _check_non_negative(cfg.etas)
+    cfg.fmt = _parse_format(merged["format"])
     cfg.output = merged["output"]
     return cfg
 
@@ -321,11 +327,8 @@ def _resolve_cardioid(args: argparse.Namespace) -> SweepConfig:
     cfg = SweepConfig()
     cfg.etas = _parse_grid(merged["eta"] or "0.1,0.5,0.9", "--eta")
     cfg.phases = _parse_grid(merged["phase"] or f"0:{TWO_PI!r}:181", "--phase")
-    if any(eta < 0.0 for eta in cfg.etas):
-        raise _ConfigError("eta values must be non-negative")
-    cfg.fmt = merged["format"] or "csv"
-    if cfg.fmt not in ("csv", "json"):
-        raise _ConfigError(f"--format must be csv or json, got {cfg.fmt!r}")
+    _check_non_negative(cfg.etas)
+    cfg.fmt = _parse_format(merged["format"])
     cfg.output = merged["output"]
     return cfg
 
@@ -361,11 +364,9 @@ def _resolve_validate(args: argparse.Namespace) -> SweepConfig:
 
 def cmd_validate(cfg: SweepConfig) -> int:
     """Run the oracle suite; exit 0 iff every check passed."""
-    grid = OracleGrid()
+    grid = OracleGrid(tolerance=cfg.tolerance)
     if cfg.etas:
         grid = OracleGrid(etas=tuple(cfg.etas), tolerance=cfg.tolerance)
-    elif cfg.tolerance is not None:
-        grid = OracleGrid(tolerance=cfg.tolerance)
     reports = check_all(cfg.params, grid)
 
     if cfg.json_reports:

@@ -10,54 +10,33 @@ inserted after complex conjugation:
 Time reversal acts on these c-number amplitudes as complex conjugation
 alone; momentum enters only through the mode frequencies.
 
-The conjugation tag on a CoStateVector is metadata for error messages and
-test assertions; no arithmetic branches on it.  Functions accept either
-the wrapper types or bare arrays: a length-2 vector, or a (..., 2) stack
-of them (and an array of eta for the C'PT maps) that broadcast together
-and are contracted pairwise, each pair rounded as a single call rounds it.
+Kets and bras are plain arrays: a length-2 vector, or a (..., 2) stack of
+them (and an array of eta for the C'PT maps) that broadcast together and
+are contracted pairwise, each pair rounded as a single call rounds it.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .model import _dot, _unbox, cprime_matrix, parity_matrix
 
 
-@dataclass(frozen=True)
-class StateVector:
-    """Complex 2-component ket with a documentation-only basis tag."""
-
-    components: np.ndarray
-    basis_tag: str = "flavour"  # or "mass"
-
-
-@dataclass(frozen=True)
-class CoStateVector:
-    """Complex 2-component bra tagged with the conjugation that produced it."""
-
-    components: np.ndarray
-    conjugation_tag: str  # dirac | pt | cpt | tilde
-
-
 def _components(v) -> np.ndarray:
-    return np.asarray(getattr(v, "components", v), dtype=complex)
+    return np.asarray(v, dtype=complex)
 
 
-def dirac_dagger(v) -> CoStateVector:
+def dirac_dagger(v) -> np.ndarray:
     """Hermitian conjugate: component-wise complex conjugation, transposed."""
-    return CoStateVector(_components(v).conj(), "dirac")
+    return _components(v).conj()
 
 
-def pt_conjugate(v) -> CoStateVector:
+def pt_conjugate(v) -> np.ndarray:
     """PT conjugate v^dag P."""
-    return CoStateVector(_dot(_components(v).conj(), parity_matrix()), "pt")
+    return _dot(_components(v).conj(), parity_matrix())
 
 
-def cpt_conjugate(eta, v) -> CoStateVector:
+def cpt_conjugate(eta, v) -> np.ndarray:
     """C'PT conjugate v^dag C' P; raises ExceptionalPoint at eta = 1."""
-    bra = _dot(_dot(_components(v).conj(), cprime_matrix(eta)), parity_matrix())
-    return CoStateVector(bra, "cpt")
+    return _dot(_dot(_components(v).conj(), cprime_matrix(eta)), parity_matrix())
 
 
 def inner(bra, ket) -> complex:

@@ -60,11 +60,9 @@ from .errors import (
 # the band is dominated by cancellation noise.
 EXCEPTIONAL_POINT_BAND = 1e-12
 
-# The largest value whose square is finite.
+# The largest value whose square is finite (the next float up squares to inf).
 _SQUARE_LIMIT = math.sqrt(sys.float_info.max)
 
-# 2x2 metric / density / projection operators are plain arrays.
-LinearOperator = np.ndarray
 _PARITY_SIGNS = np.array([1.0, -1.0])  # diag(P): rows times it are P applied exactly
 
 
@@ -185,29 +183,46 @@ def _cmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return out
 
 
-def _matrix(a, b, c, d) -> LinearOperator:
+def _check_eta(eta, broken: str | None = None, exceptional: bool = False) -> None:
+    """Domain guard on every element of eta: non-negative; at most 1 unless
+    ``broken`` is None (else it says why the formula fails past 1); outside
+    the exceptional-point band if ``exceptional``; eta^2 finite (not NaN)."""
+    at_ep = 1.0 - EXCEPTIONAL_POINT_BAND if exceptional else math.inf
+    upper = _SQUARE_LIMIT if broken is None else 1.0
+    if not _any((eta < 0.0) | (eta > upper) | (eta >= at_ep) | (eta != eta)):
+        return
+    if _any(eta < 0.0):
+        raise NegativeMixing(f"eta must be non-negative, got {np.min(eta)}")
+    if broken is not None and _any(eta > 1.0):
+        raise BrokenPTPhase(f"eta = {np.max(eta):.6g} > 1: {broken}")
+    if _any(eta >= at_ep):
+        raise ExceptionalPoint(f"eta = {np.max(eta):.17g}: 1/(1 - eta^2) diverges")
+    raise DomainError(f"eta = {np.max(eta):.6g}: eta^2 is not a finite number")
+
+
+def _matrix(a, b, c, d) -> np.ndarray:
     """[[a, b], [c, d]], batched over the entries' common shape (C-contiguous,
     so each matrix's products take one matrix's path)."""
     m = np.array([[a, b], [c, d]], dtype=float)
     return np.ascontiguousarray(m.transpose(*range(2, m.ndim), 0, 1))
 
 
-def mass_matrix(params: ModelParams) -> LinearOperator:
+def mass_matrix(params: ModelParams) -> np.ndarray:
     """The non-Hermitian squared mass matrix [[m1^2, mu^2], [-mu^2, m2^2]]."""
     return _matrix(params.m1_sq, params.mu_sq, -params.mu_sq, params.m2_sq)
 
 
-def hermitian_mass_matrix(params: ModelParams) -> LinearOperator:
+def hermitian_mass_matrix(params: ModelParams) -> np.ndarray:
     """The Hermitian comparison matrix [[m1^2, mu^2], [mu^2, m2^2]]."""
     return _matrix(params.m1_sq, params.mu_sq, params.mu_sq, params.m2_sq)
 
 
-def parity_matrix() -> LinearOperator:
+def parity_matrix() -> np.ndarray:
     """P = diag(1, -1); P^2 = 1 and P M^2 P = (M^2)^dag."""
     return np.diag(_PARITY_SIGNS)
 
 
-def cprime_matrix(eta) -> LinearOperator:
+def cprime_matrix(eta) -> np.ndarray:
     """The C' symmetry matrix [[1, -eta], [eta, -1]] / sqrt(1 - eta^2), for
     each element of an eta array too.
 
@@ -215,16 +230,11 @@ def cprime_matrix(eta) -> LinearOperator:
     heavy-first orientation of the mass matrix.  The operator acting on
     kets is C'^T, with C'^T e_+ = e_+ and C'^T e_- = -e_-.
     """
-    if np.count_nonzero(eta < 0.0):
-        raise NegativeMixing(f"eta must be non-negative, got {np.min(eta)}")
-    if np.count_nonzero(eta > 1.0):
-        raise BrokenPTPhase(f"eta = {np.max(eta):.6g} > 1: complex eigenvalues, C' undefined")
-    if np.count_nonzero(eta >= 1.0 - EXCEPTIONAL_POINT_BAND):
-        raise ExceptionalPoint(f"eta = {np.max(eta):.17g} is at the exceptional point; C' diverges")
+    _check_eta(eta, broken="complex eigenvalues, C' undefined", exceptional=True)
     return _cprime_matrix(eta)
 
 
-def _cprime_matrix(eta) -> LinearOperator:
+def _cprime_matrix(eta) -> np.ndarray:
     """cprime_matrix without its domain guards, for an eta already validated."""
     s = np.sqrt((1.0 - eta) * (1.0 + eta))
     return _matrix(1.0 / s, -eta / s, eta / s, -1.0 / s)
@@ -236,9 +246,7 @@ def pt_eigenvalues(params: ModelParams) -> tuple[float, float]:
     Valid for 0 <= eta <= 1; at eta = 1 both equal (m1^2 + m2^2) / 2.
     """
     eta = params.eta
-    if np.count_nonzero(eta > 1.0):
-        raise BrokenPTPhase(
-            f"eta = {np.max(eta):.6g} > 1: the squared-mass eigenvalues are complex")
+    _check_eta(eta, broken="the squared-mass eigenvalues are complex")
     sigma = 0.5 * (params.m1_sq + params.m2_sq)
     half_split = 0.5 * abs(params.m1_sq - params.m2_sq) * np.sqrt((1.0 - eta) * (1.0 + eta))
     return _unbox(sigma + half_split), _unbox(sigma - half_split)
@@ -347,7 +355,7 @@ class EigenSystem:
             return self.omega_minus
         raise DomainError(f"branch must be 'plus' or 'minus', got {branch!r}")
 
-    def oriented_mass_matrix(self) -> LinearOperator:
+    def oriented_mass_matrix(self) -> np.ndarray:
         """The heavy-first squared mass matrix that e_plus / e_minus
         diagonalise (equals mass_matrix(params) unless swapped)."""
         p = self.params
@@ -381,8 +389,7 @@ def eigensystem(params: ModelParams) -> EigenSystem:
     if _any(failed):
         if np.ndim(failed):
             eigensystem(params[np.unravel_index(np.argmax(failed), failed.shape)])  # raises
-        if eta > 1.0:
-            raise BrokenPTPhase(f"eta = {eta:.6g} > 1: the squared-mass eigenvalues are complex")
+        _check_eta(eta, broken="the squared-mass eigenvalues are complex")
         if eta >= 1.0 - EXCEPTIONAL_POINT_BAND:
             raise ExceptionalPoint(
                 f"eta = {eta:.17g} is at the exceptional point: eigenvalues merge at "

@@ -51,12 +51,6 @@ class OracleReport:
     passed: bool
     grid_size: int
 
-    @classmethod
-    def from_error(cls, check_name: str, max_abs_error: float, tolerance: float,
-                   grid_size: int) -> "OracleReport":
-        return cls(check_name, float(max_abs_error), float(tolerance),
-                   bool(max_abs_error <= tolerance), int(grid_size))
-
 
 def numeric_eigensystem(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues and unit-norm eigenvectors of a 2x2 matrix, or of each

@@ -29,39 +29,28 @@ give time-translation-invariant probabilities in this model.
 """
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    BrokenPTPhase,
-    DomainError,
-    ExceptionalPoint,
-    NegativeMixing,
-    NonRealTrace,
-    TachyonicMass,
-)
+from .errors import DomainError, NonRealTrace, TachyonicMass
 from .model import (
-    EXCEPTIONAL_POINT_BAND,
     EigenSystem,
     ModelParams,
     _all,
     _any,
+    _check_eta,
     _per_element,
     _unbox,
     hermitian_eigenvalues,
 )
 from .oracle import tolerance_for_eta
-from .states import mixed_basis_pair, mixed_basis_states  # noqa: F401 (bench/tracing.py wraps the pair here)
+from .states import mixed_basis_pair
 
 # Imaginary parts of traces above this signal a construction bug (an order
 # of magnitude above the trace/closed-form agreement tolerance, so rounding
 # noise never trips it).
 NON_REAL_TRACE_TOLERANCE = 1e-9
-
-# The largest eta whose square is finite (the next float up squares to inf).
-ETA_SQUARE_LIMIT = math.sqrt(sys.float_info.max)
 
 CLOSED_FORM = "closed_form"
 TRACE = "trace"
@@ -81,46 +70,9 @@ class ProbabilityRecord:
     method: str
 
 
-@dataclass(frozen=True)
-class DensityOperator:
-    """2x2 operator |ket><bra| from the mixed basis (a stack of them for an
-    array of anchor times); unit trace and idempotent at its anchor time."""
-
-    entries: np.ndarray
-    anchor_time: float
-
-
-class ProjectionOperator(DensityOperator):
-    """Final-state projector; same construction as the density operator,
-    anchored at the measurement time."""
-
-
 def _check_flavour(i: int) -> None:
     if i not in (1, 2):
         raise DomainError(f"flavour index must be 1 or 2, got {i!r}")
-
-
-def _check_eta(eta, broken: str | None = None, exceptional: bool = False) -> None:
-    """Domain guard of the closed forms, over every element of eta.
-
-    eta must be non-negative; at most 1 unless ``broken`` is None (else it
-    says why the formula fails past 1); outside the exceptional-point band
-    if ``exceptional`` (the formula divides by 1 - eta^2); and not NaN nor so
-    large that eta^2 overflows.  One combined test accepts the usual case
-    cheaply; the ordered tests below run only to name a failure.
-    """
-    bad = (eta < 0.0) | (eta > (ETA_SQUARE_LIMIT if broken is None else 1.0)) | (eta != eta)
-    if exceptional:
-        bad = bad | (eta >= 1.0 - EXCEPTIONAL_POINT_BAND)
-    if not _any(bad):
-        return
-    if _any(eta < 0.0):
-        raise NegativeMixing(f"eta must be non-negative, got {np.min(eta)}")
-    if broken is not None and _any(eta > 1.0):
-        raise BrokenPTPhase(f"eta = {np.max(eta):.6g} > 1: {broken}")
-    if exceptional and _any(eta >= 1.0 - EXCEPTIONAL_POINT_BAND):
-        raise ExceptionalPoint(f"eta = {np.max(eta):.17g}: 1/(1 - eta^2) diverges")
-    raise DomainError(f"eta = {np.max(eta):.6g}: eta^2 is not a finite number")
 
 
 def _sin_sq(phase):
@@ -154,21 +106,18 @@ def naive_continuation_value(eta, phase):
     return _unbox(-eta * eta / ((1.0 - eta) * (1.0 + eta)) * _sin_sq(phase))
 
 
-def _operators(i, t, es: EigenSystem) -> np.ndarray:
-    """Stack of |ket><bra| from the normalised mixed basis, shape: the
-    broadcast of flavour(s) i, time(s) t and the systems, + (2, 2)."""
-    kets, bras = mixed_basis_states(i, t, es)
+def density_operator(i, t0, es: EigenSystem) -> np.ndarray:
+    """Initial density operator |ket><bra| for flavour i prepared at t0, from
+    the normalised mixed basis: unit trace and idempotent.  Shape: the
+    broadcast of flavour(s) i, time(s) t0 and the systems, + (2, 2)."""
+    kets, bras = mixed_basis_pair(i, t0, es)
     return kets[..., :, None] * bras[..., None, :]
 
 
-def density_operator(i, t0, es: EigenSystem) -> DensityOperator:
-    """Initial density operator for flavour i prepared at t0 (or a stack)."""
-    return DensityOperator(_operators(i, t0, es), t0)
-
-
-def projection_operator(j, t, es: EigenSystem) -> ProjectionOperator:
-    """Final-state projector for flavour j measured at t."""
-    return ProjectionOperator(_operators(j, t, es), t)
+def projection_operator(j, t, es: EigenSystem) -> np.ndarray:
+    """Final-state projector for flavour j measured at t: the density
+    operator anchored at the measurement time."""
+    return density_operator(j, t, es)
 
 
 def _check_time_resolution(es: EigenSystem, *times) -> None:
@@ -195,7 +144,7 @@ def trace_probabilities(i, j, t0s, ts, es: EigenSystem) -> np.ndarray:
     imaginary parts are checked and discarded.
     """
     _check_time_resolution(es, t0s, ts)
-    product = _operators(i, t0s, es) @ _operators(j, ts, es)
+    product = density_operator(i, t0s, es) @ projection_operator(j, ts, es)
     values = product[..., 0, 0] + product[..., 1, 1]
     imag = np.abs(values.imag)
     if _any(imag > NON_REAL_TRACE_TOLERANCE):

@@ -31,27 +31,16 @@ Every function here also takes arrays of times and flavour indices and a
 stacked EigenSystem, broadcast together: components have the broadcast
 shape + (2,), each element equal to its single-point value bit for bit, so
 flavour_ket(np.array([[1], [2]]), times, es[:, None, None]) gives both
-flavours of every system at every time in one call.  mixed_basis_states is
-the form the trace route uses.
+flavours of every system at every time in one call.  Kets and bras are
+plain component arrays; mixed_basis_pair is the form the trace route uses.
 """
 
 import cmath
-from dataclasses import dataclass
 
 import numpy as np
 
 from .inner import cpt_conjugate
 from .model import _PARITY_SIGNS, EigenSystem, _all, _any, _dot, _select, _unbox
-
-
-@dataclass(frozen=True)
-class FlavourState:
-    """A flavour ket or bra at one instant, or a stack of them."""
-
-    index: int          # 1 | 2, caller's labelling (or an array of them)
-    kind: str           # ket | tilde_bra | cpt_bra | pt_bra | dirac_bra | cprime_ket
-    normalised: bool    # sqrt(sech(2 theta)) applied
-    components: np.ndarray
 
 
 def xi(branch: str, t, es: EigenSystem) -> complex:
@@ -81,47 +70,44 @@ def _scaled(components: np.ndarray, es: EigenSystem, normalised: bool) -> np.nda
     return components * _per_component(es.mixed_basis_norm) if normalised else components
 
 
-def flavour_ket(i, t, es: EigenSystem, normalised: bool = False) -> FlavourState:
+def flavour_ket(i, t, es: EigenSystem, normalised: bool = False) -> np.ndarray:
     """The flavour ket |fi(t)>; equals the i-th basis vector at t = 0 when
     unnormalised."""
-    comps = _ket_components(es._heavy_first_one(i), t, es)
-    return FlavourState(i, "ket", normalised, _scaled(comps, es, normalised))
+    return _scaled(_ket_components(es._heavy_first_one(i), t, es), es, normalised)
 
 
-def tilde_bra(i, t, es: EigenSystem) -> FlavourState:
+def tilde_bra(i, t, es: EigenSystem) -> np.ndarray:
     """The biorthogonal bra <f~i(t)|, dual to the kets for every t."""
     one = np.asarray(es._heavy_first_one(i))[..., None]
-    sect_plus, sect_minus = cpt_conjugate(es.eta, np.stack([es.e_plus, es.e_minus])).components
+    sect_plus, sect_minus = cpt_conjugate(es.eta, np.stack([es.e_plus, es.e_minus]))
     cosh, sinh = _per_component(es.cosh_theta), _per_component(es.sinh_theta)
     xp, xm = (np.conj(xi(branch, t, es))[..., None] for branch in ("plus", "minus"))
-    comps = np.where(one, cosh * xp * sect_plus - sinh * xm * sect_minus,
-                     cosh * xm * sect_minus - sinh * xp * sect_plus)
-    return FlavourState(i, "tilde_bra", False, comps)
+    return np.where(one, cosh * xp * sect_plus - sinh * xm * sect_minus,
+                    cosh * xm * sect_minus - sinh * xp * sect_plus)
 
 
-def cpt_bra(i, t, es: EigenSystem, normalised: bool = False) -> FlavourState:
+def cpt_bra(i, t, es: EigenSystem, normalised: bool = False) -> np.ndarray:
     """The C'PT conjugate <fi^C'PT(t)| of the flavour ket, u^dag C' P.
 
     At t = 0 this is [1, eta] / sqrt(1 - eta^2) (or index-reversed), which
     is not a flavour state itself.
     """
     comps = _dot(_ket_components(es._heavy_first_one(i), t, es).conj(), es.cpt_metric)
-    return FlavourState(i, "cpt_bra", normalised, _scaled(comps, es, normalised))
+    return _scaled(comps, es, normalised)
 
 
-def pt_bra(i, t, es: EigenSystem, normalised: bool = False) -> FlavourState:
+def pt_bra(i, t, es: EigenSystem, normalised: bool = False) -> np.ndarray:
     """The PT conjugate <fi^PT(t)| = (|fi(t)>)^dag P."""
     comps = _ket_components(es._heavy_first_one(i), t, es).conj() * _PARITY_SIGNS
-    return FlavourState(i, "pt_bra", normalised, _scaled(comps, es, normalised))
+    return _scaled(comps, es, normalised)
 
 
-def dirac_bra(i, t, es: EigenSystem) -> FlavourState:
+def dirac_bra(i, t, es: EigenSystem) -> np.ndarray:
     """The Hermitian-conjugate bra <fi(t)| of the Dirac inner product."""
-    comps = _ket_components(es._heavy_first_one(i), t, es).conj()
-    return FlavourState(i, "dirac_bra", False, comps)
+    return _ket_components(es._heavy_first_one(i), t, es).conj()
 
 
-def cprime_ket(i, t, es: EigenSystem, normalised: bool = False) -> FlavourState:
+def cprime_ket(i, t, es: EigenSystem, normalised: bool = False) -> np.ndarray:
     """The C'-reflected ket |fi^C'(t)> = C'^T |fi(t)>.
 
     Satisfies (C'^T v)^sect = v^dag P, which ties the mixed-basis overlaps
@@ -129,11 +115,11 @@ def cprime_ket(i, t, es: EigenSystem, normalised: bool = False) -> FlavourState:
     """
     comps = _ket_components(es._heavy_first_one(i), t, es)
     comps = _dot(comps, es.cprime_transpose.swapaxes(-1, -2))  # rows: (C'^T v)^T = v^T C'
-    return FlavourState(i, "cprime_ket", normalised, _scaled(comps, es, normalised))
+    return _scaled(comps, es, normalised)
 
 
-def mixed_basis_states(i, t, es: EigenSystem,
-                       normalised: bool = True) -> tuple[np.ndarray, np.ndarray]:
+def mixed_basis_pair(i, t, es: EigenSystem,
+                     normalised: bool = True) -> tuple[np.ndarray, np.ndarray]:
     """Ket and bra stacks of the orthonormal mixed basis, sharing one
     evaluation of the flavour ket: (|f1>, <f1^C'PT|) for flavour 1 and
     (|f2^C'>, <f2^PT|) for flavour 2 (heavy-first labels)."""
@@ -153,22 +139,13 @@ def mixed_basis_states(i, t, es: EigenSystem,
     return scale * ket, scale * bra
 
 
-def mixed_basis_pair(i, t, es: EigenSystem,
-                     normalised: bool = True) -> tuple[FlavourState, FlavourState]:
-    """mixed_basis_states as tagged FlavourStates."""
-    ket, bra = mixed_basis_states(i, t, es, normalised)
-    kinds = ("ket", "cpt_bra") if _all(es._heavy_first_one(i)) else ("cprime_ket", "pt_bra")
-    return (FlavourState(i, kinds[0], normalised, ket),
-            FlavourState(i, kinds[1], normalised, bra))
-
-
-def mixed_basis_ket(i, t, es: EigenSystem, normalised: bool = True) -> FlavourState:
+def mixed_basis_ket(i, t, es: EigenSystem, normalised: bool = True) -> np.ndarray:
     """The ket member of the orthonormal mixed basis: |f1(t)> for flavour 1
     and |f2^C'(t)> for flavour 2 (heavy-first labelling)."""
     return mixed_basis_pair(i, t, es, normalised)[0]
 
 
-def mixed_basis_bra(i, t, es: EigenSystem, normalised: bool = True) -> FlavourState:
+def mixed_basis_bra(i, t, es: EigenSystem, normalised: bool = True) -> np.ndarray:
     """The bra member of the orthonormal mixed basis: <f1^C'PT(t)| for
     flavour 1 and <f2^PT(t)| for flavour 2 (heavy-first labelling)."""
     return mixed_basis_pair(i, t, es, normalised)[1]

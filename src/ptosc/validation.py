@@ -294,7 +294,7 @@ def _check_cpt_dirac_consistency(grid: OracleGrid, rng) -> _Family:
 
 def _flavour_stack(state, grid: OracleGrid, es: EigenSystem) -> np.ndarray:
     """state(i, t) components, shape (systems, flavours, times, 2)."""
-    return state(FLAVOURS, np.array(grid.times), es[:, None, None]).components
+    return state(FLAVOURS, np.array(grid.times), es[:, None, None])
 
 
 def _overlaps(bras: np.ndarray, kets: np.ndarray) -> np.ndarray:
@@ -317,7 +317,7 @@ def _check_biorthonormality(es: EigenSystem, grid: OracleGrid) -> _Family:
 
 def _check_mixed_basis(es: EigenSystem, grid: OracleGrid) -> _Family:
     fam = _Family("mixed_basis_orthonormality")
-    kets, bras = states.mixed_basis_states(FLAVOURS, np.array(grid.times), es[:, None, None])
+    kets, bras = states.mixed_basis_pair(FLAVOURS, np.array(grid.times), es[:, None, None])
     fam.add_all(_overlaps(bras, kets) - np.eye(2)[..., None], 1e-12)
     return fam
 
@@ -354,8 +354,8 @@ def _check_cprime_section_identity(params: ModelParams, grid: OracleGrid, rng) -
         cp_t = cprime_matrix(eta).T
         re, im = rng.normal(size=(max(1, grid.n_random // 10), 2, 2)).transpose(1, 0, 2)
         v = re + 1j * im
-        lhs = cpt_conjugate(eta, (cp_t @ v[..., None])[..., 0]).components
-        fam.add_all(np.abs(lhs - pt_conjugate(v).components).max(axis=-1), 1e-12)
+        lhs = cpt_conjugate(eta, (cp_t @ v[..., None])[..., 0])
+        fam.add_all(np.abs(lhs - pt_conjugate(v)).max(axis=-1), 1e-12)
     return fam
 
 
@@ -425,8 +425,8 @@ def _check_operators(es: EigenSystem, grid: OracleGrid) -> _Family:
     fam = _Family("density_projection_operators")
     t0s = np.array(grid.t0s)
     tol = _state_tolerance(es)[:, None, None]
-    rho = prob.density_operator(FLAVOURS, t0s, es[:, None, None]).entries
-    pi = prob.projection_operator(FLAVOURS, t0s, es[:, None, None]).entries
+    rho = prob.density_operator(FLAVOURS, t0s, es[:, None, None])
+    pi = prob.projection_operator(FLAVOURS, t0s, es[:, None, None])
     fam.add_all(rho[..., 0, 0] + rho[..., 1, 1] - 1.0, tol)
     fam.add_all(_entry_max(rho @ rho - rho), tol)
     fam.add_all(_entry_max(pi - rho), 0.0)  # same construction at equal times

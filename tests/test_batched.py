@@ -20,21 +20,33 @@ from ptosc import (
     ModelParams,
     NegativeMixing,
     NonPositiveMass,
+    cprime_ket,
     cprime_matrix,
+    cpt_bra,
     cpt_conjugate,
     cpt_inner,
+    density_operator,
+    dirac_bra,
+    dirac_dagger,
     dirac_inner,
     eigensystem,
+    flavour_ket,
     hermitian_eigenvalues,
     hermitian_mass_matrix,
     inner,
     make_params,
     mass_matrix,
+    mixed_basis_bra,
+    mixed_basis_ket,
+    mixed_basis_pair,
     numeric_eigensystem,
     params_from_eta,
     parity_matrix,
+    projection_operator,
+    pt_bra,
     pt_conjugate,
     pt_eigenvalues,
+    tilde_bra,
     trace_probabilities,
 )
 
@@ -69,8 +81,8 @@ def test_inner_products_and_conjugations(seed, shape):
         "inner": inner(u, v),
         "dirac_inner": dirac_inner(u, v),
         "cpt_inner": cpt_inner(eta, u, v),
-        "pt_conjugate": pt_conjugate(u).components,
-        "cpt_conjugate": cpt_conjugate(eta, u).components,
+        "pt_conjugate": pt_conjugate(u),
+        "cpt_conjugate": cpt_conjugate(eta, u),
     }
     for idx in np.ndindex(shape):
         e = float(eta[idx])
@@ -78,8 +90,8 @@ def test_inner_products_and_conjugations(seed, shape):
             "inner": inner(u[idx], v[idx]),
             "dirac_inner": dirac_inner(u[idx], v[idx]),
             "cpt_inner": cpt_inner(e, u[idx], v[idx]),
-            "pt_conjugate": pt_conjugate(u[idx]).components,
-            "cpt_conjugate": cpt_conjugate(e, u[idx]).components,
+            "pt_conjugate": pt_conjugate(u[idx]),
+            "cpt_conjugate": cpt_conjugate(e, u[idx]),
         }
         for name, value in one.items():
             assert np.array_equal(np.asarray(stacked[name])[idx], value), name
@@ -173,8 +185,8 @@ def test_single_points_equal_the_former_single_point_formulas(seed):
     eta = float(rng.uniform(0.0, 0.99))
     metric = np.array([[1.0, -eta], [eta, -1.0]]) / math.sqrt((1.0 - eta) * (1.0 + eta))
     assert inner(u, v) == complex(np.dot(u, v))
-    assert np.array_equal(pt_conjugate(u).components, u.conj() @ parity_matrix())
-    assert np.array_equal(cpt_conjugate(eta, u).components,
+    assert np.array_equal(pt_conjugate(u), u.conj() @ parity_matrix())
+    assert np.array_equal(cpt_conjugate(eta, u),
                           u.conj() @ metric @ parity_matrix())
     assert np.array_equal(cprime_matrix(eta), metric)
     params = single(param_stack(rng, ()), ())
@@ -190,11 +202,31 @@ def test_single_points_equal_the_former_single_point_formulas(seed):
             assert np.array_equal(got, want)
 
 
+@pytest.mark.parametrize("fn", [
+    flavour_ket, tilde_bra, cpt_bra, pt_bra, dirac_bra, cprime_ket, mixed_basis_ket,
+    mixed_basis_bra, density_operator, projection_operator,
+    pytest.param(lambda i, t, es: mixed_basis_pair(i, t, es)[0], id="mixed_basis_pair-ket"),
+    pytest.param(lambda i, t, es: mixed_basis_pair(i, t, es)[1], id="mixed_basis_pair-bra"),
+    pytest.param(lambda i, t, es: dirac_dagger(flavour_ket(i, t, es)), id="dirac_dagger"),
+    pytest.param(lambda i, t, es: pt_conjugate(flavour_ket(i, t, es)), id="pt_conjugate"),
+    pytest.param(lambda i, t, es: cpt_conjugate(es.eta, flavour_ket(i, t, es)),
+                 id="cpt_conjugate"),
+])
+def test_states_conjugations_and_operators_are_plain_arrays(fn):
+    """A scalar call and a stacked call both give an ndarray, nothing wrapped."""
+    es = eigensystem(params_from_eta(np.array([0.2, 0.6])))
+    single = fn(1, 0.4, es[0])
+    stacked = fn(np.array([[1], [2]]), np.array([0.0, 0.4, 1.3]), es[:, None, None])
+    assert type(single) is np.ndarray and single.shape[0] == 2
+    assert type(stacked) is np.ndarray and stacked.shape[:3] == (2, 2, 3)
+
+
 @pytest.mark.parametrize("bad, error", [
     (1.0, ExceptionalPoint),
     (1.0 - 1e-13, ExceptionalPoint),
     (1.2, BrokenPTPhase),
     (-0.1, NegativeMixing),
+    (math.nan, DomainError),
 ])
 def test_one_out_of_domain_eta_in_a_stack_raises(bad, error):
     eta = np.array([[0.1, 0.5], [bad, 0.3]])

@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 
 from ptosc import (
-    CoStateVector,
+    DomainError,
     ExceptionalPoint,
-    StateVector,
     cpt_conjugate,
     cpt_inner,
     dirac_dagger,
@@ -31,36 +30,32 @@ def complex_vector(draw):
 class TestConjugations:
     def test_dirac_dagger_real_unit_vector(self):
         out = dirac_dagger(np.array([1.0, 0.0]))
-        np.testing.assert_array_equal(out.components, [1.0, 0.0])
-        assert out.conjugation_tag == "dirac"
+        np.testing.assert_array_equal(out, [1.0, 0.0])
 
     def test_dirac_dagger_conjugates(self):
         out = dirac_dagger(np.array([1j, 1.0]))
-        np.testing.assert_array_equal(out.components, [-1j, 1.0])
+        np.testing.assert_array_equal(out, [-1j, 1.0])
 
     def test_dirac_dagger_phase(self):
         phase = np.exp(1j * 0.7)
         out = dirac_dagger(np.array([phase, 0.0]))
-        np.testing.assert_allclose(out.components, [phase.conjugate(), 0.0])
+        np.testing.assert_allclose(out, [phase.conjugate(), 0.0])
 
     def test_pt_conjugate_flips_second_component(self):
         out = pt_conjugate(np.array([0.0, 1.0]))
-        np.testing.assert_array_equal(out.components, [0.0, -1.0])
-        assert out.conjugation_tag == "pt"
+        np.testing.assert_array_equal(out, [0.0, -1.0])
 
     def test_cpt_conjugate_is_identity_metric_at_zero_mixing(self):
         out = cpt_conjugate(0.0, np.array([0.0, 1.0]))
-        np.testing.assert_allclose(out.components, [0.0, 1.0], atol=1e-15)
-        assert out.conjugation_tag == "cpt"
+        np.testing.assert_allclose(out, [0.0, 1.0], atol=1e-15)
 
     def test_cpt_conjugate_rejects_exceptional_point(self):
         with pytest.raises(ExceptionalPoint):
             cpt_conjugate(1.0, np.array([1.0, 0.0]))
 
-    def test_wrapper_types_accepted(self):
-        ket = StateVector(np.array([1.0, 2.0]), basis_tag="mass")
-        assert inner(dirac_dagger(ket), ket) == pytest.approx(5.0)
-        assert isinstance(dirac_dagger(ket), CoStateVector)
+    def test_cpt_conjugate_rejects_nan_eta(self):
+        with pytest.raises(DomainError, match="not a finite number"):
+            cpt_conjugate(float("nan"), np.array([1.0, 0.0]))
 
 
 class TestEigenvectorNorms:
@@ -79,7 +74,7 @@ class TestInner:
     def test_flavour_states_dirac_orthogonal_at_time_zero(self, es):
         k1 = flavour_ket(1, 0.0, es)
         k2 = flavour_ket(2, 0.0, es)
-        assert dirac_inner(k1.components, k2.components) == pytest.approx(0.0, abs=1e-14)
+        assert dirac_inner(k1, k2) == pytest.approx(0.0, abs=1e-14)
 
     def test_zero_covector_annihilates(self):
         assert inner(np.zeros(2), np.array([3.0 + 1j, -2.0])) == 0.0

@@ -233,6 +233,8 @@ class TestMetricMatrices:
             cprime_matrix(1.5)
         with pytest.raises(NegativeMixing):
             cprime_matrix(-0.1)
+        with pytest.raises(DomainError, match="not a finite number"):
+            cprime_matrix(float("nan"))
 
 
 @hyp.settings(max_examples=60, deadline=None)

@@ -53,33 +53,32 @@ def half_period(es):
 class TestOperators:
     def test_density_operator_worked_point(self, es):
         rho = density_operator(1, 0.0, es)
-        np.testing.assert_allclose(rho.entries, [[1.0, 0.6], [0.0, 0.0]], atol=1e-13)
-        assert rho.anchor_time == 0.0
+        np.testing.assert_allclose(rho, [[1.0, 0.6], [0.0, 0.0]], atol=1e-13)
 
     def test_unit_trace_away_from_time_zero(self):
         es = eigensystem(params_from_eta(0.5))
         rho = density_operator(2, 4.2, es)
-        assert np.trace(rho.entries) == pytest.approx(1.0, abs=1e-12)
+        assert np.trace(rho) == pytest.approx(1.0, abs=1e-12)
 
     def test_hermitian_limit_projector(self):
         es = eigensystem(make_params(2.0, 1.0, 0.0))
         np.testing.assert_allclose(
-            density_operator(1, 0.0, es).entries, np.diag([1.0, 0.0]), atol=1e-14)
+            density_operator(1, 0.0, es), np.diag([1.0, 0.0]), atol=1e-14)
 
     def test_projection_equals_density_at_equal_anchor(self, es):
-        np.testing.assert_array_equal(projection_operator(1, 0.0, es).entries,
-                                      density_operator(1, 0.0, es).entries)
+        np.testing.assert_array_equal(projection_operator(1, 0.0, es),
+                                      density_operator(1, 0.0, es))
 
     def test_projector_idempotent(self):
         es = eigensystem(params_from_eta(0.7))
-        pi = projection_operator(1, 1.3, es).entries
+        pi = projection_operator(1, 1.3, es)
         np.testing.assert_allclose(pi @ pi, pi, atol=1e-12)
-        pi2 = projection_operator(2, 1.3, es).entries
+        pi2 = projection_operator(2, 1.3, es)
         np.testing.assert_allclose(pi2 @ pi2, pi2, atol=1e-12)
 
     def test_projector_unit_trace_large_mixing(self):
         es = eigensystem(params_from_eta(0.9))
-        assert np.trace(projection_operator(2, -2.6, es).entries) == pytest.approx(1.0, abs=1e-12)
+        assert np.trace(projection_operator(2, -2.6, es)) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestTraceProbability:
@@ -375,7 +374,7 @@ class TestTraceProbabilities:
                 ket, bra = flavour_ket(i, t, system, True), cpt_bra(i, t, system, True)
             else:
                 ket, bra = cprime_ket(i, t, system, True), pt_bra(i, t, system, True)
-            return np.outer(ket.components, bra.components)
+            return np.outer(ket, bra)
 
         t0s = np.array([-3.2, 0.0, 1.7])
         ts = t0s + np.linspace(0.0, 9.0, 7)[:, None]
@@ -412,10 +411,10 @@ class TestTraceProbabilities:
     def test_density_operator_stack_matches_single_times(self, es):
         t0s = np.array([-2.0, 0.0, 4.2])
         for i in (1, 2):
-            stack = density_operator(i, t0s, es).entries
+            stack = density_operator(i, t0s, es)
             assert stack.shape == (3, 2, 2)
             for k, t0 in enumerate(t0s):
-                np.testing.assert_array_equal(stack[k], density_operator(i, t0, es).entries)
+                np.testing.assert_array_equal(stack[k], density_operator(i, t0, es))
 
 
 # --- array closed forms -------------------------------------------------------
@@ -529,7 +528,7 @@ class TestArrayClosedForms:
             fn(np.array([0.5, eta]), 1.0)
 
     def test_hermitian_refuses_exactly_the_etas_whose_square_overflows(self):
-        from ptosc.probabilities import ETA_SQUARE_LIMIT
+        from ptosc.model import _SQUARE_LIMIT as ETA_SQUARE_LIMIT
 
         assert math.isfinite(ETA_SQUARE_LIMIT * ETA_SQUARE_LIMIT)
         past = math.nextafter(ETA_SQUARE_LIMIT, math.inf)

@@ -148,8 +148,10 @@ def trace_probabilities(i, j, t0s, ts, es: EigenSystem) -> np.ndarray:
     values = product[..., 0, 0] + product[..., 1, 1]
     imag = np.abs(values.imag)
     if _any(imag > NON_REAL_TRACE_TOLERANCE):
+        worst = np.unravel_index(np.argmax(imag), imag.shape)  # the pair of the worst element
+        a, b = (int(np.broadcast_to(k, imag.shape)[worst]) for k in (i, j))
         raise NonRealTrace(
-            f"tr[rho_{i}(t0) pi_{j}(t)] has imaginary part {imag.max():.3e}")
+            f"tr[rho_{a}(t0) pi_{b}(t)] of P({a} -> {b}) has imaginary part {imag[worst]:.3e}")
     return values.real[()]
 
 

@@ -8,11 +8,15 @@ configurable grid.  One OracleReport per invariant family; a family passes
 only if every grid point met its own tolerance (1e-10 for eta <= 0.95,
 1e-8 up to 0.999, tighter fixed tolerances where the identity is exact).
 All grid systems are one stacked eigensystem, and each per-system family
-makes one call over systems x times x flavour pairs.
+makes one call over systems x times x flavour pairs.  The random-draw
+families take their inputs from _random_inputs, drawn once per process for
+each (seed, n_random).
 """
 
+import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -126,10 +130,10 @@ def _state_tolerance(es: EigenSystem) -> np.ndarray:
     return np.where(es.eta <= 0.95, 1e-12, tolerance_for_eta(es.eta))
 
 
-def _random_params(rng: "np.random.Generator", n: int, *head: ModelParams) -> ModelParams:
-    """The head points, then n random valid draws as one batch of array
-    fields.  Each draw takes five uniforms, as one draw at a time would: a
-    (lo, hi) pair, redrawn while closer than 1e-3, the ordering, eta, p."""
+def _random_params(rng: "np.random.Generator", n: int) -> tuple:
+    """n random valid draws as (m1_sq, m2_sq, mu_sq, p) arrays.  Each draw
+    takes five uniforms, as one draw at a time would: a (lo, hi) pair,
+    redrawn while closer than 1e-3, the ordering, eta, p."""
     draws, stream, todo = [np.empty((0, 5))], np.empty(0), n
     while todo:
         stream = np.append(stream, rng.random(5 * todo - len(stream)))
@@ -140,10 +144,62 @@ def _random_params(rng: "np.random.Generator", n: int, *head: ModelParams) -> Mo
         stream, todo = stream[5 * k + 2:], todo - k
     lo, hi, order, eta, p = np.concatenate(draws).T
     heavy_first = order < 0.5
-    batch = (np.where(heavy_first, hi, lo), np.where(heavy_first, lo, hi),
-             0.5 * (0.99 * eta) * (hi - lo), 2.0 * p)
-    fixed = np.reshape([(q.m1_sq, q.m2_sq, q.mu_sq, q.p) for q in head], (-1, 4)).T
-    return ModelParams(*(np.concatenate(pair) for pair in zip(fixed, batch)))
+    return (np.where(heavy_first, hi, lo), np.where(heavy_first, lo, hi),
+            0.5 * (0.99 * eta) * (hi - lo), 2.0 * p)
+
+
+def _with_head(head: ModelParams, batch: tuple) -> ModelParams:
+    """The head point, then the random batch, as one ModelParams."""
+    return ModelParams(*(np.append(h, b) for h, b in
+                         zip((head.m1_sq, head.m2_sq, head.mu_sq, head.p), batch)))
+
+
+class _Draws(NamedTuple):
+    """Every random input of check_all, each field an array or a tuple of arrays."""
+
+    eigenvalues: tuple         # _random_params batches, n_random draws each
+    trace_determinant: tuple
+    hermitian_masses: tuple    # n_random // 10 draws
+    sesquilinearity: tuple     # (n_random, 16) normals, (n_random,) etas
+    cpt_positivity: tuple      # (n_random, 2) normals, (n_random,) etas
+    cpt_dirac: np.ndarray      # (n_random, 2, 2) normals
+    cprime_section: tuple      # three (max(1, n_random // 10), 2, 2) normal batches
+
+
+@functools.lru_cache(maxsize=4)  # a few grids' worth: n_random = 1000 holds 270 kB
+def _random_inputs(seed: int, n_random: int) -> _Draws:
+    """check_all's random inputs, which depend on (seed, n_random) alone,
+    drawn from one np.random.default_rng(seed) stream in family order.
+    Memoised, so a process draws each grid's inputs once; the arrays are
+    read-only because every later call shares them."""
+    rng = np.random.default_rng(seed)
+    eigenvalues, trace_determinant = (_random_params(rng, n_random) for _ in range(2))
+    hermitian_masses = _random_params(rng, n_random // 10)
+
+    # sesquilinearity, per draw: u, v, w as two real then two imaginary
+    # parts, alpha, beta as (re, im), then eta
+    z, eta, uniform = np.empty((n_random, 16)), np.empty(n_random), rng.random
+    for k, row in enumerate(z):
+        rng.standard_normal(out=row)  # rng.normal(size=16), drawn in place
+        eta[k] = uniform()
+    eta *= 0.95  # 0.95 * random() is rng.uniform(0.0, 0.95) bit for bit
+
+    # cpt_inner_positivity, per draw: a vector of norm >= 1e-3, then eta
+    vs, etas = np.empty((n_random, 2)), np.empty(n_random)
+    for k, v in enumerate(vs):
+        rng.standard_normal(out=v)
+        while math.sqrt(v.dot(v)) < 1e-3:  # np.linalg.norm's arithmetic
+            rng.standard_normal(out=v)
+        etas[k] = uniform()
+    etas *= 0.95  # rng.uniform(0.0, 0.95), as above
+
+    draws = _Draws(eigenvalues, trace_determinant, hermitian_masses, (z, eta), (vs, etas),
+                   rng.normal(size=(n_random, 2, 2)),
+                   tuple(rng.normal(size=(max(1, n_random // 10), 2, 2)) for _ in range(3)))
+    for field in draws:
+        for array in field if isinstance(field, tuple) else (field,):
+            array.flags.writeable = False
+    return draws
 
 
 # --- model-core families -------------------------------------------------
@@ -157,9 +213,9 @@ def _eigenvalue_errors(lam_closed: tuple, matrices: np.ndarray) -> np.ndarray:
                       abs(lam_closed[1] - lam_num[..., 1])) / scale
 
 
-def _check_eigenvalues(params: ModelParams, grid: OracleGrid, rng) -> _Family:
+def _check_eigenvalues(params: ModelParams, draws: tuple) -> _Family:
     fam = _Family("eigenvalues_vs_characteristic_polynomial")
-    batch = _random_params(rng, grid.n_random, params)
+    batch = _with_head(params, draws)
     fam.add_all(_eigenvalue_errors(pt_eigenvalues(batch), mass_matrix(batch)), 1e-10)
     return fam
 
@@ -180,9 +236,9 @@ def _check_eigenvector_residuals(es: EigenSystem) -> _Family:
     return fam
 
 
-def _check_trace_determinant(params: ModelParams, grid: OracleGrid, rng) -> _Family:
+def _check_trace_determinant(params: ModelParams, draws: tuple) -> _Family:
     fam = _Family("trace_determinant_preservation")
-    p = _random_params(rng, grid.n_random, params)
+    p = _with_head(params, draws)
     lam = pt_eigenvalues(p)
     tr, det = p.m1_sq + p.m2_sq, p.m1_sq * p.m2_sq + p.mu_sq * p.mu_sq
     fam.add_all(abs(lam[0] + lam[1] - tr) / abs(tr), 1e-12)
@@ -239,14 +295,9 @@ def _check_hermitian_limit(es: EigenSystem) -> _Family:
 
 # --- inner-product families ----------------------------------------------
 
-def _check_sesquilinearity(grid: OracleGrid, rng) -> _Family:
+def _check_sesquilinearity(draws: tuple) -> _Family:
     fam = _Family("sesquilinearity")
-    # per draw: u, v, w as two real then two imaginary parts, alpha, beta as (re, im), eta
-    z, eta, uniform = np.empty((grid.n_random, 16)), np.empty(grid.n_random), rng.random
-    for k, row in enumerate(z):
-        rng.standard_normal(out=row)  # rng.normal(size=16), drawn in place
-        eta[k] = uniform()
-    eta *= 0.95  # 0.95 * random() is rng.uniform(0.0, 0.95) bit for bit
+    z, eta = draws
     u, v, w = (z[:, k:k + 2] + 1j * z[:, k + 2:k + 4] for k in (0, 4, 8))
     alpha, beta = z[:, 12:].view(complex).T
     for bra in (pt_conjugate(u), cpt_conjugate(eta, u), u.conj()):
@@ -256,15 +307,9 @@ def _check_sesquilinearity(grid: OracleGrid, rng) -> _Family:
     return fam
 
 
-def _check_cpt_positivity(grid: OracleGrid, rng) -> _Family:
+def _check_cpt_positivity(draws: tuple) -> _Family:
     fam = _Family("cpt_inner_positivity")
-    vs, etas, uniform = np.empty((grid.n_random, 2)), np.empty(grid.n_random), rng.random
-    for k, v in enumerate(vs):
-        rng.standard_normal(out=v)
-        while math.sqrt(v.dot(v)) < 1e-3:  # np.linalg.norm's arithmetic
-            rng.standard_normal(out=v)
-        etas[k] = uniform()
-    etas *= 0.95  # rng.uniform(0.0, 0.95), as above
+    vs, etas = draws
     values = cpt_inner(etas, vs, vs)
     fam.add_all(values.imag, 1e-12)
     fam.add_all(np.maximum(0.0, -values.real), 0.0)  # strictly positive
@@ -283,9 +328,9 @@ def _check_pt_norms(es: EigenSystem) -> _Family:
     return fam
 
 
-def _check_cpt_dirac_consistency(grid: OracleGrid, rng) -> _Family:
+def _check_cpt_dirac_consistency(normals: np.ndarray) -> _Family:
     fam = _Family("cpt_matches_dirac_at_zero_mixing")
-    v, w = rng.normal(size=(grid.n_random, 2, 2)).transpose(1, 0, 2)
+    v, w = normals.transpose(1, 0, 2)
     fam.add_all(cpt_inner(0.0, v, w) - dirac_inner(v, w), 1e-14)
     return fam
 
@@ -348,11 +393,11 @@ def _check_mode_equation(es: EigenSystem, grid: OracleGrid) -> _Family:
     return fam
 
 
-def _check_cprime_section_identity(params: ModelParams, grid: OracleGrid, rng) -> _Family:
+def _check_cprime_section_identity(draws: tuple) -> _Family:
     fam = _Family("cprime_section_identity")
-    for eta in (0.1, 0.5, 0.9):
+    for eta, normals in zip((0.1, 0.5, 0.9), draws):
         cp_t = cprime_matrix(eta).T
-        re, im = rng.normal(size=(max(1, grid.n_random // 10), 2, 2)).transpose(1, 0, 2)
+        re, im = normals.transpose(1, 0, 2)
         v = re + 1j * im
         lhs = cpt_conjugate(eta, (cp_t @ v[..., None])[..., 0])
         fam.add_all(np.abs(lhs - pt_conjugate(v)).max(axis=-1), 1e-12)
@@ -465,34 +510,31 @@ def _check_hermitian_gap(grid: OracleGrid) -> _Family:
     fam = _Family("hermitian_gap")
     phases = _phases(grid)
     sin_sq = np.array([math.sin(phase) ** 2 for phase in phases.tolist()])
-    for eta in grid.etas:
-        if eta > 1.0:
-            continue
-        gap = (prob.transition_probability(eta, phases)
-               - prob.hermitian_transition_probability(eta, phases))
-        fam.add_all(gap - eta ** 4 / (1.0 + eta * eta) * sin_sq, 1e-12)
-        fam.add_all(np.maximum(0.0, gap - eta ** 4), 0.0)
+    kept = [eta for eta in grid.etas if eta <= 1.0]
+    etas = np.array(kept, dtype=float)[:, None]
+    eta_4 = np.array([eta ** 4 for eta in kept], dtype=float)[:, None]  # Python's pow per eta
+    gap = (prob.transition_probability(etas, phases)
+           - prob.hermitian_transition_probability(etas, phases))
+    fam.add_all(gap - eta_4 / (1.0 + etas * etas) * sin_sq, 1e-12)
+    fam.add_all(np.maximum(0.0, gap - eta_4), 0.0)
     return fam
 
 
 def _check_naive_pathology(grid: OracleGrid) -> _Family:
+    """One point per grid eta below 1: |naive| stays <= 1 up to 1/sqrt(2) and
+    exceeds 1 somewhere on the phase grid (or at pi/2) beyond it."""
     fam = _Family("naive_continuation_pathology")
-    threshold = 1.0 / math.sqrt(2.0)
     phases = np.append(_phases(grid), 0.5 * math.pi)
-    for eta in grid.etas:
-        if eta >= 1.0:
-            continue
-        worst = np.abs(prob.naive_continuation_value(eta, phases)).max()
-        if eta <= threshold:
-            fam.add(max(0.0, worst - 1.0), 0.0)
-        else:
-            fam.add(0.0 if worst > 1.0 else 1.0, 0.0)
+    etas = np.array([eta for eta in grid.etas if eta < 1.0], dtype=float)
+    worst = np.abs(prob.naive_continuation_value(etas[:, None], phases)).max(axis=1)
+    fam.add_all(np.where(etas <= 1.0 / math.sqrt(2.0), np.maximum(0.0, worst - 1.0),
+                         np.where(worst > 1.0, 0.0, 1.0)), 0.0)
     return fam
 
 
-def _check_hermitian_masses(params: ModelParams, grid: OracleGrid, rng) -> _Family:
+def _check_hermitian_masses(draws: tuple) -> _Family:
     fam = _Family("hermitian_eigenvalues_vs_oracle")
-    p = _random_params(rng, grid.n_random // 10)
+    p = ModelParams(*draws)
     fam.add_all(_eigenvalue_errors(hermitian_eigenvalues(p), hermitian_mass_matrix(p)), 1e-10)
     return fam
 
@@ -505,30 +547,30 @@ def check_all(params: ModelParams, grid: OracleGrid | None = None) -> list[Oracl
     """
     eigensystem(params)  # validates eta < 1 - EXCEPTIONAL_POINT_BAND
     grid = grid or OracleGrid()
-    rng = np.random.default_rng(grid.seed)
+    draws = _random_inputs(grid.seed, grid.n_random)
     ps, es = _systems(params, grid)
     limit, ps, es = es[-1], ps[:-1], es[:-1]
     dts = _dts(grid, es)
     closed = _closed(dts, es)
     at_zero = prob.trace_probabilities(PAIR_I, PAIR_J, 0.0, dts[:, None], es[:, None, None])
     families = [
-        _check_eigenvalues(params, grid, rng),
+        _check_eigenvalues(params, draws.eigenvalues),
         _check_eigenvector_residuals(es),
-        _check_trace_determinant(params, grid, rng),
+        _check_trace_determinant(params, draws.trace_determinant),
         _check_parity_relation(ps),
         _check_cprime_relations(es),
         _check_theta(es),
         _check_hermitian_limit(limit),
-        _check_hermitian_masses(params, grid, rng),
-        _check_sesquilinearity(grid, rng),
-        _check_cpt_positivity(grid, rng),
+        _check_hermitian_masses(draws.hermitian_masses),
+        _check_sesquilinearity(draws.sesquilinearity),
+        _check_cpt_positivity(draws.cpt_positivity),
         _check_pt_norms(es),
-        _check_cpt_dirac_consistency(grid, rng),
+        _check_cpt_dirac_consistency(draws.cpt_dirac),
         _check_biorthonormality(es, grid),
         _check_mixed_basis(es, grid),
         _check_cpt_nonorthogonality(es, grid),
         _check_mode_equation(es, grid),
-        _check_cprime_section_identity(params, grid, rng),
+        _check_cprime_section_identity(draws.cprime_section),
         _check_trace_vs_closed(es, grid, dts, closed),
         _check_brute_force(ps, es, grid, dts, closed),
         _check_unitarity(es, closed, at_zero),

@@ -3,6 +3,7 @@ Hermitian comparison, the pathological continuation and the Dirac-norm
 quantities."""
 
 import math
+import re
 
 import hypothesis as hyp
 import hypothesis.strategies as st
@@ -547,3 +548,17 @@ class TestArrayClosedForms:
                 assert record.value.shape == dts.shape
                 for dt, value in zip(dts, record.value):
                     assert value == probability_closed_form(i, j, float(dt), system).value
+
+
+def test_non_real_trace_message_is_one_line_naming_the_worst_pair(es, monkeypatch):
+    """With flavour-index arrays the message names the pair of the worst
+    element, not the arrays."""
+    from ptosc import probabilities
+
+    monkeypatch.setattr(probabilities, "NON_REAL_TRACE_TOLERANCE", -1.0)
+    with pytest.raises(NonRealTrace) as raised:
+        trace_probabilities(np.array([[1], [2]]), np.array([[2], [1]]), 0.0,
+                            np.linspace(0.5, 3.0, 6), es)
+    pair = re.fullmatch(r"tr\[rho_(\d)\(t0\) pi_(\d)\(t\)\] of P\(\1 -> \2\) "
+                        r"has imaginary part \S+", str(raised.value))
+    assert pair is not None and pair.groups() in (("1", "2"), ("2", "1"))

@@ -527,3 +527,122 @@ def test_one_stacked_eigensystem_and_three_spectral_solves_per_pass(params, monk
     # Hermitian-limit point in one stack; one oracle solve per oracle family
     assert calls["eigensystem"] == 2
     assert calls["spectral"] == 3
+
+
+def per_eta_reference(grid):
+    """hermitian_gap and naive_continuation_pathology with one array closed-form
+    call per grid eta.  Returns {check_name: OracleReport}."""
+    phases = np.linspace(0.0, 2.0 * math.pi, grid.n_phases)
+    sin_sq = np.array([math.sin(phase) ** 2 for phase in phases.tolist()])
+    gap_fam = _Family("hermitian_gap")
+    for eta in grid.etas:
+        if eta > 1.0:
+            continue
+        gap = transition_probability(eta, phases) - hermitian_transition_probability(eta, phases)
+        gap_fam.add_all(gap - eta ** 4 / (1.0 + eta * eta) * sin_sq, 1e-12)
+        gap_fam.add_all(np.maximum(0.0, gap - eta ** 4), 0.0)
+    naive_fam = _Family("naive_continuation_pathology")
+    for eta in grid.etas:
+        if eta >= 1.0:
+            continue
+        worst = np.abs(naive_continuation_value(eta, np.append(phases, 0.5 * math.pi))).max()
+        if eta <= 1.0 / math.sqrt(2.0):
+            naive_fam.add(max(0.0, worst - 1.0), 0.0)
+        else:
+            naive_fam.add(0.0 if worst > 1.0 else 1.0, 0.0)
+    return {fam.name: fam.report(grid.tolerance) for fam in (gap_fam, naive_fam)}
+
+
+@pytest.mark.parametrize("etas", [
+    OracleGrid.etas, (0.3,), (), (0, 0.2, 0.2, 0.999), (0.3, 1.0, 1.5),
+    (1.0 / math.sqrt(2.0), 0.7072, 0.9999999), (2.0, 0.95, 0.0)])
+@pytest.mark.parametrize("n_phases", [1, 6, 16])
+def test_eta_grid_families_equal_a_per_eta_reference_loop(params, etas, n_phases):
+    grid = OracleGrid(etas=etas, times=(0.0,), t0s=(0.0,), n_phases=n_phases, n_random=10)
+    want = per_eta_reference(grid)
+    got = {rep.check_name: rep for rep in check_all(params, grid)}
+    assert {name: got[name] for name in want} == want
+
+
+# --- the draw cache ----------------------------------------------------------
+
+def draw_arrays(draws):
+    """Every array of a _random_inputs result."""
+    for field in draws:
+        yield from field if isinstance(field, tuple) else (field,)
+
+
+def test_cached_draws_are_read_only():
+    from ptosc.validation import _random_inputs
+
+    arrays = list(draw_arrays(_random_inputs(7, 60)))
+    assert len(arrays) == 20
+    for array in arrays:
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[...] = 0.0
+
+
+def test_a_second_check_all_on_the_same_grid_draws_nothing(params, monkeypatch):
+    from ptosc.validation import _random_inputs
+
+    made = []
+    default_rng = np.random.default_rng
+
+    def counted(seed):
+        made.append(seed)
+        return default_rng(seed)
+
+    monkeypatch.setattr(np.random, "default_rng", counted)
+    grid = small_grid(seed=987654321, n_random=70)
+    first = check_all(params, grid)
+    misses = _random_inputs.cache_info().misses
+    assert check_all(params, grid) == first
+    assert made == [grid.seed]
+    assert _random_inputs.cache_info().misses == misses
+
+
+def test_a_grid_between_two_runs_leaves_reports_unchanged(params):
+    from ptosc.validation import _random_inputs
+
+    grid_a, grid_b = small_grid(seed=11), small_grid(seed=12, n_random=90)
+    _random_inputs.cache_clear()
+    fresh = check_all(params, grid_a)
+    assert check_all(params, grid_a) == fresh
+    check_all(params, grid_b)
+    assert check_all(params, grid_a) == fresh
+    assert _random_inputs.cache_info().misses == 2
+
+
+def test_the_draw_cache_is_bounded_and_evicts_the_oldest_grid():
+    from ptosc.validation import _random_inputs
+
+    _random_inputs.cache_clear()
+    bound = _random_inputs.cache_info().maxsize
+    assert 1 <= bound <= 8
+    oldest = _random_inputs(1, 10)
+    for seed in range(2, bound + 2):
+        _random_inputs(seed, 10)
+    info = _random_inputs.cache_info()
+    assert info.currsize == bound and info.misses == bound + 1
+    again = _random_inputs(1, 10)  # evicted: drawn afresh, to the same numbers
+    assert _random_inputs.cache_info().misses == bound + 2
+    assert again is not oldest
+    assert all(np.array_equal(a, b) for a, b in zip(draw_arrays(again), draw_arrays(oldest)))
+    _random_inputs(1, 10)
+    assert _random_inputs.cache_info().misses == bound + 2
+
+
+def test_importing_ptosc_draws_nothing():
+    import os
+    import subprocess
+    import sys
+
+    import ptosc
+
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(ptosc.__file__))}
+    code = ("import sys, ptosc; from ptosc.validation import _random_inputs; "
+            "print(_random_inputs.cache_info().misses, 'numpy.random' in sys.modules)")
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    assert done.stdout.split() == ["0", "False"]

@@ -9,11 +9,10 @@ only if every grid point met its own tolerance (1e-10 for eta <= 0.95,
 1e-8 up to 0.999, tighter fixed tolerances where the identity is exact).
 All grid systems are one stacked eigensystem, and each per-system family
 makes one call over systems x times x flavour pairs.  The random-draw
-families take their inputs from _random_inputs, drawn once per process for
-each (seed, n_random).
+families take their inputs from _random_inputs, which depend on the grid's
+seed and n_random alone.
 """
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -96,11 +95,13 @@ class _Family:
 
     def add_all(self, errs: np.ndarray, tol) -> None:
         """add() for every element of an array of errors against tol, a float
-        or an array broadcast against errs (hypot rounds like add()'s scalar
-        abs; np.abs of a complex array need not)."""
-        errs = np.hypot(np.real(errs), np.imag(errs))
+        or an array that broadcasts to errs' shape (hypot rounds like add()'s
+        scalar abs; np.abs of a complex array need not)."""
+        errs = np.asarray(errs)
+        errs = np.hypot(errs.real, errs.imag) if np.iscomplexobj(errs) else np.abs(errs)
         self.max_err = _worst(self.max_err, float(errs.max(initial=0.0)))
-        self.max_tol = max(self.max_tol, float(np.broadcast_to(tol, errs.shape).max(initial=0.0)))
+        if errs.size:  # each element of tol meets an error
+            self.max_tol = max(self.max_tol, tol if isinstance(tol, float) else float(np.max(tol)))
         self.ok = self.ok and bool((errs <= tol).all())
         self.points += errs.size
 
@@ -166,40 +167,50 @@ class _Draws(NamedTuple):
     cprime_section: tuple      # three (max(1, n_random // 10), 2, 2) normal batches
 
 
-@functools.lru_cache(maxsize=4)  # a few grids' worth: n_random = 1000 holds 270 kB
+def _uniform_95(words: list) -> np.ndarray:
+    """rng.uniform(0.0, 0.95) from each raw word, bit for bit: random() is
+    the top 53 bits over 2^53, and uniform(0.0, b) is b * random()."""
+    return 0.95 * ((np.array(words, dtype=np.uint64) >> np.uint64(11)) * 2.0 ** -53)
+
+
 def _random_inputs(seed: int, n_random: int) -> _Draws:
     """check_all's random inputs, which depend on (seed, n_random) alone,
-    drawn from one np.random.default_rng(seed) stream in family order.
-    Memoised, so a process draws each grid's inputs once; the arrays are
-    read-only because every later call shares them."""
+    drawn from one np.random.default_rng(seed) stream in family order.  A
+    uniform takes one raw word, so the per-draw loops keep each eta's word
+    (bit_generator.random_raw) and scale them together afterwards."""
     rng = np.random.default_rng(seed)
+    normal, word = rng.standard_normal, rng.bit_generator.random_raw
     eigenvalues, trace_determinant = (_random_params(rng, n_random) for _ in range(2))
     hermitian_masses = _random_params(rng, n_random // 10)
 
     # sesquilinearity, per draw: u, v, w as two real then two imaginary
     # parts, alpha, beta as (re, im), then eta
-    z, eta, uniform = np.empty((n_random, 16)), np.empty(n_random), rng.random
-    for k, row in enumerate(z):
-        rng.standard_normal(out=row)  # rng.normal(size=16), drawn in place
-        eta[k] = uniform()
-    eta *= 0.95  # 0.95 * random() is rng.uniform(0.0, 0.95) bit for bit
+    z, words = np.empty((n_random, 16)), []
+    for row in z:
+        normal(out=row)  # rng.normal(size=16), drawn in place
+        words.append(word())
+    sesquilinearity = z, _uniform_95(words)
 
-    # cpt_inner_positivity, per draw: a vector of norm >= 1e-3, then eta
-    vs, etas = np.empty((n_random, 2)), np.empty(n_random)
-    for k, v in enumerate(vs):
-        rng.standard_normal(out=v)
-        while math.sqrt(v.dot(v)) < 1e-3:  # np.linalg.norm's arithmetic
-            rng.standard_normal(out=v)
-        etas[k] = uniform()
-    etas *= 0.95  # rng.uniform(0.0, 0.95), as above
+    # cpt_inner_positivity, per draw: a vector, redrawn while its norm is
+    # below 1e-3, then eta.  No draw is redrawn if each has a component of
+    # size 2e-3 or more; otherwise replay the stream with the norm test.
+    start = rng.bit_generator.state
+    vs, words = np.empty((n_random, 2)), []
+    for v in vs:
+        normal(out=v)
+        words.append(word())
+    if (np.abs(vs).max(axis=1, initial=0.0) < 2e-3).any():
+        rng.bit_generator.state = start
+        for k, v in enumerate(vs):
+            normal(out=v)
+            while math.sqrt(v.dot(v)) < 1e-3:  # np.linalg.norm's arithmetic
+                normal(out=v)
+            words[k] = word()
+    cpt_positivity = vs, _uniform_95(words)
 
-    draws = _Draws(eigenvalues, trace_determinant, hermitian_masses, (z, eta), (vs, etas),
-                   rng.normal(size=(n_random, 2, 2)),
-                   tuple(rng.normal(size=(max(1, n_random // 10), 2, 2)) for _ in range(3)))
-    for field in draws:
-        for array in field if isinstance(field, tuple) else (field,):
-            array.flags.writeable = False
-    return draws
+    return _Draws(eigenvalues, trace_determinant, hermitian_masses, sesquilinearity,
+                  cpt_positivity, rng.normal(size=(n_random, 2, 2)),
+                  tuple(rng.normal(size=(max(1, n_random // 10), 2, 2)) for _ in range(3)))
 
 
 # --- model-core families -------------------------------------------------

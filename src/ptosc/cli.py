@@ -10,8 +10,10 @@ Usage examples:
 
 Grids are written as a single value ``v``, a comma list ``v1,v2,...`` or a
 range ``min:max:steps`` (steps >= 2, linearly spaced, endpoints included).
-Flags override an optional ``key = value`` config file (--config).  Output
-is deterministic: fixed column order, rows in grid order, floats at 17
+One table, ``_SETTINGS``, holds each command's settings and their defaults.
+A flag overrides an optional ``key = value`` config file (--config), which
+overrides the default; an empty value is refused (exit 2).  Output is
+deterministic: fixed column order, rows in grid order, floats at 17
 significant digits, LF line endings.
 
 Exit codes: 0 success, 1 validation failure, 2 bad configuration (also an
@@ -23,7 +25,6 @@ import argparse
 import functools
 import math
 import sys
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -60,22 +61,6 @@ class _ConfigError(Exception):
     pass
 
 
-@dataclass
-class SweepConfig:
-    """Resolved settings for one sweep command."""
-
-    etas: list[float] = field(default_factory=list)
-    phases: list[float] = field(default_factory=list)
-    t0: float = 0.0
-    ratio: float = 0.5
-    methods: list[str] = field(default_factory=list)
-    fmt: str = "csv"
-    output: str | None = None
-    params: ModelParams | None = None   # raw-params override
-    json_reports: bool = False
-    tolerance: float | None = None
-
-
 # --- parsing helpers -------------------------------------------------------
 
 def _number(text: str, name: str, kind=float):
@@ -107,7 +92,7 @@ def _parse_grid(text: str, name: str) -> list[float]:
     return [float(v) for v in np.linspace(lo, hi, steps)]
 
 
-def _parse_methods(text: str) -> list[str]:
+def _parse_methods(text: str, name: str) -> list[str]:
     methods = [m.strip() for m in text.split(",") if m.strip()]
     for m in methods:
         if m not in METHOD_ORDER:
@@ -118,26 +103,14 @@ def _parse_methods(text: str) -> list[str]:
     return sorted(set(methods), key=METHOD_ORDER.index)
 
 
-def _parse_format(text: str | None) -> str:
-    fmt = text or "csv"
-    if fmt not in ("csv", "json"):
-        raise _ConfigError(f"--format must be csv or json, got {fmt!r}")
-    return fmt
-
-
-def _check_non_negative(etas: list[float]) -> None:
-    if any(eta < 0.0 for eta in etas):
-        raise _ConfigError("eta values must be non-negative")
-
-
-def _parse_raw_params(text: str) -> ModelParams:
+def _parse_raw_params(text: str, name: str) -> ModelParams:
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != 4:
-        raise _ConfigError(f"--raw-params needs m1sq,m2sq,musq,p, got {text!r}")
+        raise _ConfigError(f"{name} needs m1sq,m2sq,musq,p, got {text!r}")
     try:
-        return make_params(*(_number(p, "--raw-params") for p in parts))
+        return make_params(*(_number(p, name) for p in parts))
     except DomainError as exc:
-        raise _ConfigError(f"--raw-params: {exc}") from exc
+        raise _ConfigError(f"{name}: {exc}") from exc
 
 
 def _load_config(path: str) -> dict[str, str]:
@@ -157,17 +130,80 @@ def _load_config(path: str) -> dict[str, str]:
     return values
 
 
-def _merged(args: argparse.Namespace, keys: tuple[str, ...]) -> dict[str, str | None]:
-    """Flag values override config-file values; missing entries are None."""
+def _text(text: str, name: str) -> str:
+    return text
+
+
+def _checked(parse, ok, message: str):
+    """``parse``, then refuse a value that fails ``ok`` with ``message``."""
+    def parse_checked(text: str, name: str):
+        value = parse(text, name)
+        if not ok(value):
+            raise _ConfigError(message.format(name=name, value=value))
+        return value
+    return parse_checked
+
+
+# --- settings ----------------------------------------------------------------
+
+_format = _checked(_text, lambda fmt: fmt in ("csv", "json"),
+                   "{name} must be csv or json, got {value!r}")
+_sweep_etas = _checked(_parse_grid, lambda etas: all(eta >= 0.0 for eta in etas),
+                       "eta values must be non-negative")
+_validation_etas = _checked(
+    _parse_grid, lambda etas: all(0.0 <= eta < 1.0 - EXCEPTIONAL_POINT_BAND for eta in etas),
+    "validation grid requires 0 <= eta < 1")
+
+# Each command's settings, in check order: key -> (default, parser).  A flag
+# beats the config file, which beats the default; a None default leaves it unset.
+_SETTINGS = {
+    "probabilities": {
+        "methods": ("closed_form,hermitian", _parse_methods),
+        "phase": (f"0:{TWO_PI!r}:64", _parse_grid),
+        "t0": ("0", _number),
+        "format": ("csv", _format),
+        "output": (None, _text),
+        "raw_params": (None, _parse_raw_params),
+        "eta": (None, _sweep_etas),  # cmd_probabilities: 0:0.95:20 without raw_params
+    },
+    "masses": {
+        "eta": ("0:2:81", _sweep_etas),
+        "ratio": ("0.5", _checked(_number, lambda ratio: 0.0 < ratio < 1.0,
+                                  "{name} must lie in (0, 1), got {value}")),
+        "format": ("csv", _format),
+        "output": (None, _text),
+    },
+    "cardioid": {
+        "eta": ("0.1,0.5,0.9", _sweep_etas),
+        "phase": (f"0:{TWO_PI!r}:181", _parse_grid),
+        "format": ("csv", _format),
+        "output": (None, _text),
+    },
+    "validate": {
+        "output": (None, _text),
+        "raw_params": ("2,1,0.3,0", _parse_raw_params),
+        "eta": (None, _validation_etas),
+        "tolerance": (None, _checked(_number, lambda tolerance: tolerance > 0.0,
+                                     "{name} must be positive, got {value}")),
+    },
+}
+
+
+def _resolve(args: argparse.Namespace) -> argparse.Namespace:
+    """Parse each setting of the command onto ``args``: flag, else config, else default."""
+    settings = _SETTINGS[args.command]
     config = _load_config(args.config) if args.config else {}
-    unknown = set(config) - set(keys)
+    unknown = set(config) - set(settings)
     if unknown:
         raise _ConfigError(f"unknown config keys for this command: {sorted(unknown)}")
-    out: dict[str, str | None] = {}
-    for key in keys:
-        flag = getattr(args, key, None)
-        out[key] = str(flag) if flag is not None else config.get(key)
-    return out
+    for key, (default, parse) in settings.items():
+        name, text = "--" + key.replace("_", "-"), getattr(args, key)
+        if text is None:
+            text = config.get(key, default)
+        if text == "":
+            raise _ConfigError(f"{name}: must not be empty")
+        setattr(args, key, None if text is None else parse(text, name))
+    return args
 
 
 # --- output ----------------------------------------------------------------
@@ -230,30 +266,15 @@ def _write(text: str, output: str | None) -> None:
 
 # --- commands ----------------------------------------------------------------
 
-def _resolve_probabilities(args: argparse.Namespace) -> SweepConfig:
-    merged = _merged(args, ("eta", "phase", "t0", "methods", "format", "output",
-                            "raw_params"))
-    cfg = SweepConfig()
-    cfg.methods = _parse_methods(merged["methods"] or "closed_form,hermitian")
-    cfg.phases = _parse_grid(merged["phase"] or f"0:{TWO_PI!r}:64", "--phase")
-    cfg.t0 = _number(merged["t0"] or "0", "--t0")
-    cfg.fmt = _parse_format(merged["format"])
-    cfg.output = merged["output"]
-    if merged["raw_params"] is not None:
-        if merged["eta"] is not None:
-            raise _ConfigError("--eta and --raw-params are mutually exclusive")
-        cfg.params = _parse_raw_params(merged["raw_params"])
-        cfg.etas = [cfg.params.eta]
-    else:
-        cfg.etas = _parse_grid(merged["eta"] or "0:0.95:20", "--eta")
-    _check_non_negative(cfg.etas)
-    return cfg
-
-
-def cmd_probabilities(cfg: SweepConfig) -> int:
+def cmd_probabilities(cfg: argparse.Namespace) -> int:
     """Survival/transition probabilities on an eta x phase grid."""
+    etas, params = cfg.eta, cfg.raw_params
+    if params is not None and etas is not None:
+        raise _ConfigError("--eta and --raw-params are mutually exclusive")
+    if etas is None:
+        etas = [params.eta] if params is not None else _parse_grid("0:0.95:20", "--eta")
     needs_states = [m for m in cfg.methods if m in ("trace", "naive_continuation")]
-    for eta in cfg.etas:
+    for eta in etas:
         if eta > 1.0 and any(m != "hermitian" for m in cfg.methods):
             raise BrokenPTPhase(f"eta = {eta:.6g} > 1 in the requested range")
         if eta >= 1.0 - EXCEPTIONAL_POINT_BAND and needs_states:
@@ -261,7 +282,7 @@ def cmd_probabilities(cfg: SweepConfig) -> int:
                 f"eta = {eta:.6g} is at the exceptional point; methods "
                 f"{needs_states} are undefined there")
 
-    eta, phase = np.array(cfg.etas)[:, None], np.array(cfg.phases)
+    eta, phase = np.array(etas)[:, None], np.array(cfg.phase)
     columns = {}
     for method in cfg.methods:
         if method == "closed_form":
@@ -270,9 +291,8 @@ def cmd_probabilities(cfg: SweepConfig) -> int:
             columns["pt_transition"] = transition
         elif method == "trace":
             # one eigensystem stack over the eta grid and one trace call for both j
-            params = cfg.params if cfg.params is not None else params_from_eta(
-                eta, REFERENCE_SUM_SQ, REFERENCE_RATIO)
-            es = eigensystem(params)
+            es = eigensystem(params if params is not None else params_from_eta(
+                eta, REFERENCE_SUM_SQ, REFERENCE_RATIO))
             ts = cfg.t0 + 2.0 * phase / es.delta_omega
             trace = trace_probabilities(1, np.array([1, 2])[:, None, None], cfg.t0, ts, es)
             columns["trace_survival"], columns["trace_transition"] = trace
@@ -282,94 +302,49 @@ def cmd_probabilities(cfg: SweepConfig) -> int:
             columns["herm_transition"] = herm
         else:
             columns["naive_transition"] = naive_continuation_value(eta, phase)
-    _emit({"eta": cfg.etas, "phase": cfg.phases}, columns, cfg.fmt, cfg.output)
+    _emit({"eta": etas, "phase": cfg.phase}, columns, cfg.format, cfg.output)
     return 0
 
 
-def _resolve_masses(args: argparse.Namespace) -> SweepConfig:
-    merged = _merged(args, ("eta", "ratio", "format", "output"))
-    cfg = SweepConfig()
-    cfg.etas = _parse_grid(merged["eta"] or "0:2:81", "--eta")
-    cfg.ratio = _number(merged["ratio"] or "0.5", "--ratio")
-    if not 0.0 < cfg.ratio < 1.0:
-        raise _ConfigError(f"--ratio must lie in (0, 1), got {cfg.ratio}")
-    _check_non_negative(cfg.etas)
-    cfg.fmt = _parse_format(merged["format"])
-    cfg.output = merged["output"]
-    return cfg
-
-
-def cmd_masses(cfg: SweepConfig) -> int:
+def cmd_masses(cfg: argparse.Namespace) -> int:
     """Squared eigenmasses over eta, divided by m1^2 + m2^2.
 
     PT columns are empty for eta > 1 (complex eigenvalues); the Hermitian
     columns extend everywhere, with the lower one going negative past
     eta = sqrt(1/ratio^2 - 1).
     """
-    params = params_from_eta(np.array(cfg.etas), REFERENCE_SUM_SQ, cfg.ratio)
+    params = params_from_eta(np.array(cfg.eta), REFERENCE_SUM_SQ, cfg.ratio)
     unbroken = params.eta <= 1.0  # complex PT eigenvalues past eta = 1: missing cells
     pt = pt_eigenvalues(ModelParams(params.m1_sq[unbroken], params.m2_sq[unbroken],
                                     params.mu_sq[unbroken], params.p[unbroken]))
     columns = {}
     for name, values in zip(("pt_m_plus_sq", "pt_m_minus_sq"), pt):
-        column = np.zeros(len(cfg.etas))
+        column = np.zeros(len(cfg.eta))
         column[unbroken] = values / REFERENCE_SUM_SQ
         columns[name] = (column, unbroken)
     herm_plus, herm_minus = hermitian_eigenvalues(params)
     columns["herm_m_plus_sq"] = herm_plus / REFERENCE_SUM_SQ
     columns["herm_m_minus_sq"] = herm_minus / REFERENCE_SUM_SQ
-    _emit({"eta": cfg.etas}, columns, cfg.fmt, cfg.output)
+    _emit({"eta": cfg.eta}, columns, cfg.format, cfg.output)
     return 0
 
 
-def _resolve_cardioid(args: argparse.Namespace) -> SweepConfig:
-    merged = _merged(args, ("eta", "phase", "format", "output"))
-    cfg = SweepConfig()
-    cfg.etas = _parse_grid(merged["eta"] or "0.1,0.5,0.9", "--eta")
-    cfg.phases = _parse_grid(merged["phase"] or f"0:{TWO_PI!r}:181", "--phase")
-    _check_non_negative(cfg.etas)
-    cfg.fmt = _parse_format(merged["format"])
-    cfg.output = merged["output"]
-    return cfg
-
-
-def cmd_cardioid(cfg: SweepConfig) -> int:
+def cmd_cardioid(cfg: argparse.Namespace) -> int:
     """Dirac-norm polar curve r(phase) and its r(pi)-normalised variant."""
-    eta = np.array(cfg.etas)[:, None]
-    r = cardioid_r(np.array(cfg.phases), eta)
+    eta = np.array(cfg.eta)[:, None]
+    r = cardioid_r(np.array(cfg.phase), eta)
     columns = {"r": r, "r_over_r_pi": r / cardioid_r(math.pi, eta)}
-    _emit({"eta": cfg.etas, "phase": cfg.phases}, columns, cfg.fmt, cfg.output)
+    _emit({"eta": cfg.eta, "phase": cfg.phase}, columns, cfg.format, cfg.output)
     return 0
 
 
-def _resolve_validate(args: argparse.Namespace) -> SweepConfig:
-    merged = _merged(args, ("eta", "raw_params", "tolerance", "output"))
-    cfg = SweepConfig()
-    cfg.json_reports = bool(getattr(args, "json", False))
-    cfg.output = merged["output"]
-    if merged["raw_params"] is not None:
-        cfg.params = _parse_raw_params(merged["raw_params"])
-    else:
-        cfg.params = make_params(2.0, 1.0, 0.3, 0.0)
-    if merged["eta"] is not None:
-        cfg.etas = _parse_grid(merged["eta"], "--eta")
-        if any(not 0.0 <= eta < 1.0 - EXCEPTIONAL_POINT_BAND for eta in cfg.etas):
-            raise _ConfigError("validation grid requires 0 <= eta < 1")
-    if merged["tolerance"] is not None:
-        cfg.tolerance = _number(merged["tolerance"], "--tolerance")
-        if cfg.tolerance <= 0.0:
-            raise _ConfigError(f"--tolerance must be positive, got {cfg.tolerance}")
-    return cfg
-
-
-def cmd_validate(cfg: SweepConfig) -> int:
+def cmd_validate(cfg: argparse.Namespace) -> int:
     """Run the oracle suite; exit 0 iff every check passed."""
-    grid = OracleGrid(tolerance=cfg.tolerance)
-    if cfg.etas:
-        grid = OracleGrid(etas=tuple(cfg.etas), tolerance=cfg.tolerance)
-    reports = check_all(cfg.params, grid)
+    grid = (OracleGrid(tolerance=cfg.tolerance) if cfg.eta is None
+            else OracleGrid(etas=tuple(cfg.eta), tolerance=cfg.tolerance))
+    reports = check_all(cfg.raw_params, grid)
 
-    if cfg.json_reports:
+    if cfg.json:
         body = []
         for rep in reports:
             body.append(
@@ -443,10 +418,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 _COMMANDS = {
-    "probabilities": (_resolve_probabilities, cmd_probabilities),
-    "masses": (_resolve_masses, cmd_masses),
-    "cardioid": (_resolve_cardioid, cmd_cardioid),
-    "validate": (_resolve_validate, cmd_validate),
+    "probabilities": (_resolve, cmd_probabilities),
+    "masses": (_resolve, cmd_masses),
+    "cardioid": (_resolve, cmd_cardioid),
+    "validate": (_resolve, cmd_validate),
 }
 
 

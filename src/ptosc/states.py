@@ -18,9 +18,10 @@ so that at t = 0 they are the standard basis vectors.  Five companions:
                  expansion with the e_- coefficient sign flipped
 
 The mixed basis {|f1>, |f2^C'>} with bras {<f1^C'PT|, <f2^PT|} becomes
-orthonormal once every state carries a factor sqrt(sech(2 theta)); pass
-``normalised=True`` for that.  The factor is split symmetrically between
-ket and bra so density operators get one net sech(2 theta) and unit trace.
+orthonormal once every state carries a factor sqrt(sech(2 theta)), which
+the mixed_basis functions apply and the single-state functions do not.  The
+factor is split symmetrically between ket and bra so density operators get
+one net sech(2 theta) and unit trace.
 
 Flavour indices follow the caller's labelling; for m1^2 < m2^2 they are
 mapped onto the heavy-first orientation internally (see model.EigenSystem)
@@ -66,14 +67,9 @@ def _ket_components(one, t, es: EigenSystem) -> np.ndarray:
     return w_plus[..., None] * es.e_plus + w_minus[..., None] * es.e_minus
 
 
-def _scaled(components: np.ndarray, es: EigenSystem, normalised: bool) -> np.ndarray:
-    return components * _per_component(es.mixed_basis_norm) if normalised else components
-
-
-def flavour_ket(i, t, es: EigenSystem, normalised: bool = False) -> np.ndarray:
-    """The flavour ket |fi(t)>; equals the i-th basis vector at t = 0 when
-    unnormalised."""
-    return _scaled(_ket_components(es._heavy_first_one(i), t, es), es, normalised)
+def flavour_ket(i, t, es: EigenSystem) -> np.ndarray:
+    """The flavour ket |fi(t)>; equals the i-th basis vector at t = 0."""
+    return _ket_components(es._heavy_first_one(i), t, es)
 
 
 def tilde_bra(i, t, es: EigenSystem) -> np.ndarray:
@@ -86,20 +82,18 @@ def tilde_bra(i, t, es: EigenSystem) -> np.ndarray:
                     cosh * xm * sect_minus - sinh * xp * sect_plus)
 
 
-def cpt_bra(i, t, es: EigenSystem, normalised: bool = False) -> np.ndarray:
+def cpt_bra(i, t, es: EigenSystem) -> np.ndarray:
     """The C'PT conjugate <fi^C'PT(t)| of the flavour ket, u^dag C' P.
 
     At t = 0 this is [1, eta] / sqrt(1 - eta^2) (or index-reversed), which
     is not a flavour state itself.
     """
-    comps = _dot(_ket_components(es._heavy_first_one(i), t, es).conj(), es.cpt_metric)
-    return _scaled(comps, es, normalised)
+    return _dot(_ket_components(es._heavy_first_one(i), t, es).conj(), es.cpt_metric)
 
 
-def pt_bra(i, t, es: EigenSystem, normalised: bool = False) -> np.ndarray:
+def pt_bra(i, t, es: EigenSystem) -> np.ndarray:
     """The PT conjugate <fi^PT(t)| = (|fi(t)>)^dag P."""
-    comps = _ket_components(es._heavy_first_one(i), t, es).conj() * _PARITY_SIGNS
-    return _scaled(comps, es, normalised)
+    return _ket_components(es._heavy_first_one(i), t, es).conj() * _PARITY_SIGNS
 
 
 def dirac_bra(i, t, es: EigenSystem) -> np.ndarray:
@@ -107,19 +101,17 @@ def dirac_bra(i, t, es: EigenSystem) -> np.ndarray:
     return _ket_components(es._heavy_first_one(i), t, es).conj()
 
 
-def cprime_ket(i, t, es: EigenSystem, normalised: bool = False) -> np.ndarray:
+def cprime_ket(i, t, es: EigenSystem) -> np.ndarray:
     """The C'-reflected ket |fi^C'(t)> = C'^T |fi(t)>.
 
     Satisfies (C'^T v)^sect = v^dag P, which ties the mixed-basis overlaps
     to the PT inner product.
     """
     comps = _ket_components(es._heavy_first_one(i), t, es)
-    comps = _dot(comps, es.cprime_transpose.swapaxes(-1, -2))  # rows: (C'^T v)^T = v^T C'
-    return _scaled(comps, es, normalised)
+    return _dot(comps, es.cprime_transpose.swapaxes(-1, -2))  # rows: (C'^T v)^T = v^T C'
 
 
-def mixed_basis_pair(i, t, es: EigenSystem,
-                     normalised: bool = True) -> tuple[np.ndarray, np.ndarray]:
+def mixed_basis_pair(i, t, es: EigenSystem) -> tuple[np.ndarray, np.ndarray]:
     """Ket and bra stacks of the orthonormal mixed basis, sharing one
     evaluation of the flavour ket: (|f1>, <f1^C'PT|) for flavour 1 and
     (|f2^C'>, <f2^PT|) for flavour 2 (heavy-first labels)."""
@@ -135,17 +127,17 @@ def mixed_basis_pair(i, t, es: EigenSystem,
         one = one[..., None]
         ket = np.where(one, base, _dot(base, es.cprime_transpose.swapaxes(-1, -2)))
         bra = np.where(one, _dot(conj, es.cpt_metric), conj * _PARITY_SIGNS)
-    scale = _per_component(es.mixed_basis_norm) if normalised else 1.0
+    scale = _per_component(es.mixed_basis_norm)
     return scale * ket, scale * bra
 
 
-def mixed_basis_ket(i, t, es: EigenSystem, normalised: bool = True) -> np.ndarray:
+def mixed_basis_ket(i, t, es: EigenSystem) -> np.ndarray:
     """The ket member of the orthonormal mixed basis: |f1(t)> for flavour 1
     and |f2^C'(t)> for flavour 2 (heavy-first labelling)."""
-    return mixed_basis_pair(i, t, es, normalised)[0]
+    return mixed_basis_pair(i, t, es)[0]
 
 
-def mixed_basis_bra(i, t, es: EigenSystem, normalised: bool = True) -> np.ndarray:
+def mixed_basis_bra(i, t, es: EigenSystem) -> np.ndarray:
     """The bra member of the orthonormal mixed basis: <f1^C'PT(t)| for
     flavour 1 and <f2^PT(t)| for flavour 2 (heavy-first labelling)."""
-    return mixed_basis_pair(i, t, es, normalised)[1]
+    return mixed_basis_pair(i, t, es)[1]

@@ -141,27 +141,49 @@ class TestProbabilities:
         assert stdout_text == text
 
 
+# one bad value per argv, each pinned to its exit code and its one stderr line
+BAD_CONFIG = {
+    ("probabilities", "--eta", "0.5:0.1:5"): "--eta: need min < max, got 0.5 >= 0.1",
+    ("probabilities", "--eta", "0:0.9:1"): "--eta: steps must be >= 2, got 1",
+    ("probabilities", "--eta", "abc"): "--eta: cannot parse 'abc' as a number",
+    ("probabilities", "--methods", "magic"):
+        "unknown method 'magic'; choose from closed_form, trace, hermitian, naive_continuation",
+    ("probabilities", "--format", "xml"): "--format must be csv or json, got 'xml'",
+    ("probabilities", "--eta", "0.5", "--raw-params", "2,1,0.3,0"):
+        "--eta and --raw-params are mutually exclusive",
+    ("probabilities", "--raw-params", "2,1,0.3"):                   # missing momentum
+        "--raw-params needs m1sq,m2sq,musq,p, got '2,1,0.3'",
+    ("probabilities", "--raw-params", "1,1,0.3,0"):                 # degenerate diagonal
+        "--raw-params: m1_sq == m2_sq: eta is undefined for a degenerate diagonal",
+    ("masses", "--ratio", "1.5"): "--ratio must lie in (0, 1), got 1.5",
+    ("probabilities", "--eta", "-0.2"): "eta values must be non-negative",
+    ("validate", "--tolerance", "-1"): "--tolerance must be positive, got -1.0",
+    ("validate", "--eta", "1.5"): "validation grid requires 0 <= eta < 1",
+    ("validate", "--raw-params", "0.5,1e-300,0,0", "--eta", "0"):  # lower mass rounds to 0
+        "lower squared mass rounds to 0: the diagonal masses 0.5 and 1e-300 are too far apart"
+        " to resolve",
+    ("probabilities", "--phase=-1e308:1e308:3"):                    # range span overflows
+        "--phase: range -1e+308:1e+308 is too wide to space evenly",
+}
+
+UNPARSABLE = {
+    ("probabilities", "--t0", "abc"): "--t0: cannot parse 'abc' as a number",
+    ("masses", "--ratio", "abc"): "--ratio: cannot parse 'abc' as a number",
+    ("validate", "--tolerance", "abc"): "--tolerance: cannot parse 'abc' as a number",
+    ("probabilities", "--phase", "inf"): "--phase: must be finite, got 'inf'",
+    ("cardioid", "--phase", "inf"): "--phase: must be finite, got 'inf'",
+    ("probabilities", "--eta", "nan"): "--eta: must be finite, got 'nan'",
+    ("probabilities", "--eta", "0:inf:4"): "--eta: must be finite, got 'inf'",
+    ("probabilities", "--t0", "inf", "--methods", "closed_form"): "--t0: must be finite, got 'inf'",
+    ("probabilities", "--raw-params", "2,1,nan,0"): "--raw-params: must be finite, got 'nan'",
+    ("validate", "--tolerance", "nan"): "--tolerance: must be finite, got 'nan'",
+}
+
+
 class TestBadConfig:
-    @pytest.mark.parametrize("argv", [
-        ("probabilities", "--eta", "0.5:0.1:5"),            # min >= max
-        ("probabilities", "--eta", "0:0.9:1"),               # steps < 2
-        ("probabilities", "--eta", "abc"),
-        ("probabilities", "--methods", "magic"),
-        ("probabilities", "--format", "xml"),
-        ("probabilities", "--eta", "0.5", "--raw-params", "2,1,0.3,0"),
-        ("probabilities", "--raw-params", "2,1,0.3"),        # missing momentum
-        ("probabilities", "--raw-params", "1,1,0.3,0"),      # degenerate diagonal
-        ("masses", "--ratio", "1.5"),
-        ("probabilities", "--eta", "-0.2"),
-        ("validate", "--tolerance", "-1"),
-        ("validate", "--eta", "1.5"),
-        ("validate", "--raw-params", "0.5,1e-300,0,0", "--eta", "0"),   # lower mass rounds to 0
-        ("probabilities", "--phase=-1e308:1e308:3"),                    # range span overflows
-    ])
+    @pytest.mark.parametrize("argv", list(BAD_CONFIG))
     def test_exit_code_two(self, capsys, argv):
-        code, _, err = run(capsys, *argv)
-        assert code == 2
-        assert err
+        assert run(capsys, *argv) == (2, "", f"error: {BAD_CONFIG[argv]}\n")
 
     @pytest.mark.parametrize("t0", ["1e17", "inf", "nan"])
     def test_trace_refuses_unresolvable_t0(self, capsys, t0):
@@ -194,24 +216,12 @@ class TestBadConfig:
         assert code == 0
         assert len(out.strip().split("\n")) == 65
 
-    @pytest.mark.parametrize("argv", [
-        ("probabilities", "--t0", "abc"),
-        ("masses", "--ratio", "abc"),
-        ("validate", "--tolerance", "abc"),
-        ("probabilities", "--phase", "inf"),
-        ("cardioid", "--phase", "inf"),
-        ("probabilities", "--eta", "nan"),
-        ("probabilities", "--eta", "0:inf:4"),
-        ("probabilities", "--t0", "inf", "--methods", "closed_form"),
-        ("probabilities", "--raw-params", "2,1,nan,0"),
-        ("validate", "--tolerance", "nan"),
-    ])
+    @pytest.mark.parametrize("argv", list(UNPARSABLE))
     def test_unparsable_or_non_finite_number_exits_two(self, capsys, tmp_path, argv):
         target = tmp_path / "rows.txt"
         code, out, err = run(capsys, *argv, "--output", str(target))
-        assert code == 2
-        assert out == "" and not target.exists()
-        assert err.startswith("error: ") and "Traceback" not in err
+        assert (code, out, err) == (2, "", f"error: {UNPARSABLE[argv]}\n")
+        assert not target.exists()
 
     @pytest.mark.parametrize("argv", [
         ("probabilities", "--eta", "0.6"),
@@ -236,6 +246,21 @@ class TestBadConfig:
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("volume = 11\n")
         assert run(capsys, "probabilities", "--config", str(cfg))[0] == 2
+
+    @pytest.mark.parametrize("command, flag", [(command, flag) for command, flags in {
+        "probabilities": ("--eta", "--phase", "--t0", "--methods", "--format", "--output",
+                          "--raw-params"),
+        "masses": ("--eta", "--ratio", "--format", "--output"),
+        "cardioid": ("--eta", "--phase", "--format", "--output"),
+        "validate": ("--eta", "--raw-params", "--tolerance", "--output"),
+    }.items() for flag in flags])
+    def test_empty_value_is_refused(self, capsys, tmp_path, command, flag):
+        """An empty flag or config value never falls back to the default."""
+        refused = (2, "", f"error: {flag}: must not be empty\n")
+        assert run(capsys, command, f"{flag}=") == refused
+        cfg = tmp_path / "empty.cfg"
+        cfg.write_text(f"{flag[2:]} =\n")
+        assert run(capsys, command, "--config", str(cfg)) == refused
 
 
 class TestConfigFile:

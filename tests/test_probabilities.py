@@ -372,10 +372,10 @@ class TestTraceProbabilities:
         computed them; the batch must round identically."""
         def operator(i, t, system):
             if system.canonical_flavour(i) == 1:
-                ket, bra = flavour_ket(i, t, system, True), cpt_bra(i, t, system, True)
+                ket, bra = flavour_ket(i, t, system), cpt_bra(i, t, system)
             else:
-                ket, bra = cprime_ket(i, t, system, True), pt_bra(i, t, system, True)
-            return np.outer(ket, bra)
+                ket, bra = cprime_ket(i, t, system), pt_bra(i, t, system)
+            return np.outer(system.mixed_basis_norm * ket, system.mixed_basis_norm * bra)
 
         t0s = np.array([-3.2, 0.0, 1.7])
         ts = t0s + np.linspace(0.0, 9.0, 7)[:, None]

@@ -73,7 +73,7 @@ class TestFlavourKet:
 
     def test_normalised_variant_scales_by_root_sech(self, es):
         bare = flavour_ket(1, 0.4, es)
-        scaled = flavour_ket(1, 0.4, es, normalised=True)
+        scaled = es.mixed_basis_norm * flavour_ket(1, 0.4, es)
         factor = math.sqrt(es.sech_two_theta)
         np.testing.assert_allclose(scaled, factor * bare, rtol=1e-14)
 
@@ -153,8 +153,8 @@ class TestPtBra:
     def test_pairs_with_cprime_ket(self, es):
         value = inner(pt_bra(2, 0.0, es), cprime_ket(2, 0.0, es))
         assert value == pytest.approx(1.25, abs=1e-12)
-        normalised = inner(pt_bra(2, 0.0, es, normalised=True),
-                           cprime_ket(2, 0.0, es, normalised=True))
+        normalised = inner(es.mixed_basis_norm * pt_bra(2, 0.0, es),
+                           es.mixed_basis_norm * cprime_ket(2, 0.0, es))
         assert normalised == pytest.approx(1.0, abs=1e-12)
 
     def test_annihilates_other_flavour_ket(self, es):
@@ -190,8 +190,8 @@ class TestMixedBasis:
                 ket, bra = ((flavour_ket, cpt_bra) if system.canonical_flavour(i) == 1
                             else (cprime_ket, pt_bra))
                 pair = mixed_basis_pair(i, 0.7, system)
-                assert np.array_equal(pair[0], ket(i, 0.7, system, normalised=True))
-                assert np.array_equal(pair[1], bra(i, 0.7, system, normalised=True))
+                assert np.array_equal(pair[0], system.mixed_basis_norm * ket(i, 0.7, system))
+                assert np.array_equal(pair[1], system.mixed_basis_norm * bra(i, 0.7, system))
 
     def test_orthonormal_for_swapped_orientation(self, swapped_es):
         for i in (1, 2):

@@ -14,7 +14,6 @@ from .errors import (
     NegativeMixing,
     NonPositiveMass,
     NonRealTrace,
-    TachyonicMass,
 )
 from .inner import (
     cpt_conjugate,
@@ -58,8 +57,6 @@ from .probabilities import (
     hermitian_transition_probability,
     naive_continuation_value,
     probability_closed_form,
-    probability_hermitian,
-    probability_naive_continuation,
     probability_trace,
     projection_operator,
     survival_probability,

@@ -18,7 +18,7 @@ significant digits, LF line endings.
 
 Exit codes: 0 success, 1 validation failure, 2 bad configuration (also an
 unparsable or non-finite number or result, an unwritable output), 3 domain
-error (exceptional point / broken PT phase / tachyonic mass).
+error (exceptional point / broken PT phase).
 """
 
 import argparse
@@ -28,7 +28,7 @@ import sys
 
 import numpy as np
 
-from .errors import BrokenPTPhase, DomainError, ExceptionalPoint, TachyonicMass
+from .errors import BrokenPTPhase, DomainError, ExceptionalPoint
 from .model import (
     EXCEPTIONAL_POINT_BAND,
     ModelParams,
@@ -41,7 +41,6 @@ from .model import (
 from .probabilities import (
     hermitian_transition_probability,
     naive_continuation_value,
-    survival_probability,  # noqa: F401 (bench/tracing.py wraps it here)
     trace_probabilities,
     transition_probability,
     cardioid_r,
@@ -114,6 +113,8 @@ def _parse_raw_params(text: str, name: str) -> ModelParams:
 
 
 def _load_config(path: str) -> dict[str, str]:
+    if not path:
+        raise _ConfigError("--config: must not be empty")
     values: dict[str, str] = {}
     try:
         with open(path, encoding="utf-8") as handle:
@@ -192,7 +193,7 @@ _SETTINGS = {
 def _resolve(args: argparse.Namespace) -> argparse.Namespace:
     """Parse each setting of the command onto ``args``: flag, else config, else default."""
     settings = _SETTINGS[args.command]
-    config = _load_config(args.config) if args.config else {}
+    config = {} if args.config is None else _load_config(args.config)
     unknown = set(config) - set(settings)
     if unknown:
         raise _ConfigError(f"unknown config keys for this command: {sorted(unknown)}")
@@ -445,7 +446,7 @@ def main(argv: list[str] | None = None) -> int:
     except _ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ExceptionalPoint, BrokenPTPhase, TachyonicMass) as exc:
+    except (ExceptionalPoint, BrokenPTPhase) as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return 3
     except DomainError as exc:

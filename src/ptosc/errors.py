@@ -33,10 +33,6 @@ class BrokenPTPhase(DomainError):
     """eta > 1: the squared-mass eigenvalues form a complex-conjugate pair."""
 
 
-class TachyonicMass(DomainError):
-    """The lower squared mass of the Hermitian comparison model is <= 0."""
-
-
 class NonRealTrace(RuntimeError):
     """A probability trace has a non-negligible imaginary part.
 

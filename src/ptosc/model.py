@@ -112,6 +112,20 @@ def _all(mask) -> bool:
     return bool(mask) if isinstance(mask, (bool, np.bool_)) else bool(mask.all())
 
 
+def _flavour_one(i):
+    """Where flavour label(s) i are 1: a bool for an int label (no numpy
+    call), else a bool array; DomainError unless every label is 1 or 2."""
+    if isinstance(i, int):
+        one, valid = i == 1, i in (1, 2)
+    else:
+        index = np.asarray(i)
+        one = index == 1
+        valid = (one | (index == 2)).all()
+    if not valid:
+        raise DomainError(f"flavour index must be 1 or 2, got {i!r}")
+    return one
+
+
 def _select(mask, a, b):
     """a where mask holds, else b; np.where, or plain Python for a bool mask."""
     return (a if mask else b) if isinstance(mask, bool) else np.where(mask, a, b)
@@ -336,17 +350,9 @@ class EigenSystem:
         without cprime_matrix's guards (eigensystem has validated eta)."""
         return np.swapaxes(_cprime_matrix(self.eta), -1, -2)
 
-    def canonical_flavour(self, i):
-        """Map flavour label(s) to the heavy-first orientation."""
-        return _unbox(_select(self._heavy_first_one(i), 1, 2))
-
     def _heavy_first_one(self, i):
         """Where label(s) i map to heavy-first flavour 1 (a bool for one of each)."""
-        index = i if isinstance(i, int) else np.asarray(i)  # one label: no numpy call
-        one = index == 1
-        if not _all(one | (index == 2)):
-            raise DomainError(f"flavour index must be 1 or 2, got {i!r}")
-        return one != self.swapped
+        return _flavour_one(i) != self.swapped
 
     def omega(self, branch: str) -> float:
         if branch == "plus":

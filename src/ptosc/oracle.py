@@ -29,7 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BrokenPTPhase, DomainError, NonRealTrace
-from .model import ModelParams, _any, _cmul, _dot, _select, mass_matrix, parity_matrix
+from .model import (
+    ModelParams, _any, _cmul, _dot, _flavour_one, _select, mass_matrix, parity_matrix)
 
 # Eigenvalues whose imaginary part exceeds this (relative to the matrix
 # scale) are classified as the broken-PT regime by the probability path.
@@ -125,25 +126,15 @@ def _spectral_data(params: ModelParams) -> _SpectralData:
     return _SpectralData(eigenvalues, basis, weights, metric, symmetry, omegas)
 
 
-def _is_flavour_one(i) -> np.ndarray:
-    """i == 1 for a flavour index or each of an array of them; DomainError
-    unless every index is 1 or 2."""
-    index = np.asarray(i)
-    one = index == 1
-    if not (one | (index == 2)).all():
-        raise DomainError(f"flavour index must be 1 or 2, got {i!r}")
-    return one
-
-
 def _ket(data: _SpectralData, i, t) -> np.ndarray:
-    weights = np.where(_is_flavour_one(i)[..., None], data.weights[..., 0, :],
+    weights = np.where(np.asarray(_flavour_one(i))[..., None], data.weights[..., 0, :],
                        data.weights[..., 1, :])
     phases = np.exp(1j * (np.asarray(t)[..., None] * data.omegas))
     return _dot(weights * phases, data.basis.swapaxes(-1, -2))
 
 
 def _operator(data: _SpectralData, i, t) -> np.ndarray:
-    one = _is_flavour_one(i)[..., None]
+    one = np.asarray(_flavour_one(i))[..., None]
     ket1, ket2 = _ket(data, 1, t), _ket(data, 2, t)
     left = np.where(one, ket1, _dot(ket2, data.symmetry.swapaxes(-1, -2)))
     right = np.where(one, _dot(ket1.conj(), data.metric), _dot(ket2.conj(), parity_matrix()))

@@ -33,17 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NonRealTrace, TachyonicMass
-from .model import (
-    EigenSystem,
-    ModelParams,
-    _all,
-    _any,
-    _check_eta,
-    _per_element,
-    _unbox,
-    hermitian_eigenvalues,
-)
+from .errors import DomainError, NonRealTrace
+from .model import EigenSystem, _all, _any, _check_eta, _flavour_one, _per_element, _select, _unbox
 from .oracle import tolerance_for_eta
 from .states import mixed_basis_pair
 
@@ -54,8 +45,6 @@ NON_REAL_TRACE_TOLERANCE = 1e-9
 
 CLOSED_FORM = "closed_form"
 TRACE = "trace"
-HERMITIAN = "hermitian"
-NAIVE_CONTINUATION = "naive_continuation"
 
 
 @dataclass(frozen=True)
@@ -68,11 +57,6 @@ class ProbabilityRecord:
     t: float
     value: float
     method: str
-
-
-def _check_flavour(i: int) -> None:
-    if i not in (1, 2):
-        raise DomainError(f"flavour index must be 1 or 2, got {i!r}")
 
 
 def _sin_sq(phase):
@@ -160,50 +144,14 @@ def probability_trace(i: int, j: int, t0: float, t: float, es: EigenSystem) -> P
     return ProbabilityRecord(i, j, t0, t, float(trace_probabilities(i, j, t0, t, es)), TRACE)
 
 
-def probability_closed_form(i: int, j: int, dt: float, es: EigenSystem) -> ProbabilityRecord:
-    """Closed-form P(i -> j) after a time separation dt (or an array of
-    them, giving a record whose t and value are arrays)."""
-    _check_flavour(i)
-    _check_flavour(j)
-    phase = 0.5 * es.delta_omega * dt
-    if i == j:
-        value = survival_probability(es.eta, phase)
-    else:
-        value = transition_probability(es.eta, phase)
-    return ProbabilityRecord(i, j, 0.0, dt, value, CLOSED_FORM)
-
-
-def probability_hermitian(i: int, j: int, dt: float, params: ModelParams) -> ProbabilityRecord:
-    """P(i -> j) in the Hermitian comparison model after dt.
-
-    Note the two models have different delta_omega at equal parameters;
-    comparisons against the non-Hermitian result should be made at a fixed
-    phase argument, via the *_probability(eta, phase) functions.
-    """
-    _check_flavour(i)
-    _check_flavour(j)
-    m_plus_sq, m_minus_sq = hermitian_eigenvalues(params)
-    if m_minus_sq <= 0.0:
-        raise TachyonicMass(
-            f"lower Hermitian squared mass {m_minus_sq:.6g} <= 0 at eta = {params.eta:.6g}"
-        )
-    omega_plus = math.sqrt(params.p * params.p + m_plus_sq)
-    omega_minus = math.sqrt(params.p * params.p + m_minus_sq)
-    phase = 0.5 * (m_plus_sq - m_minus_sq) / (omega_plus + omega_minus) * dt
-    transition = hermitian_transition_probability(params.eta, phase)
-    value = 1.0 - transition if i == j else transition
-    return ProbabilityRecord(i, j, 0.0, dt, value, HERMITIAN)
-
-
-def probability_naive_continuation(i: int, j: int, dt: float, es: EigenSystem) -> ProbabilityRecord:
-    """The pathological continuation after dt (negative transition values;
-    survival exceeds 1)."""
-    _check_flavour(i)
-    _check_flavour(j)
-    phase = 0.5 * es.delta_omega * dt
-    transition = naive_continuation_value(es.eta, phase)
-    value = 1.0 - transition if i == j else transition
-    return ProbabilityRecord(i, j, 0.0, dt, value, NAIVE_CONTINUATION)
+def probability_closed_form(i, j, dt, es: EigenSystem) -> ProbabilityRecord:
+    """Closed-form P(i -> j) after a time separation dt.  Flavour indices,
+    dt and a stacked es may be arrays (broadcast), giving a record whose
+    value is an array; int indices and one dt give a Python float."""
+    same = _flavour_one(i) == _flavour_one(j)
+    transition = transition_probability(es.eta, 0.5 * es.delta_omega * dt)
+    return ProbabilityRecord(i, j, 0.0, dt, _unbox(_select(same, 1.0 - transition, transition)),
+                             CLOSED_FORM)
 
 
 def dirac_norm(i: int, t, es: EigenSystem) -> float:
@@ -213,7 +161,7 @@ def dirac_norm(i: int, t, es: EigenSystem) -> float:
     pumped above/below 1 otherwise, which is why Dirac-inner-product
     probabilities violate time-translation invariance.  Arrays broadcast.
     """
-    _check_flavour(i)
+    _flavour_one(i)
     eta_sq = es.eta * es.eta
     return (1.0 - eta_sq * _per_element(math.cos, es.delta_omega * t)) / (1.0 - eta_sq)
 

@@ -164,6 +164,8 @@ BAD_CONFIG = {
         " to resolve",
     ("probabilities", "--phase=-1e308:1e308:3"):                    # range span overflows
         "--phase: range -1e+308:1e+308 is too wide to space evenly",
+    ("masses", "--config=", "--eta", "0.5"): "--config: must not be empty",
+    ("masses", "--config", "", "--eta", "0.5"): "--config: must not be empty",
 }
 
 UNPARSABLE = {

@@ -16,6 +16,7 @@ from ptosc import (
     NonPositiveMass,
     cprime_matrix,
     eigensystem,
+    flavour_ket,
     hermitian_eigenvalues,
     make_params,
     mass_matrix,
@@ -134,8 +135,9 @@ class TestEigensystem:
 
     def test_swapped_orientation(self, swapped_es):
         assert swapped_es.swapped
-        assert swapped_es.canonical_flavour(1) == 2
-        assert swapped_es.canonical_flavour(2) == 1
+        # flavour 1 is the second heavy-first axis, and flavour 2 the first
+        np.testing.assert_allclose(flavour_ket(1, 0.0, swapped_es), [0.0, 1.0], atol=1e-12)
+        np.testing.assert_allclose(flavour_ket(2, 0.0, swapped_es), [1.0, 0.0], atol=1e-12)
         np.testing.assert_allclose(
             [swapped_es.m_plus_sq, swapped_es.m_minus_sq], [1.9, 1.1], rtol=1e-12)
         m2 = swapped_es.oriented_mass_matrix()
@@ -145,7 +147,7 @@ class TestEigensystem:
 
     def test_invalid_flavour_index(self, es):
         with pytest.raises(DomainError):
-            es.canonical_flavour(3)
+            flavour_ket(3, 0.0, es)
 
 
 class TestEigenvalueFunctions:

@@ -1,6 +1,7 @@
 """The characteristic-polynomial eigensolver and the brute-force paths."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from helpers import random_params
 
 from ptosc import (
+    DomainError,
     brute_force_dirac_norm,
     brute_force_dirac_overlap,
     brute_force_flavour_ket,
@@ -15,12 +17,16 @@ from ptosc import (
     brute_force_probability,
     dirac_norm,
     eigensystem,
+    flavour_ket,
     make_params,
     mass_matrix,
+    mixed_basis_pair,
     numeric_eigensystem,
     params_from_eta,
     probability_closed_form,
+    tilde_bra,
     tolerance_for_eta,
+    trace_probabilities,
 )
 
 
@@ -191,14 +197,28 @@ class TestFlavourArrays:
         brute_force_dirac_norm(params, np.array([[1], [2]]), np.linspace(0.0, 10.0, 64))
         assert len(calls) == 2
 
-    @pytest.mark.parametrize("bad", [0, 3, "1", np.array([[1], [3]])])
+    @pytest.mark.parametrize("bad", [0, 3, "1", np.array([[1], [3]]), 1.5, None, [1, 3]])
     def test_flavour_outside_one_and_two_is_refused(self, params, bad):
-        from ptosc import DomainError
-
-        with pytest.raises(DomainError, match="flavour index must be 1 or 2"):
-            brute_force_probability(params, bad, 1, 0.0, 1.0)
-        with pytest.raises(DomainError, match="flavour index must be 1 or 2"):
-            brute_force_flavour_ket(params, bad, 1.0)
+        """Every entry point that takes a flavour index refuses a bad one,
+        alone or in an array, with the same message."""
+        es = eigensystem(params)
+        calls = [
+            lambda: flavour_ket(bad, 1.0, es),
+            lambda: tilde_bra(bad, 1.0, es),
+            lambda: mixed_basis_pair(bad, 1.0, es),
+            lambda: trace_probabilities(bad, 1, 0.0, 1.0, es),
+            lambda: trace_probabilities(1, bad, 0.0, 1.0, es),
+            lambda: probability_closed_form(bad, 1, 1.0, es),
+            lambda: probability_closed_form(1, bad, 1.0, es),
+            lambda: dirac_norm(bad, 1.0, es),
+            lambda: brute_force_flavour_ket(params, bad, 1.0),
+            lambda: brute_force_probability(params, bad, 1, 0.0, 1.0),
+            lambda: brute_force_probability(params, 1, bad, 0.0, 1.0),
+        ]
+        message = re.escape(f"flavour index must be 1 or 2, got {bad!r}")
+        for call in calls:
+            with pytest.raises(DomainError, match=f"^{message}$"):
+                call()
 
 
 def test_oracle_imports_only_errors_and_model():

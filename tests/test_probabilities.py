@@ -16,7 +16,6 @@ from ptosc import (
     ExceptionalPoint,
     NegativeMixing,
     NonRealTrace,
-    TachyonicMass,
     brute_force_probability,
     cardioid_r,
     cprime_ket,
@@ -34,8 +33,6 @@ from ptosc import (
     naive_continuation_value,
     params_from_eta,
     probability_closed_form,
-    probability_hermitian,
-    probability_naive_continuation,
     probability_trace,
     projection_operator,
     pt_bra,
@@ -141,6 +138,24 @@ class TestClosedForm:
         with pytest.raises(BrokenPTPhase):
             transition_probability(1.0 + 1e-9, 1.0)
 
+    def test_index_arrays_broadcast_element_for_element(self):
+        """Flavour-index arrays broadcast with dt and a stacked system, each
+        element equal to its single-point call bit for bit; int labels give
+        the Python float of the survival or transition closed form."""
+        stack = eigensystem(make_params(np.array([2.0, 1.0, 4.2]), np.array([1.0, 2.0, 1.3]),
+                                        np.array([0.3, 0.3, 0.8]), np.array([0.0, 0.0, 0.7])))
+        i = np.array([1, 1, 2, 2])[:, None, None]
+        j = np.array([1, 2, 1, 2])[:, None, None]
+        dts = np.linspace(-3.0, 9.0, 5)
+        values = probability_closed_form(i, j, dts, stack[:, None]).value
+        assert values.shape == (4, 3, 5)
+        for k, m, n in np.ndindex(values.shape):
+            one, dt = stack[m], float(dts[n])
+            single = probability_closed_form(int(i[k, 0, 0]), int(j[k, 0, 0]), dt, one).value
+            form = survival_probability if i[k, 0, 0] == j[k, 0, 0] else transition_probability
+            assert type(single) is float
+            assert values[k, m, n] == single == form(one.eta, 0.5 * one.delta_omega * dt)
+
 
 @hyp.settings(max_examples=120, deadline=None)
 @hyp.given(eta=st.floats(0.0, 1.0), phase=st.floats(-50.0, 50.0))
@@ -160,23 +175,14 @@ class TestHermitian:
     def test_zero_mixing(self):
         assert hermitian_transition_probability(0.0, 2.2) == 0.0
 
-    def test_record_uses_hermitian_frequencies(self, params):
-        plus, minus = hermitian_eigenvalues(params)
-        delta_omega = math.sqrt(plus) - math.sqrt(minus)
-        rec = probability_hermitian(1, 2, math.pi / delta_omega, params)
-        assert rec.value == pytest.approx(0.36 / 1.36, rel=1e-10)
-        assert rec.method == "hermitian"
-
-    def test_survival_complement(self, params):
-        dt = 0.8
-        surv = probability_hermitian(1, 1, dt, params).value
-        trans = probability_hermitian(1, 2, dt, params).value
-        assert surv + trans == pytest.approx(1.0, abs=1e-12)
-
     def test_tachyonic_mass_reported(self):
+        """Past the tachyonic point the lower Hermitian squared mass is
+        returned negative, and the Hermitian closed form, taken at a phase,
+        stays a probability."""
         params = params_from_eta(1.8, ratio=0.5)  # past sqrt(3): lower mass < 0
-        with pytest.raises(TachyonicMass):
-            probability_hermitian(1, 2, 1.0, params)
+        assert hermitian_eigenvalues(params)[1] < 0.0
+        value = hermitian_transition_probability(params.eta, 0.5 * math.pi)
+        assert value == pytest.approx(1.8 ** 2 / (1.0 + 1.8 ** 2), rel=1e-14)
 
     def test_gap_to_pt_probability_bounded_by_eta_fourth(self):
         for eta in (0.1, 0.4, 0.8):
@@ -217,9 +223,8 @@ class TestNaiveContinuation:
             naive_continuation_value(1.0, 1.0)
 
     def test_record_survival_exceeds_one(self, es):
-        rec = probability_naive_continuation(1, 1, half_period(es), es)
-        assert rec.value == pytest.approx(1.0 + 0.5625, abs=1e-12)
-        assert rec.method == "naive_continuation"
+        transition = naive_continuation_value(es.eta, 0.5 * es.delta_omega * half_period(es))
+        assert 1.0 - transition == pytest.approx(1.0 + 0.5625, abs=1e-12)
 
 
 class TestDiracQuantities:
@@ -371,7 +376,7 @@ class TestTraceProbabilities:
         states and a 2x2 matrix-product trace, as the scalar route always
         computed them; the batch must round identically."""
         def operator(i, t, system):
-            if system.canonical_flavour(i) == 1:
+            if (i == 1) != system.swapped:  # heavy-first flavour 1
                 ket, bra = flavour_ket(i, t, system), cpt_bra(i, t, system)
             else:
                 ket, bra = cprime_ket(i, t, system), pt_bra(i, t, system)

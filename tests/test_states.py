@@ -187,7 +187,7 @@ class TestMixedBasis:
     def test_dispatch(self, es, swapped_es):
         for system in (es, swapped_es):
             for i in (1, 2):  # the dispatch follows the heavy-first label
-                ket, bra = ((flavour_ket, cpt_bra) if system.canonical_flavour(i) == 1
+                ket, bra = ((flavour_ket, cpt_bra) if (i == 1) != system.swapped
                             else (cprime_ket, pt_bra))
                 pair = mixed_basis_pair(i, 0.7, system)
                 assert np.array_equal(pair[0], system.mixed_basis_norm * ket(i, 0.7, system))

@@ -25,7 +25,8 @@ value; one point returns a Python float.  The trace route broadcasts over
 flavour-index and time arrays and a stacked EigenSystem alike.  The Dirac-norm
 diagnostics (time-dependent norm, flavour overlap and the polar cardioid)
 live here too; they quantify why the plain Hermitian inner product cannot
-give time-translation-invariant probabilities in this model.
+give time-translation-invariant probabilities in this model.  All of them
+raise DomainError for an infinite or NaN phase or time.
 """
 
 import math
@@ -59,9 +60,22 @@ class ProbabilityRecord:
     method: str
 
 
+def _of_phase(fn, phase):
+    """fn from math at each element of a phase, as _per_element does (a float
+    is checked with no numpy call); DomainError for an infinite or NaN phase,
+    which math.sin and math.cos would refuse with a bare ValueError or pass on."""
+    if isinstance(phase, float) and math.isfinite(phase):
+        return fn(phase)
+    finite = np.isfinite(phase)
+    if not _all(finite):
+        bad = float(np.asarray(phase)[~finite].flat[0])
+        raise DomainError(f"phase must be finite, got {bad!r}")
+    return _per_element(fn, phase)
+
+
 def _sin_sq(phase):
     """sin^2(phase), per element of an array."""
-    return _per_element(lambda x: math.sin(x) ** 2, phase)
+    return _of_phase(lambda x: math.sin(x) ** 2, phase)
 
 
 def transition_probability(eta, phase):
@@ -163,7 +177,7 @@ def dirac_norm(i: int, t, es: EigenSystem) -> float:
     """
     _flavour_one(i)
     eta_sq = es.eta * es.eta
-    return (1.0 - eta_sq * _per_element(math.cos, es.delta_omega * t)) / (1.0 - eta_sq)
+    return (1.0 - eta_sq * _of_phase(math.cos, es.delta_omega * t)) / (1.0 - eta_sq)
 
 
 def dirac_overlap(t, es: EigenSystem) -> complex:
@@ -176,8 +190,8 @@ def dirac_overlap(t, es: EigenSystem) -> complex:
     complex conjugate.  Arrays of times and stacked systems broadcast.
     """
     eta, x = es.eta, es.delta_omega * t
-    sin = np.sqrt((1.0 - eta) * (1.0 + eta)) * _per_element(math.sin, x)
-    value = eta / ((1.0 - eta) * (1.0 + eta)) * (1.0 - _per_element(math.cos, x) + 1j * sin)
+    sin = np.sqrt((1.0 - eta) * (1.0 + eta)) * _of_phase(math.sin, x)
+    value = eta / ((1.0 - eta) * (1.0 + eta)) * (1.0 - _of_phase(math.cos, x) + 1j * sin)
     return _unbox(np.where(es.swapped, np.conj(value), value))
 
 
@@ -187,4 +201,4 @@ def cardioid_r(theta_phase, eta):
     in the transition probability."""
     _check_eta(eta, broken="no real-spectrum norm", exceptional=True)
     eta_sq = eta * eta
-    return _unbox((1.0 - eta_sq * _per_element(math.cos, theta_phase)) / (1.0 - eta_sq))
+    return _unbox((1.0 - eta_sq * _of_phase(math.cos, theta_phase)) / (1.0 - eta_sq))

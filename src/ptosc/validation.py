@@ -8,11 +8,13 @@ configurable grid.  One OracleReport per invariant family; a family passes
 only if every grid point met its own tolerance (1e-10 for eta <= 0.95,
 1e-8 up to 0.999, tighter fixed tolerances where the identity is exact).
 All grid systems are one stacked eigensystem, and each per-system family
-makes one call over systems x times x flavour pairs.  The random-draw
-families take their inputs from _random_inputs, which depend on the grid's
-seed and n_random alone.
+makes one call over systems x times x flavour pairs.  A family is a
+@_family(name) generator of (errors, tolerance) pairs; its grid_size counts
+every element yielded.  The random-draw families take their inputs from
+_random_inputs, which depend on the grid's seed and n_random alone.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -111,6 +113,21 @@ class _Family:
                                 self.max_err <= override, self.points)
         return OracleReport(self.name, self.max_err, self.max_tol,
                             self.ok, self.points)
+
+
+def _family(name: str):
+    """Declare a check_all family: the decorated generator yields (errors,
+    tolerance) pairs as _Family.add_all takes them, and a call runs it to the
+    end and returns the filled _Family named name."""
+    def declare(pairs):
+        @functools.wraps(pairs)
+        def check(*args) -> _Family:
+            fam = _Family(name)
+            for errors, tol in pairs(*args):
+                fam.add_all(errors, tol)
+            return fam
+        return check
+    return declare
 
 
 def _systems(params: ModelParams, grid: OracleGrid) -> tuple[ModelParams, EigenSystem]:
@@ -224,11 +241,10 @@ def _eigenvalue_errors(lam_closed: tuple, matrices: np.ndarray) -> np.ndarray:
                       abs(lam_closed[1] - lam_num[..., 1])) / scale
 
 
-def _check_eigenvalues(params: ModelParams, draws: tuple) -> _Family:
-    fam = _Family("eigenvalues_vs_characteristic_polynomial")
+@_family("eigenvalues_vs_characteristic_polynomial")
+def _check_eigenvalues(params: ModelParams, draws: tuple):
     batch = _with_head(params, draws)
-    fam.add_all(_eigenvalue_errors(pt_eigenvalues(batch), mass_matrix(batch)), 1e-10)
-    return fam
+    yield _eigenvalue_errors(pt_eigenvalues(batch), mass_matrix(batch)), 1e-10
 
 
 def _norms(x: np.ndarray) -> np.ndarray:
@@ -236,25 +252,23 @@ def _norms(x: np.ndarray) -> np.ndarray:
     return np.sqrt((x[..., None, :] @ x[..., :, None])[..., 0, 0])
 
 
-def _check_eigenvector_residuals(es: EigenSystem) -> _Family:
-    fam = _Family("eigenvector_residuals")
+@_family("eigenvector_residuals")
+def _check_eigenvector_residuals(es: EigenSystem):
     m2 = es.oriented_mass_matrix()
     scale = _norms(m2.reshape(m2.shape[:-2] + (4,)))[..., None]
     vecs = np.stack([es.e_plus, es.e_minus], axis=-2)
     lams = np.stack([es.m_plus_sq, es.m_minus_sq], axis=-1)[..., None]
     residuals = (m2[..., None, :, :] @ vecs[..., None])[..., 0] - lams * vecs
-    fam.add_all(_norms(residuals) / scale, tolerance_for_eta(es.eta)[..., None])
-    return fam
+    yield _norms(residuals) / scale, tolerance_for_eta(es.eta)[..., None]
 
 
-def _check_trace_determinant(params: ModelParams, draws: tuple) -> _Family:
-    fam = _Family("trace_determinant_preservation")
+@_family("trace_determinant_preservation")
+def _check_trace_determinant(params: ModelParams, draws: tuple):
     p = _with_head(params, draws)
     lam = pt_eigenvalues(p)
     tr, det = p.m1_sq + p.m2_sq, p.m1_sq * p.m2_sq + p.mu_sq * p.mu_sq
-    fam.add_all(abs(lam[0] + lam[1] - tr) / abs(tr), 1e-12)
-    fam.add_all(abs(lam[0] * lam[1] - det) / abs(det), 1e-12)
-    return fam
+    yield abs(lam[0] + lam[1] - tr) / abs(tr), 1e-12
+    yield abs(lam[0] * lam[1] - det) / abs(det), 1e-12
 
 
 def _entry_max(m: np.ndarray) -> np.ndarray:
@@ -262,88 +276,79 @@ def _entry_max(m: np.ndarray) -> np.ndarray:
     return np.abs(m).max(axis=(-2, -1))
 
 
-def _check_parity_relation(ps: ModelParams) -> _Family:
-    fam = _Family("parity_pseudo_hermiticity")
+@_family("parity_pseudo_hermiticity")
+def _check_parity_relation(ps: ModelParams):
     par = parity_matrix()
     m2 = mass_matrix(ps)
-    fam.add_all(_entry_max(par @ m2 @ par - m2.conj().swapaxes(-1, -2)), 1e-14)
-    fam.add(np.abs(par @ par - np.eye(2)).max(), 0.0)
-    return fam
+    yield _entry_max(par @ m2 @ par - m2.conj().swapaxes(-1, -2)), 1e-14
+    yield np.abs(par @ par - np.eye(2)).max(), 0.0
 
 
-def _check_cprime_relations(es: EigenSystem) -> _Family:
-    fam = _Family("cprime_invariance")
+@_family("cprime_invariance")
+def _check_cprime_relations(es: EigenSystem):
     par = parity_matrix()
     es = es[es.eta <= 0.99]  # conditioning of C' degrades like (1 - eta^2)^(-1/2)
     cp = cprime_matrix(es.eta)
     cp_t, m2 = cp.swapaxes(-1, -2), es.oriented_mass_matrix()
-    fam.add_all(_entry_max(cp_t @ m2 @ cp_t - m2), 1e-10)
-    fam.add_all(_entry_max(cp @ cp - np.eye(2)), 1e-12)
-    fam.add_all(_entry_max((cp @ par).swapaxes(-1, -2) - cp @ par), 0.0)
+    yield _entry_max(cp_t @ m2 @ cp_t - m2), 1e-10
+    yield _entry_max(cp @ cp - np.eye(2)), 1e-12
+    yield _entry_max((cp @ par).swapaxes(-1, -2) - cp @ par), 0.0
     for vec, sign in ((es.e_plus, 1.0), (es.e_minus, -1.0)):
         reflected = (cp_t @ vec[..., None])[..., 0]
-        fam.add_all(np.abs(reflected - sign * vec).max(axis=-1), 1e-12)
-    return fam
+        yield np.abs(reflected - sign * vec).max(axis=-1), 1e-12
 
 
-def _check_theta(es: EigenSystem) -> _Family:
-    fam = _Family("theta_parameterisation")
-    fam.add_all(_per_element(math.tanh, 2.0 * es.theta) - es.eta, 1e-12)
-    fam.add_all(es.cosh_theta - _per_element(math.cosh, es.theta), 1e-12)
-    fam.add_all(es.sinh_theta - _per_element(math.sinh, es.theta), 1e-12)
-    fam.add_all(es.cosh_theta ** 2 - es.sinh_theta ** 2 - 1.0, 1e-12)
+@_family("theta_parameterisation")
+def _check_theta(es: EigenSystem):
+    yield _per_element(math.tanh, 2.0 * es.theta) - es.eta, 1e-12
+    yield es.cosh_theta - _per_element(math.cosh, es.theta), 1e-12
+    yield es.sinh_theta - _per_element(math.sinh, es.theta), 1e-12
+    yield es.cosh_theta ** 2 - es.sinh_theta ** 2 - 1.0, 1e-12
     mixed = es[es.eta > 0.0]
-    fam.add_all(mixed.n_factor * mixed.eta - mixed.cosh_theta, 1e-12)
-    return fam
+    yield mixed.n_factor * mixed.eta - mixed.cosh_theta, 1e-12
 
 
-def _check_hermitian_limit(es: EigenSystem) -> _Family:
-    fam = _Family("hermitian_limit_eigenvectors")
-    fam.add(np.abs(es.e_plus - np.array([1.0, 0.0])).max(), 1e-6)
-    fam.add(np.abs(es.e_minus - np.array([0.0, 1.0])).max(), 1e-6)
-    return fam
+@_family("hermitian_limit_eigenvectors")
+def _check_hermitian_limit(es: EigenSystem):
+    yield np.abs(es.e_plus - np.array([1.0, 0.0])).max(), 1e-6
+    yield np.abs(es.e_minus - np.array([0.0, 1.0])).max(), 1e-6
 
 
 # --- inner-product families ----------------------------------------------
 
-def _check_sesquilinearity(draws: tuple) -> _Family:
-    fam = _Family("sesquilinearity")
+@_family("sesquilinearity")
+def _check_sesquilinearity(draws: tuple):
     z, eta = draws
     u, v, w = (z[:, k:k + 2] + 1j * z[:, k + 2:k + 4] for k in (0, 4, 8))
     alpha, beta = z[:, 12:].view(complex).T
     for bra in (pt_conjugate(u), cpt_conjugate(eta, u), u.conj()):
         lhs = inner(bra, alpha[:, None] * v + beta[:, None] * w)
         # Python-rounded products on the right keep reports equal to a per-draw loop
-        fam.add_all(lhs - (_cmul(alpha, inner(bra, v)) + _cmul(beta, inner(bra, w))), 1e-12)
-    return fam
+        yield lhs - (_cmul(alpha, inner(bra, v)) + _cmul(beta, inner(bra, w))), 1e-12
 
 
-def _check_cpt_positivity(draws: tuple) -> _Family:
-    fam = _Family("cpt_inner_positivity")
+@_family("cpt_inner_positivity")
+def _check_cpt_positivity(draws: tuple):
     vs, etas = draws
     values = cpt_inner(etas, vs, vs)
-    fam.add_all(values.imag, 1e-12)
-    fam.add_all(np.maximum(0.0, -values.real), 0.0)  # strictly positive
-    return fam
+    yield values.imag, 1e-12
+    yield np.maximum(0.0, -values.real), 0.0  # strictly positive
 
 
-def _check_pt_norms(es: EigenSystem) -> _Family:
-    fam = _Family("pt_and_cpt_eigenvector_norms")
+@_family("pt_and_cpt_eigenvector_norms")
+def _check_pt_norms(es: EigenSystem):
     vecs = np.stack([es.e_plus, es.e_minus], axis=-2)
     bras, kets = vecs[..., :, None, :], vecs[..., None, :, :]
     pt = pt_inner(bras, kets)  # [..., a, b] = <e_a, e_b>
     cpt = cpt_inner(np.asarray(es.eta)[..., None, None], bras, kets)
-    fam.add_all(np.stack([pt[..., 0, 0] - 1.0, pt[..., 1, 1] + 1.0, pt[..., 0, 1],
-                          cpt[..., 0, 0] - 1.0, cpt[..., 1, 1] - 1.0, cpt[..., 0, 1]], axis=-1),
-                1e-12)
-    return fam
+    yield np.stack([pt[..., 0, 0] - 1.0, pt[..., 1, 1] + 1.0, pt[..., 0, 1],
+                    cpt[..., 0, 0] - 1.0, cpt[..., 1, 1] - 1.0, cpt[..., 0, 1]], axis=-1), 1e-12
 
 
-def _check_cpt_dirac_consistency(normals: np.ndarray) -> _Family:
-    fam = _Family("cpt_matches_dirac_at_zero_mixing")
+@_family("cpt_matches_dirac_at_zero_mixing")
+def _check_cpt_dirac_consistency(normals: np.ndarray):
     v, w = normals.transpose(1, 0, 2)
-    fam.add_all(cpt_inner(0.0, v, w) - dirac_inner(v, w), 1e-14)
-    return fam
+    yield cpt_inner(0.0, v, w) - dirac_inner(v, w), 1e-14
 
 
 # --- states families ------------------------------------------------------
@@ -363,34 +368,31 @@ def _modulus(z: np.ndarray) -> np.ndarray:
     return np.hypot(z.real, z.imag)
 
 
-def _check_biorthonormality(es: EigenSystem, grid: OracleGrid) -> _Family:
-    fam = _Family("tilde_biorthonormality")
+@_family("tilde_biorthonormality")
+def _check_biorthonormality(es: EigenSystem, grid: OracleGrid):
     values = _overlaps(_flavour_stack(states.tilde_bra, grid, es),
                        _flavour_stack(states.flavour_ket, grid, es))
-    fam.add_all(values - np.eye(2)[..., None], 1e-12)
-    return fam
+    yield values - np.eye(2)[..., None], 1e-12
 
 
-def _check_mixed_basis(es: EigenSystem, grid: OracleGrid) -> _Family:
-    fam = _Family("mixed_basis_orthonormality")
+@_family("mixed_basis_orthonormality")
+def _check_mixed_basis(es: EigenSystem, grid: OracleGrid):
     kets, bras = states.mixed_basis_pair(FLAVOURS, np.array(grid.times), es[:, None, None])
-    fam.add_all(_overlaps(bras, kets) - np.eye(2)[..., None], 1e-12)
-    return fam
+    yield _overlaps(bras, kets) - np.eye(2)[..., None], 1e-12
 
 
-def _check_cpt_nonorthogonality(es: EigenSystem, grid: OracleGrid) -> _Family:
-    fam = _Family("cpt_basis_nonorthogonality")
+@_family("cpt_basis_nonorthogonality")
+def _check_cpt_nonorthogonality(es: EigenSystem, grid: OracleGrid):
     values = _overlaps(_flavour_stack(states.cpt_bra, grid, es),
                        _flavour_stack(states.flavour_ket, grid, es))
     per_system = es[:, None, None, None]
     want = np.where(np.eye(2, dtype=bool)[..., None], per_system.cosh_two_theta,
                     per_system.sinh_two_theta)
-    fam.add_all(values - want, _state_tolerance(es)[:, None, None, None])
-    return fam
+    yield values - want, _state_tolerance(es)[:, None, None, None]
 
 
-def _check_mode_equation(es: EigenSystem, grid: OracleGrid) -> _Family:
-    fam = _Family("mode_equation_of_motion")
+@_family("mode_equation_of_motion")
+def _check_mode_equation(es: EigenSystem, grid: OracleGrid):
     h = 1e-4
     times = np.array(grid.times)
     es = es[:, None]
@@ -400,19 +402,17 @@ def _check_mode_equation(es: EigenSystem, grid: OracleGrid) -> _Family:
         # divide each part, as Python's complex / float does (numpy's
         # complex division multiplies by a reciprocal)
         second = ((ahead - 2.0 * here + behind).view(float) / (h * h)).view(complex)
-        fam.add_all(_modulus(second + omega_sq * here) / omega_sq, 1e-6)
-    return fam
+        yield _modulus(second + omega_sq * here) / omega_sq, 1e-6
 
 
-def _check_cprime_section_identity(draws: tuple) -> _Family:
-    fam = _Family("cprime_section_identity")
+@_family("cprime_section_identity")
+def _check_cprime_section_identity(draws: tuple):
     for eta, normals in zip((0.1, 0.5, 0.9), draws):
         cp_t = cprime_matrix(eta).T
         re, im = normals.transpose(1, 0, 2)
         v = re + 1j * im
         lhs = cpt_conjugate(eta, (cp_t @ v[..., None])[..., 0])
-        fam.add_all(np.abs(lhs - pt_conjugate(v)).max(axis=-1), 1e-12)
-    return fam
+        yield np.abs(lhs - pt_conjugate(v)).max(axis=-1), 1e-12
 
 
 # --- probability families -------------------------------------------------
@@ -427,98 +427,85 @@ def _dts(grid: OracleGrid, es: EigenSystem) -> np.ndarray:  # phase = delta_omeg
 
 
 def _closed(dts: np.ndarray, es: EigenSystem) -> np.ndarray:
-    """Closed-form P(i -> j) of the four PAIRS, shape (systems, 4, phases),
-    from one sin^2 per phase: survival is 1 - transition, as it rounds."""
-    per_system = es[:, None]
-    transition = prob.transition_probability(per_system.eta, 0.5 * per_system.delta_omega * dts)
-    return np.where(PAIR_I == PAIR_J, 1.0 - transition[:, None], transition[:, None])
+    """Closed-form P(i -> j) of the four PAIRS, shape (systems, 4, phases)."""
+    return prob.probability_closed_form(PAIR_I, PAIR_J, dts[:, None], es[:, None, None]).value
 
 
-def _check_trace_vs_closed(es: EigenSystem, grid: OracleGrid, dts, closed) -> _Family:
-    fam = _Family("trace_vs_closed_form")
+@_family("trace_vs_closed_form")
+def _check_trace_vs_closed(es: EigenSystem, grid: OracleGrid, dts, closed):
     t0s = np.array(grid.t0s)
     trace = prob.trace_probabilities(PAIR_I[..., None], PAIR_J[..., None], t0s,
                                      t0s + dts[:, None, :, None], es[:, None, None, None])
-    fam.add_all(trace - closed[..., None], tolerance_for_eta(es.eta)[:, None, None, None])
-    return fam
+    yield trace - closed[..., None], tolerance_for_eta(es.eta)[:, None, None, None]
 
 
-def _check_brute_force(ps: ModelParams, es: EigenSystem, grid: OracleGrid, dts,
-                       closed) -> _Family:
-    fam = _Family("brute_force_vs_closed_form")
+@_family("brute_force_vs_closed_form")
+def _check_brute_force(ps: ModelParams, es: EigenSystem, grid: OracleGrid, dts, closed):
     t0 = grid.t0s[0]
     brute = brute_force_probability(ps[:, None, None], PAIR_I, PAIR_J, t0, t0 + dts[:, None])
-    fam.add_all(brute - closed, tolerance_for_eta(es.eta)[:, None, None])
-    return fam
+    yield brute - closed, tolerance_for_eta(es.eta)[:, None, None]
 
 
-def _check_unitarity(es: EigenSystem, closed, at_zero) -> _Family:
-    fam = _Family("unitarity")
-    fam.add_all(closed[:, 0] + closed[:, 1] - 1.0, 1e-12)
+@_family("unitarity")
+def _check_unitarity(es: EigenSystem, closed, at_zero):
+    yield closed[:, 0] + closed[:, 1] - 1.0, 1e-12
     tol = np.maximum(1e-10, tolerance_for_eta(es.eta))[:, None]
-    fam.add_all(at_zero[:, 0] + at_zero[:, 1] - 1.0, tol)
-    return fam
+    yield at_zero[:, 0] + at_zero[:, 1] - 1.0, tol
 
 
-def _check_symmetry(es: EigenSystem, closed, at_zero) -> _Family:
-    fam = _Family("probability_symmetry")
+@_family("probability_symmetry")
+def _check_symmetry(es: EigenSystem, closed, at_zero):
     tol = _state_tolerance(es)[:, None]
-    fam.add_all(closed[:, 1] - closed[:, 2], 0.0)
-    fam.add_all(at_zero[:, 1] - at_zero[:, 2], tol)  # 1 -> 2 against 2 -> 1
-    fam.add_all(at_zero[:, 0] - at_zero[:, 3], tol)  # 1 -> 1 against 2 -> 2
-    return fam
+    yield closed[:, 1] - closed[:, 2], 0.0
+    yield at_zero[:, 1] - at_zero[:, 2], tol  # 1 -> 2 against 2 -> 1
+    yield at_zero[:, 0] - at_zero[:, 3], tol  # 1 -> 1 against 2 -> 2
 
 
-def _check_time_translation(es: EigenSystem, grid: OracleGrid, dts) -> _Family:
-    fam = _Family("time_translation_invariance")
+@_family("time_translation_invariance")
+def _check_time_translation(es: EigenSystem, grid: OracleGrid, dts):
     shifts = np.array((*grid.t0s, 100.0))
     values = prob.trace_probabilities(1, 2, shifts, shifts + dts[..., None], es[:, None, None])
-    fam.add_all(values.max(axis=-1) - values.min(axis=-1), tolerance_for_eta(es.eta)[:, None])
-    return fam
+    yield values.max(axis=-1) - values.min(axis=-1), tolerance_for_eta(es.eta)[:, None]
 
 
-def _check_operators(es: EigenSystem, grid: OracleGrid) -> _Family:
-    fam = _Family("density_projection_operators")
+@_family("density_projection_operators")
+def _check_operators(es: EigenSystem, grid: OracleGrid):
     t0s = np.array(grid.t0s)
     tol = _state_tolerance(es)[:, None, None]
     rho = prob.density_operator(FLAVOURS, t0s, es[:, None, None])
     pi = prob.projection_operator(FLAVOURS, t0s, es[:, None, None])
-    fam.add_all(rho[..., 0, 0] + rho[..., 1, 1] - 1.0, tol)
-    fam.add_all(_entry_max(rho @ rho - rho), tol)
-    fam.add_all(_entry_max(pi - rho), 0.0)  # same construction at equal times
-    return fam
+    yield rho[..., 0, 0] + rho[..., 1, 1] - 1.0, tol
+    yield _entry_max(rho @ rho - rho), tol
+    yield _entry_max(pi - rho), 0.0  # same construction at equal times
 
 
-def _check_dirac_norm(ps: ModelParams, es: EigenSystem, grid: OracleGrid) -> _Family:
-    fam = _Family("dirac_norm_closed_form")
+@_family("dirac_norm_closed_form")
+def _check_dirac_norm(ps: ModelParams, es: EigenSystem, grid: OracleGrid):
     times = np.array(grid.times)
     tol = _state_tolerance(es)[:, None, None]
     closed = prob.dirac_norm(1, times, es[:, None, None])  # the same for both flavours
     kets = _flavour_stack(states.flavour_ket, grid, es)
-    fam.add_all(inner(kets.conj(), kets) - closed, tol)  # <fi| is dirac_bra, |fi>^dag
-    fam.add_all(brute_force_dirac_norm(ps[:, None, None], FLAVOURS, times) - closed, tol)
-    return fam
+    yield inner(kets.conj(), kets) - closed, tol  # <fi| is dirac_bra, |fi>^dag
+    yield brute_force_dirac_norm(ps[:, None, None], FLAVOURS, times) - closed, tol
 
 
-def _check_dirac_overlap(ps: ModelParams, es: EigenSystem, grid: OracleGrid) -> _Family:
-    fam = _Family("dirac_overlap_closed_form")
+@_family("dirac_overlap_closed_form")
+def _check_dirac_overlap(ps: ModelParams, es: EigenSystem, grid: OracleGrid):
     times = np.array(grid.times)
     tol = _state_tolerance(es)[:, None]
     closed = prob.dirac_overlap(times, es[:, None])
     contracted = _overlaps(_flavour_stack(states.dirac_bra, grid, es),
                            _flavour_stack(states.flavour_ket, grid, es))
-    fam.add_all(contracted[:, 0, 1] - closed, tol)
-    fam.add_all(contracted[:, 1, 0] - closed.conj(), tol)
+    yield contracted[:, 0, 1] - closed, tol
+    yield contracted[:, 1, 0] - closed.conj(), tol
     brute = brute_force_dirac_overlap(ps[:, None], times)
     # the user-basis brute force can differ by the relabelling's overall
     # state sign, so compare moduli when swapped
-    fam.add_all(np.where(es.swapped[:, None], _modulus(brute) - _modulus(closed),
-                         brute - closed), tol)
-    return fam
+    yield np.where(es.swapped[:, None], _modulus(brute) - _modulus(closed), brute - closed), tol
 
 
-def _check_hermitian_gap(grid: OracleGrid) -> _Family:
-    fam = _Family("hermitian_gap")
+@_family("hermitian_gap")
+def _check_hermitian_gap(grid: OracleGrid):
     phases = _phases(grid)
     sin_sq = np.array([math.sin(phase) ** 2 for phase in phases.tolist()])
     kept = [eta for eta in grid.etas if eta <= 1.0]
@@ -526,28 +513,25 @@ def _check_hermitian_gap(grid: OracleGrid) -> _Family:
     eta_4 = np.array([eta ** 4 for eta in kept], dtype=float)[:, None]  # Python's pow per eta
     gap = (prob.transition_probability(etas, phases)
            - prob.hermitian_transition_probability(etas, phases))
-    fam.add_all(gap - eta_4 / (1.0 + etas * etas) * sin_sq, 1e-12)
-    fam.add_all(np.maximum(0.0, gap - eta_4), 0.0)
-    return fam
+    yield gap - eta_4 / (1.0 + etas * etas) * sin_sq, 1e-12
+    yield np.maximum(0.0, gap - eta_4), 0.0
 
 
-def _check_naive_pathology(grid: OracleGrid) -> _Family:
+@_family("naive_continuation_pathology")
+def _check_naive_pathology(grid: OracleGrid):
     """One point per grid eta below 1: |naive| stays <= 1 up to 1/sqrt(2) and
     exceeds 1 somewhere on the phase grid (or at pi/2) beyond it."""
-    fam = _Family("naive_continuation_pathology")
     phases = np.append(_phases(grid), 0.5 * math.pi)
     etas = np.array([eta for eta in grid.etas if eta < 1.0], dtype=float)
     worst = np.abs(prob.naive_continuation_value(etas[:, None], phases)).max(axis=1)
-    fam.add_all(np.where(etas <= 1.0 / math.sqrt(2.0), np.maximum(0.0, worst - 1.0),
-                         np.where(worst > 1.0, 0.0, 1.0)), 0.0)
-    return fam
+    yield np.where(etas <= 1.0 / math.sqrt(2.0), np.maximum(0.0, worst - 1.0),
+                   np.where(worst > 1.0, 0.0, 1.0)), 0.0
 
 
-def _check_hermitian_masses(draws: tuple) -> _Family:
-    fam = _Family("hermitian_eigenvalues_vs_oracle")
+@_family("hermitian_eigenvalues_vs_oracle")
+def _check_hermitian_masses(draws: tuple):
     p = ModelParams(*draws)
-    fam.add_all(_eigenvalue_errors(hermitian_eigenvalues(p), hermitian_mass_matrix(p)), 1e-10)
-    return fam
+    yield _eigenvalue_errors(hermitian_eigenvalues(p), hermitian_mass_matrix(p)), 1e-10
 
 
 def check_all(params: ModelParams, grid: OracleGrid | None = None) -> list[OracleReport]:

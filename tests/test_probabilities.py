@@ -567,3 +567,26 @@ def test_non_real_trace_message_is_one_line_naming_the_worst_pair(es, monkeypatc
     pair = re.fullmatch(r"tr\[rho_(\d)\(t0\) pi_(\d)\(t\)\] of P\(\1 -> \2\) "
                         r"has imaginary part \S+", str(raised.value))
     assert pair is not None and pair.groups() in (("1", "2"), ("2", "1"))
+
+
+# each closed form or Dirac diagnostic as a function of its phase or time
+PHASE_ENTRY_POINTS = {
+    "transition_probability": lambda x, es: transition_probability(0.5, x),
+    "hermitian_transition_probability": lambda x, es: hermitian_transition_probability(0.5, x),
+    "naive_continuation_value": lambda x, es: naive_continuation_value(0.5, x),
+    "probability_closed_form": lambda x, es: probability_closed_form(1, 2, x, es),
+    "dirac_norm": lambda x, es: dirac_norm(1, x, es),
+    "dirac_overlap": lambda x, es: dirac_overlap(x, es),
+    "cardioid_r": lambda x, es: cardioid_r(x, 0.5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PHASE_ENTRY_POINTS))
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan,
+                                   np.array([0.0, math.inf, 1.0])],
+                         ids=["inf", "-inf", "nan", "array_with_inf"])
+def test_non_finite_phase_or_time_refused(es, name, value):
+    """A DomainError naming the value, not math's bare ValueError or a NaN."""
+    shown = "inf" if isinstance(value, np.ndarray) else repr(value)
+    with pytest.raises(DomainError, match=f"phase must be finite, got {re.escape(shown)}$"):
+        PHASE_ENTRY_POINTS[name](value, es)

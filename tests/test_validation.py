@@ -131,6 +131,44 @@ class TestFamilyNaN:
         assert fam.report(None) == OracleReport("x", 0.5, 1.0, True, 4)
         assert fam.report(0.4) == OracleReport("x", 0.5, 0.4, False, 4)
 
+    @pytest.mark.parametrize("error", [0.25, -0.375, np.float64(1e-13), 3 + 4j, math.nan,
+                                       complex(math.nan, 0.0)])
+    @pytest.mark.parametrize("tol", [0.0, 1e-6])
+    def test_add_and_add_all_agree_on_one_value(self, error, tol):
+        """A family may yield a 0-d error in place of a scalar add()."""
+        one, all_ = _Family("x"), _Family("x")
+        one.add(error, tol)
+        all_.add_all(np.asarray(error), tol)
+        for override in (None, 0.3):  # repr: a NaN error equals itself
+            assert repr(one.report(override)) == repr(all_.report(override))
+
+
+def test_every_family_is_called_once_by_name_and_filled_when_it_returns(params, monkeypatch):
+    """A per-family timer wraps each module-level _check_* by name: check_all
+    must call each one once, and each call must return its filled _Family,
+    named as the report at the same position."""
+    from ptosc import validation
+
+    calls = []
+
+    def counted(attr, check):
+        def wrapper(*args):
+            fam = check(*args)
+            calls.append((attr, fam, getattr(fam, "points", 0)))
+            return fam
+        return wrapper
+
+    names = [attr for attr in vars(validation) if attr.startswith("_check_")]
+    for attr in names:  # the timer names its span after the function
+        assert (getattr(validation, attr).__module__,
+                getattr(validation, attr).__name__) == ("ptosc.validation", attr)
+        monkeypatch.setattr(validation, attr, counted(attr, getattr(validation, attr)))
+    reports = check_all(params, small_grid())
+    assert len(names) == 27
+    assert sorted(attr for attr, _, _ in calls) == sorted(names)
+    assert all(isinstance(fam, _Family) and points > 0 for _, fam, points in calls)
+    assert [fam.name for _, fam, _ in calls] == [rep.check_name for rep in reports]
+
 
 def test_out_of_domain_reference_params_raise_up_front():
     from ptosc import BrokenPTPhase

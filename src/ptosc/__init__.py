@@ -8,11 +8,8 @@ independent brute-force oracle that cross-checks all of it.
 
 from .errors import (
     BrokenPTPhase,
-    DegenerateDiagonal,
     DomainError,
     ExceptionalPoint,
-    NegativeMixing,
-    NonPositiveMass,
     NonRealTrace,
 )
 from .inner import (

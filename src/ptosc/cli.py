@@ -10,8 +10,9 @@ Usage examples:
 
 Grids are written as a single value ``v``, a comma list ``v1,v2,...`` or a
 range ``min:max:steps`` (steps >= 2, linearly spaced, endpoints included).
-One table, ``_SETTINGS``, holds each command's settings and their defaults.
-A flag overrides an optional ``key = value`` config file (--config), which
+Each setting is declared once, on its sub-parser, with its flag, help,
+default and parser, and settings are checked in ``--help`` order.  A flag
+overrides an optional ``key = value`` config file (--config), which
 overrides the default; an empty value is refused (exit 2).  Output is
 deterministic: fixed column order, rows in grid order, floats at 17
 significant digits, LF line endings.
@@ -56,10 +57,6 @@ REFERENCE_SUM_SQ = 3.0
 REFERENCE_RATIO = 1.0 / 3.0
 
 
-class _ConfigError(Exception):
-    pass
-
-
 # --- parsing helpers -------------------------------------------------------
 
 def _number(text: str, name: str, kind=float):
@@ -67,9 +64,9 @@ def _number(text: str, name: str, kind=float):
     try:
         value = kind(text)
     except ValueError:
-        raise _ConfigError(f"{name}: cannot parse {text!r} as a number") from None
+        raise DomainError(f"{name}: cannot parse {text!r} as a number") from None
     if not math.isfinite(value):
-        raise _ConfigError(f"{name}: must be finite, got {text!r}")
+        raise DomainError(f"{name}: must be finite, got {text!r}")
     return value
 
 
@@ -80,14 +77,14 @@ def _parse_grid(text: str, name: str) -> list[float]:
         return [_number(v, name) for v in text.split(",")]
     parts = text.split(":")
     if len(parts) != 3:
-        raise _ConfigError(f"{name}: range must be min:max:steps, got {text!r}")
+        raise DomainError(f"{name}: range must be min:max:steps, got {text!r}")
     lo, hi, steps = _number(parts[0], name), _number(parts[1], name), _number(parts[2], name, int)
     if steps < 2:
-        raise _ConfigError(f"{name}: steps must be >= 2, got {steps}")
+        raise DomainError(f"{name}: steps must be >= 2, got {steps}")
     if not lo < hi:
-        raise _ConfigError(f"{name}: need min < max, got {lo} >= {hi}")
+        raise DomainError(f"{name}: need min < max, got {lo} >= {hi}")
     if not math.isfinite(hi - lo):
-        raise _ConfigError(f"{name}: range {lo}:{hi} is too wide to space evenly")
+        raise DomainError(f"{name}: range {lo}:{hi} is too wide to space evenly")
     return [float(v) for v in np.linspace(lo, hi, steps)]
 
 
@@ -95,26 +92,27 @@ def _parse_methods(text: str, name: str) -> list[str]:
     methods = [m.strip() for m in text.split(",") if m.strip()]
     for m in methods:
         if m not in METHOD_ORDER:
-            raise _ConfigError(
+            raise DomainError(
                 f"unknown method {m!r}; choose from {', '.join(METHOD_ORDER)}")
     if not methods:
-        raise _ConfigError("methods list is empty")
+        raise DomainError("methods list is empty")
     return sorted(set(methods), key=METHOD_ORDER.index)
 
 
 def _parse_raw_params(text: str, name: str) -> ModelParams:
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != 4:
-        raise _ConfigError(f"{name} needs m1sq,m2sq,musq,p, got {text!r}")
+        raise DomainError(f"{name} needs m1sq,m2sq,musq,p, got {text!r}")
+    values = [_number(p, name) for p in parts]  # already name the flag: not re-prefixed
     try:
-        return make_params(*(_number(p, name) for p in parts))
+        return make_params(*values)
     except DomainError as exc:
-        raise _ConfigError(f"{name}: {exc}") from exc
+        raise DomainError(f"{name}: {exc}") from exc
 
 
 def _load_config(path: str) -> dict[str, str]:
     if not path:
-        raise _ConfigError("--config: must not be empty")
+        raise DomainError("--config: must not be empty")
     values: dict[str, str] = {}
     try:
         with open(path, encoding="utf-8") as handle:
@@ -123,11 +121,11 @@ def _load_config(path: str) -> dict[str, str]:
                 if not line:
                     continue
                 if "=" not in line:
-                    raise _ConfigError(f"{path}:{lineno}: expected key = value, got {line!r}")
+                    raise DomainError(f"{path}:{lineno}: expected key = value, got {line!r}")
                 key, _, value = line.partition("=")
                 values[key.strip().replace("-", "_")] = value.strip()
     except OSError as exc:
-        raise _ConfigError(f"cannot read config {path!r}: {exc}") from exc
+        raise DomainError(f"cannot read config {path!r}: {exc}") from exc
     return values
 
 
@@ -140,69 +138,26 @@ def _checked(parse, ok, message: str):
     def parse_checked(text: str, name: str):
         value = parse(text, name)
         if not ok(value):
-            raise _ConfigError(message.format(name=name, value=value))
+            raise DomainError(message.format(name=name, value=value))
         return value
     return parse_checked
 
 
 # --- settings ----------------------------------------------------------------
 
-_format = _checked(_text, lambda fmt: fmt in ("csv", "json"),
-                   "{name} must be csv or json, got {value!r}")
-_sweep_etas = _checked(_parse_grid, lambda etas: all(eta >= 0.0 for eta in etas),
-                       "eta values must be non-negative")
-_validation_etas = _checked(
-    _parse_grid, lambda etas: all(0.0 <= eta < 1.0 - EXCEPTIONAL_POINT_BAND for eta in etas),
-    "validation grid requires 0 <= eta < 1")
-
-# Each command's settings, in check order: key -> (default, parser).  A flag
-# beats the config file, which beats the default; a None default leaves it unset.
-_SETTINGS = {
-    "probabilities": {
-        "methods": ("closed_form,hermitian", _parse_methods),
-        "phase": (f"0:{TWO_PI!r}:64", _parse_grid),
-        "t0": ("0", _number),
-        "format": ("csv", _format),
-        "output": (None, _text),
-        "raw_params": (None, _parse_raw_params),
-        "eta": (None, _sweep_etas),  # cmd_probabilities: 0:0.95:20 without raw_params
-    },
-    "masses": {
-        "eta": ("0:2:81", _sweep_etas),
-        "ratio": ("0.5", _checked(_number, lambda ratio: 0.0 < ratio < 1.0,
-                                  "{name} must lie in (0, 1), got {value}")),
-        "format": ("csv", _format),
-        "output": (None, _text),
-    },
-    "cardioid": {
-        "eta": ("0.1,0.5,0.9", _sweep_etas),
-        "phase": (f"0:{TWO_PI!r}:181", _parse_grid),
-        "format": ("csv", _format),
-        "output": (None, _text),
-    },
-    "validate": {
-        "output": (None, _text),
-        "raw_params": ("2,1,0.3,0", _parse_raw_params),
-        "eta": (None, _validation_etas),
-        "tolerance": (None, _checked(_number, lambda tolerance: tolerance > 0.0,
-                                     "{name} must be positive, got {value}")),
-    },
-}
-
-
 def _resolve(args: argparse.Namespace) -> argparse.Namespace:
     """Parse each setting of the command onto ``args``: flag, else config, else default."""
-    settings = _SETTINGS[args.command]
+    settings = _build_parser().commands[args.command].settings
     config = {} if args.config is None else _load_config(args.config)
     unknown = set(config) - set(settings)
     if unknown:
-        raise _ConfigError(f"unknown config keys for this command: {sorted(unknown)}")
+        raise DomainError(f"unknown config keys for this command: {sorted(unknown)}")
     for key, (default, parse) in settings.items():
         name, text = "--" + key.replace("_", "-"), getattr(args, key)
         if text is None:
             text = config.get(key, default)
         if text == "":
-            raise _ConfigError(f"{name}: must not be empty")
+            raise DomainError(f"{name}: must not be empty")
         setattr(args, key, None if text is None else parse(text, name))
     return args
 
@@ -262,7 +217,7 @@ def _write(text: str, output: str | None) -> None:
         with open(output, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
     except OSError as exc:
-        raise _ConfigError(f"cannot write {output!r}: {exc.strerror or exc}") from exc
+        raise DomainError(f"cannot write {output!r}: {exc.strerror or exc}") from exc
 
 
 # --- commands ----------------------------------------------------------------
@@ -271,7 +226,7 @@ def cmd_probabilities(cfg: argparse.Namespace) -> int:
     """Survival/transition probabilities on an eta x phase grid."""
     etas, params = cfg.eta, cfg.raw_params
     if params is not None and etas is not None:
-        raise _ConfigError("--eta and --raw-params are mutually exclusive")
+        raise DomainError("--eta and --raw-params are mutually exclusive")
     if etas is None:
         etas = [params.eta] if params is not None else _parse_grid("0:0.95:20", "--eta")
     needs_states = [m for m in cfg.methods if m in ("trace", "naive_continuation")]
@@ -384,36 +339,54 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     parser.commands = sub.choices  # each command's sub-parser, for main
 
-    def add_common(p: argparse.ArgumentParser, *, phase: bool = True) -> None:
-        p.add_argument("--eta", help="single value, comma list, or min:max:steps")
-        if phase:
-            p.add_argument("--phase", help="phase grid (radians): min:max:steps")
-        p.add_argument("--format", help="csv | json (default csv)")
-        p.add_argument("--output", help="file path or 'stdout' (default)")
+    def command(name: str, help: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help)
+        p.settings = {}  # key -> (default, parser), in --help order, which is check order
+        return p
+
+    def setting(p: argparse.ArgumentParser, flag: str, default, parse, help: str) -> None:
+        """A flag beats the config file, which beats the default; None leaves it unset."""
+        p.add_argument(flag, help=help)
+        p.settings[flag[2:].replace("-", "_")] = (default, parse)
+
+    def add_common(p: argparse.ArgumentParser, eta: str | None, phase: str | None) -> None:
+        setting(p, "--eta", eta, _checked(_parse_grid, lambda etas: all(v >= 0.0 for v in etas),
+                                          "eta values must be non-negative"),
+                "single value, comma list, or min:max:steps")
+        if phase is not None:
+            setting(p, "--phase", phase, _parse_grid, "phase grid (radians): min:max:steps")
+        setting(p, "--format", "csv", _checked(_text, lambda fmt: fmt in ("csv", "json"),
+                                               "{name} must be csv or json, got {value!r}"),
+                "csv | json (default csv)")
+        setting(p, "--output", None, _text, "file path or 'stdout' (default)")
         p.add_argument("--config", help="key = value file; flags take precedence")
 
-    p_prob = sub.add_parser("probabilities",
-                            help="survival/transition probabilities on an eta x phase grid")
-    add_common(p_prob)
-    p_prob.add_argument("--t0", help="preparation time for the trace method (default 0)")
-    p_prob.add_argument("--methods",
-                        help="comma list: closed_form,trace,hermitian,naive_continuation")
-    p_prob.add_argument("--raw-params", dest="raw_params",
-                        help="m1sq,m2sq,musq,p (mutually exclusive with --eta)")
+    p_prob = command("probabilities", "survival/transition probabilities on an eta x phase grid")
+    add_common(p_prob, None, f"0:{TWO_PI!r}:64")  # eta: 0:0.95:20 without --raw-params
+    setting(p_prob, "--t0", "0", _number, "preparation time for the trace method (default 0)")
+    setting(p_prob, "--methods", "closed_form,hermitian", _parse_methods,
+            "comma list: closed_form,trace,hermitian,naive_continuation")
+    setting(p_prob, "--raw-params", None, _parse_raw_params,
+            "m1sq,m2sq,musq,p (mutually exclusive with --eta)")
 
-    p_mass = sub.add_parser("masses", help="squared eigenmasses versus eta")
-    add_common(p_mass, phase=False)
-    p_mass.add_argument("--ratio", help="(m1^2 - m2^2)/(m1^2 + m2^2), default 0.5")
+    p_mass = command("masses", "squared eigenmasses versus eta")
+    add_common(p_mass, "0:2:81", None)
+    setting(p_mass, "--ratio", "0.5", _checked(_number, lambda ratio: 0.0 < ratio < 1.0,
+                                               "{name} must lie in (0, 1), got {value}"),
+            "(m1^2 - m2^2)/(m1^2 + m2^2), default 0.5")
 
-    p_card = sub.add_parser("cardioid", help="Dirac-norm polar curve")
-    add_common(p_card)
+    add_common(command("cardioid", "Dirac-norm polar curve"), "0.1,0.5,0.9", f"0:{TWO_PI!r}:181")
 
-    p_val = sub.add_parser("validate", help="run the oracle validation suite")
-    p_val.add_argument("--eta", help="override the eta sweep (all < 1)")
-    p_val.add_argument("--raw-params", dest="raw_params", help="m1sq,m2sq,musq,p")
-    p_val.add_argument("--tolerance", help="override every check tolerance")
+    p_val = command("validate", "run the oracle validation suite")
+    setting(p_val, "--eta", None, _checked(
+        _parse_grid, lambda etas: all(0.0 <= v < 1.0 - EXCEPTIONAL_POINT_BAND for v in etas),
+        "validation grid requires 0 <= eta < 1"), "override the eta sweep (all < 1)")
+    setting(p_val, "--raw-params", "2,1,0.3,0", _parse_raw_params, "m1sq,m2sq,musq,p")
+    setting(p_val, "--tolerance", None, _checked(_number, lambda tolerance: tolerance > 0.0,
+                                                 "{name} must be positive, got {value}"),
+            "override every check tolerance")
     p_val.add_argument("--json", action="store_true", help="machine-readable reports")
-    p_val.add_argument("--output", help="file path or 'stdout' (default)")
+    setting(p_val, "--output", None, _text, "file path or 'stdout' (default)")
     p_val.add_argument("--config", help="key = value file; flags take precedence")
     return parser
 
@@ -443,9 +416,6 @@ def main(argv: list[str] | None = None) -> int:
     try:
         with np.errstate(over="ignore"):  # what overflows is refused as non-finite
             return run(resolve(args))
-    except _ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (ExceptionalPoint, BrokenPTPhase) as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return 3

@@ -2,19 +2,7 @@
 
 
 class DomainError(ValueError):
-    """Base class for invalid model parameters or regimes."""
-
-
-class DegenerateDiagonal(DomainError):
-    """Equal diagonal squared masses: the mixing parameter eta is undefined."""
-
-
-class NonPositiveMass(DomainError):
-    """A diagonal squared mass is zero or negative."""
-
-
-class NegativeMixing(DomainError):
-    """The mixing scale mu^2 is negative."""
+    """Invalid model parameters, regimes or inputs; base class of the two below."""
 
 
 class ExceptionalPoint(DomainError):

@@ -46,14 +46,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import (
-    BrokenPTPhase,
-    DegenerateDiagonal,
-    DomainError,
-    ExceptionalPoint,
-    NegativeMixing,
-    NonPositiveMass,
-)
+from .errors import BrokenPTPhase, DomainError, ExceptionalPoint
 
 # eta values this close to 1 are classified as the exceptional point: the
 # eigenvector normalisation grows like (1 - eta^2)^(-1/2) and arithmetic in
@@ -134,11 +127,12 @@ def _select(mask, a, b):
 def make_params(m1_sq: float, m2_sq: float, mu_sq: float, p: float = 0.0) -> ModelParams:
     """Validate and package the model inputs; arrays broadcast to a batch.
 
-    Raises NonPositiveMass, NegativeMixing or DegenerateDiagonal if any
-    element is out of domain, and DomainError for a non-finite value or a
-    momentum whose square overflows.  eta > 1 is accepted here (the Hermitian
-    comparison model remains meaningful); it is the eigensystem
-    construction that rejects the broken-PT regime.
+    Raises DomainError if any element is out of domain: a non-positive
+    diagonal squared mass, a negative mu^2 or momentum, a degenerate
+    diagonal, a non-finite value or a momentum whose square overflows.
+    eta > 1 is accepted here (the Hermitian comparison model remains
+    meaningful); it is the eigensystem construction that rejects the
+    broken-PT regime.
     """
     fields = (m1_sq, m2_sq, mu_sq, p)
     if all(isinstance(v, (int, float)) for v in fields):  # one point: no numpy call
@@ -152,15 +146,15 @@ def make_params(m1_sq: float, m2_sq: float, mu_sq: float, p: float = 0.0) -> Mod
             raise DomainError(f"{name} must be finite, got {bad!r}")
     m1_sq, m2_sq, mu_sq, p = fields
     if _any(m1_sq <= 0.0) or _any(m2_sq <= 0.0):
-        raise NonPositiveMass(f"diagonal squared masses must be positive, got {m1_sq}, {m2_sq}")
+        raise DomainError(f"diagonal squared masses must be positive, got {m1_sq}, {m2_sq}")
     if _any(mu_sq < 0.0):
-        raise NegativeMixing(f"mu_sq must be non-negative, got {mu_sq}")
+        raise DomainError(f"mu_sq must be non-negative, got {mu_sq}")
     if _any(p < 0.0):
         raise DomainError(f"momentum magnitude must be non-negative, got {p}")
     if _any(p > _SQUARE_LIMIT):
         raise DomainError(f"momentum magnitude {np.max(p):.6g} is too large: p^2 overflows")
     if _any(m1_sq == m2_sq):
-        raise DegenerateDiagonal("m1_sq == m2_sq: eta is undefined for a degenerate diagonal")
+        raise DomainError("m1_sq == m2_sq: eta is undefined for a degenerate diagonal")
     return ModelParams(*fields)
 
 
@@ -174,9 +168,9 @@ def params_from_eta(eta: float, sum_sq: float = 3.0, ratio: float = 1.0 / 3.0,
     if not 0.0 < ratio < 1.0:
         raise DomainError(f"ratio must lie in (0, 1), got {ratio}")
     if sum_sq <= 0.0:
-        raise NonPositiveMass(f"sum of squared masses must be positive, got {sum_sq}")
+        raise DomainError(f"sum of squared masses must be positive, got {sum_sq}")
     if _any(eta < 0.0):
-        raise NegativeMixing(f"eta must be non-negative, got {eta}")
+        raise DomainError(f"eta must be non-negative, got {eta}")
     m1_sq = 0.5 * sum_sq * (1.0 + ratio)
     m2_sq = 0.5 * sum_sq * (1.0 - ratio)
     mu_sq = 0.5 * eta * sum_sq * ratio
@@ -206,7 +200,7 @@ def _check_eta(eta, broken: str | None = None, exceptional: bool = False) -> Non
     if not _any((eta < 0.0) | (eta > upper) | (eta >= at_ep) | (eta != eta)):
         return
     if _any(eta < 0.0):
-        raise NegativeMixing(f"eta must be non-negative, got {np.min(eta)}")
+        raise DomainError(f"eta must be non-negative, got {np.min(eta)}")
     if broken is not None and _any(eta > 1.0):
         raise BrokenPTPhase(f"eta = {np.max(eta):.6g} > 1: {broken}")
     if _any(eta >= at_ep):
@@ -375,9 +369,9 @@ def eigensystem(params: ModelParams) -> EigenSystem:
 
     Raises BrokenPTPhase for eta > 1, ExceptionalPoint for eta within
     EXCEPTIONAL_POINT_BAND of 1 (the merged eigenvalue is attached to the
-    exception; eigenvectors do not exist there), NonPositiveMass when
-    the lower squared mass rounds to zero or below, and DomainError when
-    p^2 + m^2 overflows, leaving the mode frequencies infinite.  In a
+    exception; eigenvectors do not exist there), and DomainError when the
+    lower squared mass rounds to zero or below or when p^2 + m^2
+    overflows, leaving the mode frequencies infinite.  In a
     batch, the first system out of domain raises, as in a loop.
     """
     m1, m2, p, eta = params.m1_sq, params.m2_sq, params.p, params.eta
@@ -401,7 +395,7 @@ def eigensystem(params: ModelParams) -> EigenSystem:
                 f"eta = {eta:.17g} is at the exceptional point: eigenvalues merge at "
                 f"{sigma:.17g} and the eigenvectors coalesce", m_sq=sigma)
         if m_minus_sq <= 0.0:  # positive in exact arithmetic; cancellation can round it away
-            raise NonPositiveMass(
+            raise DomainError(
                 f"lower squared mass rounds to {m_minus_sq:.3g}: the diagonal masses "
                 f"{m1:.6g} and {m2:.6g} are too far apart to resolve")
         raise DomainError(f"p^2 + m^2 overflows at p = {p:.6g}: infinite mode frequencies")

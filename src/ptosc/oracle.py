@@ -127,9 +127,13 @@ def _spectral_data(params: ModelParams) -> _SpectralData:
 
 
 def _ket(data: _SpectralData, i, t) -> np.ndarray:
+    t = np.asarray(t)
+    finite = np.isfinite(t)
+    if not finite.all():  # every brute-force route passes here with its times
+        raise DomainError(f"time must be finite, got {float(t[~finite].flat[0])!r}")
     weights = np.where(np.asarray(_flavour_one(i))[..., None], data.weights[..., 0, :],
                        data.weights[..., 1, :])
-    phases = np.exp(1j * (np.asarray(t)[..., None] * data.omegas))
+    phases = np.exp(1j * (t[..., None] * data.omegas))
     return _dot(weights * phases, data.basis.swapaxes(-1, -2))
 
 

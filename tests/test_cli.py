@@ -245,9 +245,29 @@ class TestBadConfig:
         assert run(capsys, "probabilities", "--config", "/nonexistent.cfg")[0] == 2
 
     def test_unknown_config_key(self, capsys, tmp_path):
+        """--config and --json are flags, not settings: a config file cannot set them."""
         cfg = tmp_path / "bad.cfg"
-        cfg.write_text("volume = 11\n")
-        assert run(capsys, "probabilities", "--config", str(cfg))[0] == 2
+        for command, key in [("probabilities", "volume"), ("probabilities", "config"),
+                             ("validate", "config"), ("validate", "json")]:
+            cfg.write_text(f"{key} = 11\n")
+            assert run(capsys, command, "--config", str(cfg)) == (
+                2, "", f"error: unknown config keys for this command: [{key!r}]\n")
+
+    @pytest.mark.parametrize("command, first, second", [
+        ("probabilities", ("--eta", "-1"), ("--methods", "magic")),
+        ("masses", ("--format", "xml"), ("--ratio", "2")),
+        ("cardioid", ("--phase", "0:1:1"), ("--format", "xml")),
+        ("validate", ("--eta", "2"), ("--output=",)),
+    ], ids=["probabilities", "masses", "cardioid", "validate"])
+    def test_two_bad_settings_report_the_one_listed_first_in_help(
+            self, capsys, command, first, second):
+        """Settings are checked in --help order, whatever the order of the argv."""
+        usage = _build_parser().commands[command].format_usage()
+        assert usage.index(first[0] + " ") < usage.index(second[0].rstrip("=") + " ")
+        alone = run(capsys, command, *first)
+        assert alone[0] == 2 and alone[2].startswith("error: ")
+        assert run(capsys, command, *second, *first) == alone
+        assert run(capsys, command, *first, *second) == alone
 
     @pytest.mark.parametrize("command, flag", [(command, flag) for command, flags in {
         "probabilities": ("--eta", "--phase", "--t0", "--methods", "--format", "--output",

@@ -2,6 +2,7 @@
 
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -156,6 +157,23 @@ class TestTimeArrays:
             assert overlaps[k] == brute_force_dirac_overlap(params, t)
         np.testing.assert_allclose(brute_force_flavour_ket(params, 2, times)[1],
                                    [0.0, 1.0], atol=1e-12)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, "array"])
+    @pytest.mark.parametrize("call", [
+        lambda params, t: brute_force_probability(params, 1, 2, 0.0, t),
+        lambda params, t: brute_force_flavour_ket(params, 1, t),
+        lambda params, t: brute_force_operator(params, 2, t),
+        lambda params, t: brute_force_dirac_norm(params, 1, t),
+        lambda params, t: brute_force_dirac_overlap(params, t),
+    ], ids=["probability", "flavour_ket", "operator", "dirac_norm", "dirac_overlap"])
+    def test_non_finite_time_refused(self, params, call, bad):
+        """A DomainError naming the time, not a NaN after a numpy warning."""
+        t = np.array([0.0, math.inf, 1.5]) if bad == "array" else bad
+        shown = "inf" if bad == "array" else repr(bad)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=f"^time must be finite, got {shown}$"):
+                call(params, t)
 
 
 class TestFlavourArrays:

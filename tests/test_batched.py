@@ -223,7 +223,7 @@ def test_states_conjugations_and_operators_are_plain_arrays(fn):
     (1.0, ExceptionalPoint),
     (1.0 - 1e-13, ExceptionalPoint),
     (1.2, BrokenPTPhase),
-    (-0.1, "eta must be non-negative, got -0.1"),
+    pytest.param(-0.1, "eta must be non-negative, got -0.1", id="-0.1-NegativeMixing"),
     (math.nan, DomainError),
 ])
 def test_one_out_of_domain_eta_in_a_stack_raises(bad, error):

@@ -336,13 +336,13 @@ class EigenSystem:
     def cpt_metric(self) -> np.ndarray:
         """C' P, the positive-definite metric contracted by the C'PT bras (C'
         with its second column negated: exactly the product with P)."""
-        return self.cprime_transpose.swapaxes(-1, -2) * _PARITY_SIGNS
+        return self.cprime * _PARITY_SIGNS
 
     @cached_property
-    def cprime_transpose(self) -> np.ndarray:
-        """C'^T, the symmetry operator acting on kets; C' is built here once,
-        without cprime_matrix's guards (eigensystem has validated eta)."""
-        return np.swapaxes(_cprime_matrix(self.eta), -1, -2)
+    def cprime(self) -> np.ndarray:
+        """C', built here once without cprime_matrix's guards (eigensystem has
+        validated eta); C'^T v of a ket v is the component row v^T C'."""
+        return _cprime_matrix(self.eta)
 
     def _heavy_first_one(self, i):
         """Where label(s) i map to heavy-first flavour 1 (a bool for one of each)."""

@@ -87,12 +87,11 @@ def numeric_eigensystem(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class _SpectralData:
-    eigenvalues: np.ndarray      # (lam_plus, lam_minus), real, descending
     basis: np.ndarray            # PT-normalised eigenvectors as columns
     weights: np.ndarray          # row i - 1: flavour i's coefficients in the basis
     metric: np.ndarray           # (V V^dag)^{-1}: the positive-definite metric
     symmetry: np.ndarray         # V diag(PT signs) V^{-1}: C'-like ket operator
-    omegas: np.ndarray           # frequencies sqrt(p^2 + lam)
+    omegas: np.ndarray           # frequencies sqrt(p^2 + lam), lam real and descending
 
 
 def _spectral_data(params: ModelParams) -> _SpectralData:
@@ -123,7 +122,7 @@ def _spectral_data(params: ModelParams) -> _SpectralData:
     diagonal = np.where(np.eye(2, dtype=bool), signs[..., None, :], 0.0)  # np.diag(signs)
     symmetry = basis @ diagonal @ np.linalg.inv(basis)
     omegas = np.sqrt(np.multiply(params.p, params.p)[..., None] + eigenvalues)
-    return _SpectralData(eigenvalues, basis, weights, metric, symmetry, omegas)
+    return _SpectralData(basis, weights, metric, symmetry, omegas)
 
 
 def _ket(data: _SpectralData, i, t) -> np.ndarray:

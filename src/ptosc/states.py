@@ -108,7 +108,7 @@ def cprime_ket(i, t, es: EigenSystem) -> np.ndarray:
     to the PT inner product.
     """
     comps = _ket_components(es._heavy_first_one(i), t, es)
-    return _dot(comps, es.cprime_transpose.swapaxes(-1, -2))  # rows: (C'^T v)^T = v^T C'
+    return _dot(comps, es.cprime)  # rows: (C'^T v)^T = v^T C'
 
 
 def mixed_basis_pair(i, t, es: EigenSystem) -> tuple[np.ndarray, np.ndarray]:
@@ -122,10 +122,10 @@ def mixed_basis_pair(i, t, es: EigenSystem) -> tuple[np.ndarray, np.ndarray]:
     if _all(one):
         ket, bra = base, _dot(conj, es.cpt_metric)
     elif not _any(one):
-        ket, bra = _dot(base, es.cprime_transpose.swapaxes(-1, -2)), conj * _PARITY_SIGNS
+        ket, bra = _dot(base, es.cprime), conj * _PARITY_SIGNS
     else:
         one = one[..., None]
-        ket = np.where(one, base, _dot(base, es.cprime_transpose.swapaxes(-1, -2)))
+        ket = np.where(one, base, _dot(base, es.cprime))
         bra = np.where(one, _dot(conj, es.cpt_metric), conj * _PARITY_SIGNS)
     scale = _per_component(es.mixed_basis_norm)
     return scale * ket, scale * bra

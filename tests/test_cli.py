@@ -9,6 +9,7 @@ import warnings
 
 import hypothesis as hyp
 import hypothesis.strategies as st
+import numpy as np
 import pytest
 
 import ptosc
@@ -25,13 +26,20 @@ from ptosc import (
     survival_probability,
     transition_probability,
 )
-from ptosc.cli import _build_parser, main
+from ptosc.cli import _build_parser, _parse_grid, main
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def assert_domain_error(capsys, *argv):
+    """Exit 3 with nothing on stdout and one ``domain error:`` line on stderr."""
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (3, ""), argv
+    assert err.startswith("domain error: ") and err.count("\n") == 1, (argv, err)
 
 
 def parse_csv(text):
@@ -112,11 +120,31 @@ class TestProbabilities:
                            "--phase", "0:1:2", "--methods", "trace")
         assert code == 3
         assert "exceptional" in err.lower()
+        # trace (its states) and naive_continuation (1 / (1 - eta^2)) are undefined in
+        # the exceptional-point band: the library call of the first such column refuses
+        for grid in (("--eta", "1.0"), ("--eta", "0.5,0.9999999999999"),
+                     ("--raw-params", "2,1,0.5,0"), ("--raw-params", "1,2,0.5,0.7")):
+            for methods in ("trace", "naive_continuation", "closed_form,trace",
+                            "closed_form,naive_continuation", "trace,hermitian",
+                            "hermitian,naive_continuation",
+                            "closed_form,trace,hermitian,naive_continuation"):
+                assert_domain_error(capsys, "probabilities", *grid, "--methods", methods,
+                                    "--phase", "0:1:3")
+        assert run(capsys, "probabilities", "--methods", "closed_form", "--eta", "1.0")[0] == 0
 
     def test_broken_phase_is_domain_error(self, capsys):
         code, _, err = run(capsys, "probabilities", "--eta", "1.2", "--phase", "0:1:2")
         assert code == 3
         assert "domain error" in err
+        # past eta = 1 every method but hermitian is undefined
+        for grid in (("--eta", "1.2"), ("--eta", "0.5,1.5"), ("--eta", "0:3:7"),
+                     ("--raw-params", "2,1,0.6,0"), ("--raw-params", "1,2,0.6,0.7")):
+            for methods in ("closed_form", "trace", "naive_continuation", "closed_form,hermitian",
+                            "trace,hermitian", "hermitian,naive_continuation",
+                            "closed_form,trace,hermitian,naive_continuation"):
+                assert_domain_error(capsys, "probabilities", *grid, "--methods", methods,
+                                    "--phase", "0:1:3")
+        assert run(capsys, "probabilities", "--methods", "hermitian", "--eta", "0:3:7")[0] == 0
 
     def test_default_surface_saturates_towards_exceptional_point(self, capsys):
         code, out, _ = run(capsys, "probabilities")
@@ -180,6 +208,15 @@ UNPARSABLE = {
     ("probabilities", "--raw-params", "2,1,nan,0"): "--raw-params: must be finite, got 'nan'",
     ("validate", "--tolerance", "nan"): "--tolerance: must be finite, got 'nan'",
 }
+
+
+def test_parse_grid_gives_a_float64_array():
+    for text, want in [("0:0.95:20", np.linspace(0.0, 0.95, 20)),
+                       ("-3:9:31", np.linspace(-3.0, 9.0, 31)),
+                       ("0.5, 1,-0.0", [0.5, 1.0, -0.0]), ("7", [7.0])]:
+        grid = _parse_grid(text, "--eta")
+        assert type(grid) is np.ndarray and grid.dtype == np.float64
+        assert grid.tobytes() == np.array(want, dtype=np.float64).tobytes(), text
 
 
 class TestBadConfig:
@@ -564,6 +601,10 @@ def test_cardioid_matches_the_former_rendering(capsys, fmt):
     ("probabilities", "--eta", "0.5,1e160", "--methods", "hermitian"),
     ("masses", "--eta", "1e160"),
     ("masses", "--eta", "0.5,1e160", "--format", "json"),
+    # the first column's library call decides: eta^2 overflows in the Hermitian one,
+    # and params_from_eta's mu^2 overflows on the trace route
+    ("probabilities", "--eta", "0.5,1e200", "--methods", "hermitian,naive_continuation"),
+    ("probabilities", "--eta", "1.5e308", "--methods", "trace"),
 ])
 def test_non_finite_output_is_refused(capsys, tmp_path, argv):
     target = tmp_path / "rows.txt"

@@ -217,7 +217,7 @@ class TestMetricMatrices:
 
     @pytest.mark.parametrize("heavy_first", [True, False])
     def test_eigensystem_metrics_are_the_matrix_products_bit_for_bit(self, heavy_first):
-        """es.cpt_metric is C' P and es.cprime_transpose is C'^T exactly, signs
+        """es.cpt_metric is C' P and es.cprime is C' exactly, signs
         of zero included, for single systems and for a stack of them."""
         m1, m2 = (2.0, 1.0) if heavy_first else (1.0, 2.0)
         etas = np.array([0.0, 1e-8, 0.5, 0.95, 1.0 - 1e-9])
@@ -226,7 +226,7 @@ class TestMetricMatrices:
         for es in systems:
             cp = cprime_matrix(es.eta)
             for got, want in ((es.cpt_metric, cp @ parity_matrix()),
-                              (es.cprime_transpose, cp.swapaxes(-1, -2))):
+                              (es.cprime, cp)):
                 assert got.shape == want.shape and got.dtype == want.dtype
                 assert got.tobytes() == want.tobytes()
 

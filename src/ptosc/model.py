@@ -77,7 +77,10 @@ class ModelParams:
 
     def __getitem__(self, key) -> "ModelParams":
         """The points of a batch at ``key`` (index, slice, mask or None)."""
-        fields = np.broadcast_arrays(self.m1_sq, self.m2_sq, self.mu_sq, self.p)
+        fields = (self.m1_sq, self.m2_sq, self.mu_sq, self.p)
+        shape = np.shape(self.m1_sq)
+        if not all(isinstance(v, np.ndarray) and v.shape == shape for v in fields):
+            fields = np.broadcast_arrays(*fields)  # (which returns equal-shape arrays as given)
         return ModelParams(*(_unbox(v[key]) for v in fields))
 
 
@@ -173,7 +176,11 @@ def params_from_eta(eta: float, sum_sq: float = 3.0, ratio: float = 1.0 / 3.0,
         raise DomainError(f"eta must be non-negative, got {eta}")
     m1_sq = 0.5 * sum_sq * (1.0 + ratio)
     m2_sq = 0.5 * sum_sq * (1.0 - ratio)
-    mu_sq = 0.5 * eta * sum_sq * ratio
+    with np.errstate(over="ignore"):  # an array's overflow is refused below, unwarned
+        mu_sq = 0.5 * eta * sum_sq * ratio
+    if _any(mu_sq > sys.float_info.max):
+        raise DomainError(f"eta = {np.max(eta):.6g} is too large: "
+                          "mu^2 = eta * sum_sq * ratio / 2 overflows")
     return make_params(m1_sq, m2_sq, mu_sq, p)
 
 
@@ -203,7 +210,7 @@ def _check_eta(eta, broken: str | None = None, exceptional: bool = False) -> Non
         raise DomainError(f"eta must be non-negative, got {np.min(eta)}")
     if broken is not None and _any(eta > 1.0):
         raise BrokenPTPhase(f"eta = {np.max(eta):.6g} > 1: {broken}")
-    if _any(eta >= at_ep):
+    if exceptional and _any(eta >= at_ep):  # (else at_ep is inf, which inf would match)
         raise ExceptionalPoint(f"eta = {np.max(eta):.17g}: 1/(1 - eta^2) diverges")
     raise DomainError(f"eta = {np.max(eta):.6g}: eta^2 is not a finite number")
 
@@ -305,13 +312,17 @@ class EigenSystem:
 
     def __getitem__(self, key) -> "EigenSystem":
         """The systems at ``key`` (index, slice, mask, None, ...) of a stack;
-        e_plus / e_minus keep their component axis last."""
+        e_plus / e_minus keep their component axis last.  C', C'P and the
+        mixed-basis norm, where the stack has built them, are sliced along:
+        each is element-wise in eta, so its slice equals a fresh build."""
         key = key if isinstance(key, tuple) else (key,)
-        vector = (slice(None),)
-        return EigenSystem(**{f.name: getattr(self, f.name)[key] if f.name == "params"
-                              else _unbox(np.asarray(getattr(self, f.name))[
-                                  key + vector if f.name.startswith("e_") else key])
-                              for f in fields(self)})
+        keys = (key, key + (slice(None),), key + (slice(None), slice(None)))
+        state = vars(self)
+        sliced = object.__new__(EigenSystem)  # every field (and carried cache) set here
+        vars(sliced).update({name: _unbox(_at(state[name], keys[axes]))
+                             for name, axes in _SLICED_AXES if name in state},
+                            params=self.params[key])
+        return sliced
 
     @property
     def sech_two_theta(self) -> float:
@@ -361,6 +372,19 @@ class EigenSystem:
         p = self.params
         return _matrix(np.maximum(p.m1_sq, p.m2_sq), p.mu_sq, -p.mu_sq,
                        np.minimum(p.m1_sq, p.m2_sq))
+
+
+# EigenSystem.__getitem__ indexes each of these with its key and this many
+# whole trailing axes: every field but params, then the cached properties
+# that a slice takes over from its stack
+_SLICED_AXES = (*((f.name, 1 if f.name.startswith("e_") else 0)
+                  for f in fields(EigenSystem) if f.name != "params"),
+                ("cprime", 2), ("cpt_metric", 2), ("mixed_basis_norm", 0))
+
+
+def _at(x, key):
+    """x[key] of a stored array, or of a single system's Python number."""
+    return x[key] if isinstance(x, np.ndarray) else np.asarray(x)[key]
 
 
 def eigensystem(params: ModelParams) -> EigenSystem:

@@ -52,6 +52,9 @@ PAIRS = ((1, 1), (1, 2), (2, 1), (2, 2))
 # the pairs as (4, 1) index columns: one call gives P(i -> j) for all four
 PAIR_I, PAIR_J = np.array(PAIRS).T[..., None]
 FLAVOURS = np.array([[1], [2]])
+# i as a (2, 1, 1) column and j as a (1, 2, 1) row: one call gives the four
+# pairs as a 2 x 2 grid, building each flavour's operators once
+GRID_I, GRID_J = FLAVOURS[..., None], FLAVOURS.T[..., None]
 
 
 @dataclass(frozen=True)
@@ -140,7 +143,9 @@ def _systems(params: ModelParams, grid: OracleGrid) -> tuple[ModelParams, EigenS
     eta = np.array([*etas, 1e-8])
     stack = make_params(params.m1_sq, params.m2_sq,
                         0.5 * eta * abs(params.m1_sq - params.m2_sq), params.p)
-    return stack, eigensystem(stack)
+    es = eigensystem(stack)
+    es.cpt_metric, es.mixed_basis_norm  # built once here, and carried by every slice of es
+    return stack, es
 
 
 def _state_tolerance(es: EigenSystem) -> np.ndarray:
@@ -426,6 +431,11 @@ def _dts(grid: OracleGrid, es: EigenSystem) -> np.ndarray:  # phase = delta_omeg
     return 2.0 * _phases(grid) / es.delta_omega[:, None]
 
 
+def _as_pairs(grid: np.ndarray) -> np.ndarray:
+    """A (systems, 2, 2, ...) flavour grid as (systems, 4, ...), in PAIRS order."""
+    return grid.reshape(grid.shape[:1] + (4,) + grid.shape[3:])
+
+
 def _closed(dts: np.ndarray, es: EigenSystem) -> np.ndarray:
     """Closed-form P(i -> j) of the four PAIRS, shape (systems, 4, phases)."""
     return prob.probability_closed_form(PAIR_I, PAIR_J, dts[:, None], es[:, None, None]).value
@@ -434,15 +444,17 @@ def _closed(dts: np.ndarray, es: EigenSystem) -> np.ndarray:
 @_family("trace_vs_closed_form")
 def _check_trace_vs_closed(es: EigenSystem, grid: OracleGrid, dts, closed):
     t0s = np.array(grid.t0s)
-    trace = prob.trace_probabilities(PAIR_I[..., None], PAIR_J[..., None], t0s,
-                                     t0s + dts[:, None, :, None], es[:, None, None, None])
+    trace = _as_pairs(prob.trace_probabilities(GRID_I[..., None], GRID_J[..., None], t0s,
+                                               t0s + dts[:, None, None, :, None],
+                                               es[:, None, None, None, None]))
     yield trace - closed[..., None], tolerance_for_eta(es.eta)[:, None, None, None]
 
 
 @_family("brute_force_vs_closed_form")
 def _check_brute_force(ps: ModelParams, es: EigenSystem, grid: OracleGrid, dts, closed):
     t0 = grid.t0s[0]
-    brute = brute_force_probability(ps[:, None, None], PAIR_I, PAIR_J, t0, t0 + dts[:, None])
+    brute = _as_pairs(brute_force_probability(ps[:, None, None, None], GRID_I, GRID_J, t0,
+                                              t0 + dts[:, None, None]))
     yield brute - closed, tolerance_for_eta(es.eta)[:, None, None]
 
 
@@ -547,7 +559,8 @@ def check_all(params: ModelParams, grid: OracleGrid | None = None) -> list[Oracl
     limit, ps, es = es[-1], ps[:-1], es[:-1]
     dts = _dts(grid, es)
     closed = _closed(dts, es)
-    at_zero = prob.trace_probabilities(PAIR_I, PAIR_J, 0.0, dts[:, None], es[:, None, None])
+    at_zero = _as_pairs(prob.trace_probabilities(GRID_I, GRID_J, 0.0, dts[:, None, None],
+                                                 es[:, None, None, None]))
     families = [
         _check_eigenvalues(params, draws.eigenvalues),
         _check_eigenvector_residuals(es),

@@ -5,6 +5,7 @@ element, the very value (==, not approx) that a single-point call on that
 element gives; a single point is the batch of shape ().
 """
 
+import dataclasses
 import math
 import re
 
@@ -18,6 +19,7 @@ from ptosc import (
     DomainError,
     ExceptionalPoint,
     ModelParams,
+    brute_force_probability,
     cprime_ket,
     cprime_matrix,
     cpt_bra,
@@ -47,6 +49,8 @@ from ptosc import (
     tilde_bra,
     trace_probabilities,
 )
+from ptosc.model import _unbox
+from ptosc.validation import GRID_I, GRID_J, _as_pairs
 
 SHAPES = [(), (1,), (7,), (3, 4)]
 examples = hyp.settings(max_examples=25, deadline=None)
@@ -319,6 +323,91 @@ def test_trace_over_systems_and_flavour_pairs_equals_per_pair_calls(seed, shape)
         one = eigensystem(single(params, idx))
         for k, (i, j) in enumerate(zip(PAIR_I[:, 0].tolist(), PAIR_J[:, 0].tolist())):
             assert np.array_equal(values[idx + (k,)], trace_probabilities(i, j, t0s, ts, one))
+
+
+CARRIED = ("cprime", "cpt_metric", "mixed_basis_norm")
+SLICE_KEYS = {"int": 2, "negative int": -1, "slice": slice(1, 5),
+              "mask": np.array([True, False, True, True, False, False, True]),
+              "[:, None]": (slice(None), None),
+              "[:, None, None, None]": (slice(None), None, None, None),
+              "[..., None]": (Ellipsis, None)}
+
+
+def former_slice(es, key) -> dict:
+    """es[key] as EigenSystem.__getitem__ (and ModelParams.__getitem__) built
+    it field by field before slices carried C' (the reference)."""
+    key = key if isinstance(key, tuple) else (key,)
+    p = es.params
+    fields = {"params": ModelParams(*(_unbox(v[key]) for v in np.broadcast_arrays(
+        p.m1_sq, p.m2_sq, p.mu_sq, p.p)))}
+    for f in dataclasses.fields(es)[1:]:
+        index = key + (slice(None),) if f.name.startswith("e_") else key
+        fields[f.name] = _unbox(np.asarray(getattr(es, f.name))[index])
+    return fields
+
+
+def same_bits(a, b) -> bool:
+    """Same type, shape and bytes (signs of zero included)."""
+    return (type(a) is type(b) and np.shape(a) == np.shape(b)
+            and np.asarray(a).tobytes() == np.asarray(b).tobytes())
+
+
+@pytest.mark.parametrize("cached", [(), ("cprime",), CARRIED], ids=["none", "cprime", "all"])
+@pytest.mark.parametrize("key", SLICE_KEYS.values(), ids=SLICE_KEYS.keys())
+@pytest.mark.parametrize("heavy_first", [True, False], ids=["heavy_first", "light_first"])
+def test_a_slice_equals_the_former_slice_and_carries_what_its_stack_built(
+        heavy_first, key, cached):
+    """Every field of es[key] equals the former field-by-field slice, and its
+    C', C'P and mixed-basis norm equal a fresh build bit for bit, whether the
+    stack had built them (then the slice carries them) or not.  The
+    light-first stack shares one Python-float momentum."""
+    rng = np.random.default_rng(11)
+    hi, lo = np.sort(rng.uniform(0.2, 5.0, size=(2, 7)), axis=0)[::-1]
+    eta = np.append(rng.uniform(0.0, 0.99, size=6), 0.0)
+    m1, m2, p = (hi, lo, rng.uniform(0.0, 2.0, size=7)) if heavy_first else (lo, hi, 0.7)
+    es = eigensystem(ModelParams(m1, m2, 0.5 * eta * (hi - lo), p))
+    for name in cached:
+        getattr(es, name)
+    built = {name for name in CARRIED if name in vars(es)}
+
+    sliced = es[key]
+    for name, value in former_slice(es, key).items():
+        if name == "params":
+            for field in ("m1_sq", "m2_sq", "mu_sq", "p"):
+                assert same_bits(getattr(sliced.params, field), getattr(value, field)), field
+        else:
+            assert same_bits(getattr(sliced, name), value), name
+    assert {name for name in CARRIED if name in vars(sliced)} == built
+    fresh = dataclasses.replace(sliced)  # the same fields, nothing cached
+    for name in CARRIED:
+        assert same_bits(getattr(sliced, name), getattr(fresh, name)), name
+
+
+@examples
+@hyp.given(seed=seeds, n=st.integers(1, 5))
+def test_a_flavour_grid_equals_the_four_pair_rows(seed, n):
+    """check_all's 2 x 2 flavour grid (i a column, j a row), reshaped to the
+    PAIRS order, equals the (4, 1) pair-column calls bit for bit."""
+    rng = np.random.default_rng(seed)
+    params = system_stack(rng, (n,))
+    es = eigensystem(params)
+    t0s = rng.uniform(-20.0, 20.0, size=3)
+    dts = rng.uniform(0.0, 10.0, size=(n, 6))
+    calls = [  # (pairs as rows, pairs as a grid)
+        (trace_probabilities(PAIR_I, PAIR_J, 0.0, dts[:, None], es[:, None, None]),
+         trace_probabilities(GRID_I, GRID_J, 0.0, dts[:, None, None], es[:, None, None, None])),
+        (trace_probabilities(PAIR_I[..., None], PAIR_J[..., None], t0s,
+                             t0s + dts[:, None, :, None], es[:, None, None, None]),
+         trace_probabilities(GRID_I[..., None], GRID_J[..., None], t0s,
+                             t0s + dts[:, None, None, :, None], es[:, None, None, None, None])),
+        (brute_force_probability(params[:, None, None], PAIR_I, PAIR_J, t0s[0],
+                                 t0s[0] + dts[:, None]),
+         brute_force_probability(params[:, None, None, None], GRID_I, GRID_J, t0s[0],
+                                 t0s[0] + dts[:, None, None])),
+    ]
+    for rows, grid in calls:
+        assert grid.shape[1:3] == (2, 2)
+        assert same_bits(_as_pairs(grid), rows)
 
 
 @examples

@@ -192,6 +192,11 @@ BAD_CONFIG = {
         " to resolve",
     ("probabilities", "--phase=-1e308:1e308:3"):                    # range span overflows
         "--phase: range -1e+308:1e+308 is too wide to space evenly",
+    ("probabilities", "--eta", "1.5e308", "--methods", "trace"):   # mu^2 overflows
+        "eta = 1.5e+308 is too large: mu^2 = eta * sum_sq * ratio / 2 overflows",
+    ("probabilities", "--raw-params", "2,1,1e308,0", "--methods", "hermitian",
+     "--phase", "1"):                                               # eta overflows to inf
+        "eta = inf: eta^2 is not a finite number",
     ("masses", "--config=", "--eta", "0.5"): "--config: must not be empty",
     ("masses", "--config", "", "--eta", "0.5"): "--config: must not be empty",
 }

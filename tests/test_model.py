@@ -81,6 +81,14 @@ class TestMakeParams:
         with pytest.raises(DomainError):
             params_from_eta(0.5, ratio=1.0)
 
+    def test_params_from_eta_names_eta_when_mu_sq_overflows(self):
+        for eta in (1.5e308, np.array([0.5, 1.5e308])):
+            with pytest.raises(DomainError, match=r"^eta = 1\.5e\+308 is too large: mu\^2 = "
+                                                  r"eta \* sum_sq \* ratio / 2 overflows$"):
+                params_from_eta(eta)
+        # an eta whose mu^2 stays finite keeps the former arithmetic
+        assert params_from_eta(1e308).mu_sq == 0.5 * 1e308 * 3.0 * (1.0 / 3.0)
+
 
 class TestEigensystem:
     def test_worked_point_values(self, es):

@@ -183,6 +183,15 @@ class TestHermitian:
         value = hermitian_transition_probability(params.eta, 0.5 * math.pi)
         assert value == pytest.approx(1.8 ** 2 / (1.0 + 1.8 ** 2), rel=1e-14)
 
+    def test_infinite_eta_is_not_an_exceptional_point(self):
+        # the formula has no exceptional point: an infinite eta (or one in an
+        # array) is refused as non-finite, not as the eta = 1 band
+        for eta in (math.inf, np.array([0.5, math.inf])):
+            with pytest.raises(DomainError) as caught:
+                hermitian_transition_probability(eta, 1.0)
+            assert type(caught.value) is DomainError
+            assert str(caught.value) == "eta = inf: eta^2 is not a finite number"
+
     def test_gap_to_pt_probability_bounded_by_eta_fourth(self):
         for eta in (0.1, 0.4, 0.8):
             for phase in np.linspace(0.0, math.pi, 17):

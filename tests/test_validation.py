@@ -567,6 +567,26 @@ def test_one_stacked_eigensystem_and_three_spectral_solves_per_pass(params, monk
     assert calls["spectral"] == 3
 
 
+def test_the_grid_stack_builds_cprime_once_per_pass(params, monkeypatch):
+    from ptosc import model
+
+    shapes = []
+    build = model._cprime_matrix
+
+    def counted(eta):
+        shapes.append(np.shape(eta))
+        return build(eta)
+
+    monkeypatch.setattr(model, "_cprime_matrix", counted)
+    check_all(params, small_grid(etas=(0.0, 0.3, 0.8, 0.999)))
+    # the stack of the five grid systems and the Hermitian-limit point builds
+    # C' once, and every slice of it carries C'; the other twelve builds are
+    # cprime_matrix calls on the etas of the inner-product families (seven
+    # single etas, two 60-draw batches, two (5, 1, 1) grids for cpt_conjugate
+    # and cpt_inner, and the four etas <= 0.99 of cprime_invariance)
+    assert sorted(shapes) == sorted([(6,)] + [()] * 7 + [(60,)] * 2 + [(5, 1, 1)] * 2 + [(4,)])
+
+
 def per_eta_reference(grid):
     """hermitian_gap and naive_continuation_pathology with one array closed-form
     call per grid eta.  Returns {check_name: OracleReport}."""

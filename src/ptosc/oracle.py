@@ -62,9 +62,13 @@ def numeric_eigensystem(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     eigenvalues are returned as-is; at a defective (double) eigenvalue the
     two returned columns coalesce onto the single eigendirection.
     """
-    a = np.asarray(matrix, dtype=complex)
+    a = np.ascontiguousarray(matrix, dtype=complex)
     if not np.isfinite(a).all():
         raise DomainError("matrix entries must be finite")
+    # divide each matrix by the power of two of its largest part, exactly,
+    # so that no candidate norm under- or overflows; scale lam back at the end
+    exponent = np.frexp(np.abs(a.view(float)).max(axis=(-2, -1)))[1][..., None]
+    a = np.ldexp(a.view(float), -exponent[..., None]).view(complex)
     # entries keep a trailing axis, so one matrix and a stack round alike
     a00, a01, a10, a11 = (a[..., i, j, None] for i in (0, 1) for j in (0, 1))
     trace = a00 + a11
@@ -82,7 +86,7 @@ def numeric_eigensystem(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     norm = norms.max(axis=-1, keepdims=True)
     scalar = norm == 0.0  # scalar matrix: every direction is an eigenvector
     vectors = np.where(scalar, [1.0, 0.0], w) / np.where(scalar, 1.0, norm)
-    return eigenvalues, np.swapaxes(vectors, -1, -2)
+    return np.ldexp(eigenvalues.view(float), exponent).view(complex), np.swapaxes(vectors, -1, -2)
 
 
 @dataclass(frozen=True)
@@ -138,9 +142,9 @@ def _ket(data: _SpectralData, i, t) -> np.ndarray:
 
 def _operator(data: _SpectralData, i, t) -> np.ndarray:
     one = np.asarray(_flavour_one(i))[..., None]
-    ket1, ket2 = _ket(data, 1, t), _ket(data, 2, t)
-    left = np.where(one, ket1, _dot(ket2, data.symmetry.swapaxes(-1, -2)))
-    right = np.where(one, _dot(ket1.conj(), data.metric), _dot(ket2.conj(), parity_matrix()))
+    ket = _ket(data, i, t)
+    left = np.where(one, ket, _dot(ket, data.symmetry.swapaxes(-1, -2)))
+    right = _dot(ket.conj(), np.where(one[..., None], data.metric, parity_matrix()))
     op = left[..., :, None] * right[..., None, :]
     return op / (op[..., 0, 0] + op[..., 1, 1])[..., None, None]
 

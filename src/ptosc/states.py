@@ -36,21 +36,16 @@ flavours of every system at every time in one call.  Kets and bras are
 plain component arrays; mixed_basis_pair is the form the trace route uses.
 """
 
-import cmath
-
 import numpy as np
 
-from .inner import cpt_conjugate
 from .model import _PARITY_SIGNS, EigenSystem, _all, _any, _dot, _select, _unbox
 
 
 def xi(branch: str, t, es: EigenSystem) -> complex:
     """Mode phase exp(i omega_branch t), one plane-wave mode of the
     classical equation of motion d^2 xi / dt^2 = -omega^2 xi; unit modulus
-    for every t.  Each phase comes from cmath, one element at a time."""
-    omega, t = np.broadcast_arrays(es.omega(branch), t)
-    phases = [cmath.exp(1j * w * x) for w, x in zip(omega.ravel().tolist(), t.ravel().tolist())]
-    return _unbox(np.array(phases, dtype=complex).reshape(t.shape))
+    for every t.  The same phase as the kets' expansion."""
+    return _unbox(np.exp(1j * es.omega(branch) * t))
 
 
 def _per_component(x):
@@ -75,7 +70,9 @@ def flavour_ket(i, t, es: EigenSystem) -> np.ndarray:
 def tilde_bra(i, t, es: EigenSystem) -> np.ndarray:
     """The biorthogonal bra <f~i(t)|, dual to the kets for every t."""
     one = np.asarray(es._heavy_first_one(i))[..., None]
-    sect_plus, sect_minus = cpt_conjugate(es.eta, np.stack([es.e_plus, es.e_minus]))
+    # complex rows, so that the product with C'P rounds as cpt_bra's does
+    vectors = np.stack([es.e_plus, es.e_minus]).astype(complex)
+    sect_plus, sect_minus = _dot(vectors.conj(), es.cpt_metric)
     cosh, sinh = _per_component(es.cosh_theta), _per_component(es.sinh_theta)
     xp, xm = (np.conj(xi(branch, t, es))[..., None] for branch in ("plus", "minus"))
     return np.where(one, cosh * xp * sect_plus - sinh * xm * sect_minus,

@@ -48,9 +48,6 @@ from .oracle import (
 )
 
 TWO_PI = 2.0 * math.pi
-PAIRS = ((1, 1), (1, 2), (2, 1), (2, 2))
-# the pairs as (4, 1) index columns: one call gives P(i -> j) for all four
-PAIR_I, PAIR_J = np.array(PAIRS).T[..., None]
 FLAVOURS = np.array([[1], [2]])
 # i as a (2, 1, 1) column and j as a (1, 2, 1) row: one call gives the four
 # pairs as a 2 x 2 grid, building each flavour's operators once
@@ -91,17 +88,10 @@ class _Family:
         self.points = 0
         self.ok = True
 
-    def add(self, err: float | complex, tol: float) -> None:
-        err = float(abs(err))
-        self.max_err = _worst(self.max_err, err)
-        self.max_tol = max(self.max_tol, tol)
-        self.ok = self.ok and err <= tol
-        self.points += 1
-
     def add_all(self, errs: np.ndarray, tol) -> None:
-        """add() for every element of an array of errors against tol, a float
-        or an array that broadcasts to errs' shape (hypot rounds like add()'s
-        scalar abs; np.abs of a complex array need not)."""
+        """Take in every element of an array of errors against tol, a float or
+        an array that broadcasts to errs' shape (hypot rounds like Python's
+        abs of a complex; np.abs of a complex array need not)."""
         errs = np.asarray(errs)
         errs = np.hypot(errs.real, errs.imag) if np.iscomplexobj(errs) else np.abs(errs)
         self.max_err = _worst(self.max_err, float(errs.max(initial=0.0)))
@@ -357,11 +347,8 @@ def _check_cpt_dirac_consistency(normals: np.ndarray):
 
 
 # --- states families ------------------------------------------------------
-
-def _flavour_stack(state, grid: OracleGrid, es: EigenSystem) -> np.ndarray:
-    """state(i, t) components, shape (systems, flavours, times, 2)."""
-    return state(FLAVOURS, np.array(grid.times), es[:, None, None])
-
+# per_time is the stack as es[:, None, None], and kets the flavour kets at
+# every system, flavour and time, both built once by check_all
 
 def _overlaps(bras: np.ndarray, kets: np.ndarray) -> np.ndarray:
     """inner(bra_i(t), ket_j(t)), shape (systems, 2, 2, times)."""
@@ -374,32 +361,29 @@ def _modulus(z: np.ndarray) -> np.ndarray:
 
 
 @_family("tilde_biorthonormality")
-def _check_biorthonormality(es: EigenSystem, grid: OracleGrid):
-    values = _overlaps(_flavour_stack(states.tilde_bra, grid, es),
-                       _flavour_stack(states.flavour_ket, grid, es))
+def _check_biorthonormality(times: np.ndarray, per_time: EigenSystem, kets: np.ndarray):
+    values = _overlaps(states.tilde_bra(FLAVOURS, times, per_time), kets)
     yield values - np.eye(2)[..., None], 1e-12
 
 
 @_family("mixed_basis_orthonormality")
-def _check_mixed_basis(es: EigenSystem, grid: OracleGrid):
-    kets, bras = states.mixed_basis_pair(FLAVOURS, np.array(grid.times), es[:, None, None])
+def _check_mixed_basis(times: np.ndarray, per_time: EigenSystem):
+    kets, bras = states.mixed_basis_pair(FLAVOURS, times, per_time)
     yield _overlaps(bras, kets) - np.eye(2)[..., None], 1e-12
 
 
 @_family("cpt_basis_nonorthogonality")
-def _check_cpt_nonorthogonality(es: EigenSystem, grid: OracleGrid):
-    values = _overlaps(_flavour_stack(states.cpt_bra, grid, es),
-                       _flavour_stack(states.flavour_ket, grid, es))
-    per_system = es[:, None, None, None]
-    want = np.where(np.eye(2, dtype=bool)[..., None], per_system.cosh_two_theta,
-                    per_system.sinh_two_theta)
-    yield values - want, _state_tolerance(es)[:, None, None, None]
+def _check_cpt_nonorthogonality(times: np.ndarray, per_time: EigenSystem,
+                                per_pair: EigenSystem, kets: np.ndarray):
+    values = _overlaps(states.cpt_bra(FLAVOURS, times, per_time), kets)
+    want = np.where(np.eye(2, dtype=bool)[..., None], per_pair.cosh_two_theta,
+                    per_pair.sinh_two_theta)
+    yield values - want, _state_tolerance(per_pair)
 
 
 @_family("mode_equation_of_motion")
-def _check_mode_equation(es: EigenSystem, grid: OracleGrid):
+def _check_mode_equation(es: EigenSystem, times: np.ndarray):
     h = 1e-4
-    times = np.array(grid.times)
     es = es[:, None]
     for branch in ("plus", "minus"):
         omega_sq = es.omega(branch) ** 2
@@ -432,18 +416,19 @@ def _dts(grid: OracleGrid, es: EigenSystem) -> np.ndarray:  # phase = delta_omeg
 
 
 def _as_pairs(grid: np.ndarray) -> np.ndarray:
-    """A (systems, 2, 2, ...) flavour grid as (systems, 4, ...), in PAIRS order."""
+    """A (systems, 2, 2, ...) flavour grid as (systems, 4, ...), the pairs
+    (1, 1), (1, 2), (2, 1), (2, 2) in order."""
     return grid.reshape(grid.shape[:1] + (4,) + grid.shape[3:])
 
 
-def _closed(dts: np.ndarray, es: EigenSystem) -> np.ndarray:
-    """Closed-form P(i -> j) of the four PAIRS, shape (systems, 4, phases)."""
-    return prob.probability_closed_form(PAIR_I, PAIR_J, dts[:, None], es[:, None, None]).value
+def _closed(dts: np.ndarray, per_pair: EigenSystem) -> np.ndarray:
+    """Closed-form P(i -> j) of the four pairs, shape (systems, 4, phases)."""
+    return _as_pairs(prob.probability_closed_form(GRID_I, GRID_J, dts[:, None, None],
+                                                  per_pair).value)
 
 
 @_family("trace_vs_closed_form")
-def _check_trace_vs_closed(es: EigenSystem, grid: OracleGrid, dts, closed):
-    t0s = np.array(grid.t0s)
+def _check_trace_vs_closed(es: EigenSystem, t0s: np.ndarray, dts, closed):
     trace = _as_pairs(prob.trace_probabilities(GRID_I[..., None], GRID_J[..., None], t0s,
                                                t0s + dts[:, None, None, :, None],
                                                es[:, None, None, None, None]))
@@ -451,8 +436,7 @@ def _check_trace_vs_closed(es: EigenSystem, grid: OracleGrid, dts, closed):
 
 
 @_family("brute_force_vs_closed_form")
-def _check_brute_force(ps: ModelParams, es: EigenSystem, grid: OracleGrid, dts, closed):
-    t0 = grid.t0s[0]
+def _check_brute_force(ps: ModelParams, es: EigenSystem, t0: float, dts, closed):
     brute = _as_pairs(brute_force_probability(ps[:, None, None, None], GRID_I, GRID_J, t0,
                                               t0 + dts[:, None, None]))
     yield brute - closed, tolerance_for_eta(es.eta)[:, None, None]
@@ -474,40 +458,37 @@ def _check_symmetry(es: EigenSystem, closed, at_zero):
 
 
 @_family("time_translation_invariance")
-def _check_time_translation(es: EigenSystem, grid: OracleGrid, dts):
-    shifts = np.array((*grid.t0s, 100.0))
-    values = prob.trace_probabilities(1, 2, shifts, shifts + dts[..., None], es[:, None, None])
+def _check_time_translation(es: EigenSystem, t0s: np.ndarray, per_time: EigenSystem, dts):
+    shifts = np.append(t0s, 100.0)
+    values = prob.trace_probabilities(1, 2, shifts, shifts + dts[..., None], per_time)
     yield values.max(axis=-1) - values.min(axis=-1), tolerance_for_eta(es.eta)[:, None]
 
 
 @_family("density_projection_operators")
-def _check_operators(es: EigenSystem, grid: OracleGrid):
-    t0s = np.array(grid.t0s)
+def _check_operators(es: EigenSystem, t0s: np.ndarray, per_time: EigenSystem):
     tol = _state_tolerance(es)[:, None, None]
-    rho = prob.density_operator(FLAVOURS, t0s, es[:, None, None])
-    pi = prob.projection_operator(FLAVOURS, t0s, es[:, None, None])
+    rho = prob.density_operator(FLAVOURS, t0s, per_time)
+    pi = prob.projection_operator(FLAVOURS, t0s, per_time)
     yield rho[..., 0, 0] + rho[..., 1, 1] - 1.0, tol
     yield _entry_max(rho @ rho - rho), tol
     yield _entry_max(pi - rho), 0.0  # same construction at equal times
 
 
 @_family("dirac_norm_closed_form")
-def _check_dirac_norm(ps: ModelParams, es: EigenSystem, grid: OracleGrid):
-    times = np.array(grid.times)
+def _check_dirac_norm(ps: ModelParams, es: EigenSystem, times: np.ndarray,
+                      per_time: EigenSystem, kets: np.ndarray):
     tol = _state_tolerance(es)[:, None, None]
-    closed = prob.dirac_norm(1, times, es[:, None, None])  # the same for both flavours
-    kets = _flavour_stack(states.flavour_ket, grid, es)
+    closed = prob.dirac_norm(1, times, per_time)  # the same for both flavours
     yield inner(kets.conj(), kets) - closed, tol  # <fi| is dirac_bra, |fi>^dag
     yield brute_force_dirac_norm(ps[:, None, None], FLAVOURS, times) - closed, tol
 
 
 @_family("dirac_overlap_closed_form")
-def _check_dirac_overlap(ps: ModelParams, es: EigenSystem, grid: OracleGrid):
-    times = np.array(grid.times)
+def _check_dirac_overlap(ps: ModelParams, es: EigenSystem, times: np.ndarray,
+                         per_time: EigenSystem, kets: np.ndarray):
     tol = _state_tolerance(es)[:, None]
     closed = prob.dirac_overlap(times, es[:, None])
-    contracted = _overlaps(_flavour_stack(states.dirac_bra, grid, es),
-                           _flavour_stack(states.flavour_ket, grid, es))
+    contracted = _overlaps(states.dirac_bra(FLAVOURS, times, per_time), kets)
     yield contracted[:, 0, 1] - closed, tol
     yield contracted[:, 1, 0] - closed.conj(), tol
     brute = brute_force_dirac_overlap(ps[:, None], times)
@@ -557,10 +538,13 @@ def check_all(params: ModelParams, grid: OracleGrid | None = None) -> list[Oracl
     draws = _random_inputs(grid.seed, grid.n_random)
     ps, es = _systems(params, grid)
     limit, ps, es = es[-1], ps[:-1], es[:-1]
+    times, t0s = np.array(grid.times), np.array(grid.t0s)
+    per_time, per_pair = es[:, None, None], es[:, None, None, None]
+    kets = states.flavour_ket(FLAVOURS, times, per_time)
     dts = _dts(grid, es)
-    closed = _closed(dts, es)
+    closed = _closed(dts, per_pair)
     at_zero = _as_pairs(prob.trace_probabilities(GRID_I, GRID_J, 0.0, dts[:, None, None],
-                                                 es[:, None, None, None]))
+                                                 per_pair))
     families = [
         _check_eigenvalues(params, draws.eigenvalues),
         _check_eigenvector_residuals(es),
@@ -574,19 +558,19 @@ def check_all(params: ModelParams, grid: OracleGrid | None = None) -> list[Oracl
         _check_cpt_positivity(draws.cpt_positivity),
         _check_pt_norms(es),
         _check_cpt_dirac_consistency(draws.cpt_dirac),
-        _check_biorthonormality(es, grid),
-        _check_mixed_basis(es, grid),
-        _check_cpt_nonorthogonality(es, grid),
-        _check_mode_equation(es, grid),
+        _check_biorthonormality(times, per_time, kets),
+        _check_mixed_basis(times, per_time),
+        _check_cpt_nonorthogonality(times, per_time, per_pair, kets),
+        _check_mode_equation(es, times),
         _check_cprime_section_identity(draws.cprime_section),
-        _check_trace_vs_closed(es, grid, dts, closed),
-        _check_brute_force(ps, es, grid, dts, closed),
+        _check_trace_vs_closed(es, t0s, dts, closed),
+        _check_brute_force(ps, es, grid.t0s[0], dts, closed),
         _check_unitarity(es, closed, at_zero),
         _check_symmetry(es, closed, at_zero),
-        _check_time_translation(es, grid, dts),
-        _check_operators(es, grid),
-        _check_dirac_norm(ps, es, grid),
-        _check_dirac_overlap(ps, es, grid),
+        _check_time_translation(es, t0s, per_time, dts),
+        _check_operators(es, t0s, per_time),
+        _check_dirac_norm(ps, es, times, per_time, kets),
+        _check_dirac_overlap(ps, es, times, per_time, kets),
         _check_hermitian_gap(grid),
         _check_naive_pathology(grid),
     ]

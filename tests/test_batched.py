@@ -5,6 +5,7 @@ element, the very value (==, not approx) that a single-point call on that
 element gives; a single point is the batch of shape ().
 """
 
+import cmath
 import dataclasses
 import math
 import re
@@ -42,14 +43,17 @@ from ptosc import (
     numeric_eigensystem,
     params_from_eta,
     parity_matrix,
+    probability_closed_form,
     projection_operator,
     pt_bra,
     pt_conjugate,
     pt_eigenvalues,
     tilde_bra,
     trace_probabilities,
+    xi,
 )
-from ptosc.model import _unbox
+from ptosc.model import _dot, _flavour_one, _unbox
+from ptosc.states import _per_component
 from ptosc.validation import GRID_I, GRID_J, _as_pairs
 
 SHAPES = [(), (1,), (7,), (3, 4)]
@@ -387,7 +391,8 @@ def test_a_slice_equals_the_former_slice_and_carries_what_its_stack_built(
 @hyp.given(seed=seeds, n=st.integers(1, 5))
 def test_a_flavour_grid_equals_the_four_pair_rows(seed, n):
     """check_all's 2 x 2 flavour grid (i a column, j a row), reshaped to the
-    PAIRS order, equals the (4, 1) pair-column calls bit for bit."""
+    pair order (1, 1), (1, 2), (2, 1), (2, 2), equals the (4, 1) pair-column
+    calls bit for bit."""
     rng = np.random.default_rng(seed)
     params = system_stack(rng, (n,))
     es = eigensystem(params)
@@ -404,10 +409,85 @@ def test_a_flavour_grid_equals_the_four_pair_rows(seed, n):
                                  t0s[0] + dts[:, None]),
          brute_force_probability(params[:, None, None, None], GRID_I, GRID_J, t0s[0],
                                  t0s[0] + dts[:, None, None])),
+        (probability_closed_form(PAIR_I, PAIR_J, dts[:, None], es[:, None, None]).value,
+         probability_closed_form(GRID_I, GRID_J, dts[:, None, None],
+                                 es[:, None, None, None]).value),
     ]
     for rows, grid in calls:
         assert grid.shape[1:3] == (2, 2)
         assert same_bits(_as_pairs(grid), rows)
+
+
+def former_xi(branch, t, es):
+    """xi from cmath, one element at a time, as it was built before (the reference)."""
+    omega, t = np.broadcast_arrays(es.omega(branch), t)
+    phases = [cmath.exp(1j * w * x) for w, x in zip(omega.ravel().tolist(), t.ravel().tolist())]
+    return _unbox(np.array(phases, dtype=complex).reshape(t.shape))
+
+
+def former_tilde_bra(i, t, es):
+    """tilde_bra with its rows from inner.cpt_conjugate, which builds C' from
+    eta, and with former_xi (the reference)."""
+    one = np.asarray(es._heavy_first_one(i))[..., None]
+    sect_plus, sect_minus = cpt_conjugate(es.eta, np.stack([es.e_plus, es.e_minus]))
+    cosh, sinh = _per_component(es.cosh_theta), _per_component(es.sinh_theta)
+    xp, xm = (np.conj(former_xi(branch, t, es))[..., None] for branch in ("plus", "minus"))
+    return np.where(one, cosh * xp * sect_plus - sinh * xm * sect_minus,
+                    cosh * xm * sect_minus - sinh * xp * sect_plus)
+
+
+def former_operator(data, i, t):
+    """oracle._operator building both flavours' kets and factors, then
+    selecting with np.where (the reference)."""
+    from ptosc.oracle import _ket
+
+    one = np.asarray(_flavour_one(i))[..., None]
+    ket1, ket2 = _ket(data, 1, t), _ket(data, 2, t)
+    left = np.where(one, ket1, _dot(ket2, data.symmetry.swapaxes(-1, -2)))
+    right = np.where(one, _dot(ket1.conj(), data.metric), _dot(ket2.conj(), parity_matrix()))
+    op = left[..., :, None] * right[..., None, :]
+    return op / (op[..., 0, 0] + op[..., 1, 1])[..., None, None]
+
+
+def reference_times(rng):
+    return np.append(rng.uniform(-50.0, 50.0, size=5), [0.0, -0.0])
+
+
+@examples
+@hyp.given(seed=seeds, shape=st.sampled_from(SHAPES))
+def test_xi_and_tilde_bra_equal_their_former_constructions(seed, shape):
+    """xi from np.exp equals the cmath loop, and tilde_bra contracting the
+    carried C'P equals the cpt_conjugate rows, bit for bit and in type."""
+    rng = np.random.default_rng(seed)
+    es = eigensystem(system_stack(rng, shape))
+    times, flavours = reference_times(rng), np.array([[1], [2]])
+    for branch in ("plus", "minus"):
+        per_time = es[along(shape, 1)]
+        assert same_bits(xi(branch, times, per_time), former_xi(branch, times, per_time))
+    per_time = es[along(shape, 2)]
+    assert same_bits(tilde_bra(flavours, times, per_time),
+                     former_tilde_bra(flavours, times, per_time))
+    for idx in np.ndindex(shape):
+        one, t = es[idx], float(times[0])
+        for branch in ("plus", "minus"):
+            assert same_bits(xi(branch, t, one), former_xi(branch, t, one))
+        for i in (1, 2):
+            assert same_bits(tilde_bra(i, t, one), former_tilde_bra(i, t, one))
+
+
+@examples
+@hyp.given(seed=seeds, shape=st.sampled_from(SHAPES))
+def test_operator_equals_the_former_two_ket_form(seed, shape):
+    from ptosc import brute_force_operator
+    from ptosc.oracle import _spectral_data
+
+    rng = np.random.default_rng(seed)
+    params = system_stack(rng, shape)
+    times = reference_times(rng)
+    for i, extra in ((1, 1), (2, 1), (np.array([[1], [2]]), 2), (GRID_I, 3)):
+        stack = params[along(shape, extra)]
+        assert same_bits(brute_force_operator(stack, i, times),
+                         former_operator(_spectral_data(stack), i, times))
 
 
 @examples

@@ -436,6 +436,18 @@ class TestValidate:
                          "--raw-params", "1,2,0.3,0")
         assert code == 0
 
+    @pytest.mark.parametrize("raw", ["1e-200,2e-200,1e-201,0", "1e-300,2e-300,1e-301,0"])
+    def test_tiny_masses_report_failures_without_a_traceback(self, raw):
+        """Squared masses far below 1e-154 reach the oracle's eigensolver
+        intact, so the brute force passes; the checks that lose precision
+        there fail, with exit 1."""
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(ptosc.__file__))}
+        done = subprocess.run([sys.executable, "-m", "ptosc", "validate", "--raw-params", raw],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 1 and "Traceback" not in done.stderr, done.stderr
+        status = {line.split()[0]: line.split()[-1] for line in done.stdout.splitlines()[1:-1]}
+        assert status["brute_force_vs_closed_form"] == "PASS" and "FAIL" in status.values()
+
 
 def test_parser_built_once_gives_the_output_of_fresh_runs(capsys):
     sequence = [

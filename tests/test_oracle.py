@@ -120,6 +120,23 @@ class TestBruteForce:
         assert brute_force_probability(p, 1, 2, 0.0, dt) == pytest.approx(
             closed, abs=tolerance_for_eta(0.999))
 
+    @pytest.mark.parametrize("k", [-1000, -600, 0, 600, 1000])
+    @pytest.mark.parametrize("masses", [(2.0, 1.0), (1.0, 2.0)], ids=["heavy", "light"])
+    def test_every_power_of_two_scale_matches_closed_form(self, k, masses):
+        """Squared masses scaled by 2^k (times by 2^(-k/2)) neither underflow
+        the eigenvector norms nor overflow them."""
+        scale = 2.0 ** k
+        p = make_params(masses[0] * scale, masses[1] * scale, 0.3 * scale, 0.0)
+        es = eigensystem(p)
+        t0 = 0.3 * 2.0 ** (-k / 2)
+        dt = 2.0 * np.linspace(0.0, math.pi, 9) / es.delta_omega
+        flavours = np.array([[1], [2]])
+        brute = brute_force_probability(p, flavours[..., None], flavours.T[..., None], t0,
+                                        t0 + dt)
+        closed = probability_closed_form(flavours[..., None], flavours.T[..., None], dt,
+                                         es).value
+        assert np.abs(brute - closed).max() <= tolerance_for_eta(es.eta)
+
 
 def test_tolerance_schedule():
     assert tolerance_for_eta(0.5) == 1e-10
@@ -239,21 +256,34 @@ class TestFlavourArrays:
                 call()
 
 
+def package_imports(module) -> set:
+    """The ptosc modules that a module's source imports from."""
+    import ast
+    from pathlib import Path
+
+    tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith(
+                "ptosc")):
+            found.add((node.module or "").removeprefix("ptosc").lstrip("."))
+        elif isinstance(node, ast.Import):
+            assert not any(alias.name.startswith("ptosc") for alias in node.names)
+    return found
+
+
 def test_oracle_imports_only_errors_and_model():
     """The oracle is the independent third route: it may build on the raw
     matrices (model) and the error types, never on states, probabilities,
     inner or validation."""
-    import ast
-    from pathlib import Path
-
     import ptosc.oracle
 
-    tree = ast.parse(Path(ptosc.oracle.__file__).read_text(encoding="utf-8"))
-    package_imports = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith(
-                "ptosc")):
-            package_imports.add((node.module or "").removeprefix("ptosc").lstrip("."))
-        elif isinstance(node, ast.Import):
-            assert not any(alias.name.startswith("ptosc") for alias in node.names)
-    assert package_imports == {"errors", "model"}
+    assert package_imports(ptosc.oracle) == {"errors", "model"}
+
+
+def test_states_imports_only_model():
+    """Every bra in states contracts with the metric its eigensystem carries,
+    so states needs no conjugation map from inner."""
+    import ptosc.states
+
+    assert package_imports(ptosc.states) == {"model"}

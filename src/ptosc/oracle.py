@@ -18,6 +18,10 @@ point, or arrays of them (ModelParams with array fields for a batch), all
 broadcast together.  One call makes one spectral solve over the whole
 (..., 2, 2) batch, so all four (i, j) pairs of every system over a time
 grid cost a single solve, each element equal to its single-point value.
+Each public function is a wrapper of a private core that takes the solve
+(`_probability`) or its kets (`_dirac_norm`, `_dirac_overlap`); the solve
+slices like the batch (`data[:, None]`), so check_all makes one solve per
+pass and hands its slices to the cores.
 
 Conditioning of the eigenvector basis degrades like (1 - eta^2)^(-1/2)
 near the exceptional point; use tolerance_for_eta for the documented
@@ -97,6 +101,12 @@ class _SpectralData:
     symmetry: np.ndarray         # V diag(PT signs) V^{-1}: C'-like ket operator
     omegas: np.ndarray           # frequencies sqrt(p^2 + lam), lam real and descending
 
+    def __getitem__(self, key) -> "_SpectralData":
+        """The spectra of the points at ``key`` (index, slice, None, ...) of
+        the batch; each field keeps its matrix or vector axes whole."""
+        key = (key if isinstance(key, tuple) else (key,)) + (Ellipsis,)
+        return _SpectralData(*(field[key] for field in vars(self).values()))
+
 
 def _spectral_data(params: ModelParams) -> _SpectralData:
     """The spectrum of one point, or of a batch with one (..., 2, 2) solve."""
@@ -149,6 +159,26 @@ def _operator(data: _SpectralData, i, t) -> np.ndarray:
     return op / (op[..., 0, 0] + op[..., 1, 1])[..., None, None]
 
 
+def _probability(data: _SpectralData, i, j, t0, t) -> float:
+    """brute_force_probability from a solve, sliced to broadcast with i, j and the times."""
+    product = _operator(data, i, t0) @ _operator(data, j, t)
+    value = product[..., 0, 0] + product[..., 1, 1]
+    imag = np.abs(value.imag).max(initial=0.0)
+    if imag > 1e-9:
+        raise NonRealTrace(f"brute-force trace has imaginary part {imag:.3e}")
+    return value.real[()]
+
+
+def _dirac_norm(ket: np.ndarray) -> float:
+    """<f|f> of each brute-force ket, by direct contraction."""
+    return (ket.conj() * ket).sum(axis=-1).real[()]
+
+
+def _dirac_overlap(f: np.ndarray, g: np.ndarray) -> complex:
+    """<f|g> of each pair of brute-force kets, by direct contraction."""
+    return (f.conj() * g).sum(axis=-1)[()]
+
+
 def brute_force_flavour_ket(params: ModelParams, i, t) -> np.ndarray:
     """Flavour ket components at time t, from a linear solve against the
     numeric eigenbasis (no mixing-angle formulas)."""
@@ -165,22 +195,15 @@ def brute_force_probability(params: ModelParams, i, j, t0, t) -> float:
     """P(i -> j) from the raw-matrix construction above.  With index
     columns i = [[1], [1], [2], [2]], j = [[1], [2], [1], [2]] and an array
     of times t, row k holds the k-th (i, j) pair over the whole grid."""
-    data = _spectral_data(params)
-    product = _operator(data, i, t0) @ _operator(data, j, t)
-    value = product[..., 0, 0] + product[..., 1, 1]
-    imag = np.abs(value.imag).max(initial=0.0)
-    if imag > 1e-9:
-        raise NonRealTrace(f"brute-force trace has imaginary part {imag:.3e}")
-    return value.real[()]
+    return _probability(_spectral_data(params), i, j, t0, t)
 
 
 def brute_force_dirac_norm(params: ModelParams, i, t) -> float:
     """<fi(t)|fi(t)> by direct contraction of the brute-force ket."""
-    ket = brute_force_flavour_ket(params, i, t)
-    return (ket.conj() * ket).sum(axis=-1).real[()]
+    return _dirac_norm(brute_force_flavour_ket(params, i, t))
 
 
 def brute_force_dirac_overlap(params: ModelParams, t: float) -> complex:
     """<f1(t)|f2(t)> by direct contraction of the brute-force kets."""
     data = _spectral_data(params)
-    return (_ket(data, 1, t).conj() * _ket(data, 2, t)).sum(axis=-1)[()]
+    return _dirac_overlap(_ket(data, 1, t), _ket(data, 2, t))

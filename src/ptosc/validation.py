@@ -8,9 +8,12 @@ configurable grid.  One OracleReport per invariant family; a family passes
 only if every grid point met its own tolerance (1e-10 for eta <= 0.95,
 1e-8 up to 0.999, tighter fixed tolerances where the identity is exact).
 All grid systems are one stacked eigensystem, and each per-system family
-makes one call over systems x times x flavour pairs.  A family is a
-@_family(name) generator of (errors, tolerance) pairs; its grid_size counts
-every element yielded.  The random-draw families take their inputs from
+makes one call over systems x times x flavour pairs.  Each pass makes one
+oracle spectral solve of the grid systems, whose slices feed the oracle
+families, and one trace call over the t0 axis of the grid's t0s and 0.0,
+whose columns feed the trace families.  A family is a @_family(name)
+generator of (errors, tolerance) pairs; its grid_size counts every element
+yielded.  The random-draw families take their inputs from
 _random_inputs, which depend on the grid's seed and n_random alone.
 """
 
@@ -21,8 +24,10 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import oracle
 from . import probabilities as prob
 from . import states
+from .errors import DomainError
 from .inner import cpt_conjugate, cpt_inner, dirac_inner, inner, pt_conjugate, pt_inner
 from .model import (
     EigenSystem,
@@ -38,7 +43,9 @@ from .model import (
     parity_matrix,
     pt_eigenvalues,
 )
-from .oracle import (
+# the families call the oracle's cores on one shared solve; the brute_force_*
+# names stay imported because bench/tracing.py wraps them at this site
+from .oracle import (  # noqa: F401
     OracleReport,
     brute_force_dirac_norm,
     brute_force_dirac_overlap,
@@ -428,17 +435,14 @@ def _closed(dts: np.ndarray, per_pair: EigenSystem) -> np.ndarray:
 
 
 @_family("trace_vs_closed_form")
-def _check_trace_vs_closed(es: EigenSystem, t0s: np.ndarray, dts, closed):
-    trace = _as_pairs(prob.trace_probabilities(GRID_I[..., None], GRID_J[..., None], t0s,
-                                               t0s + dts[:, None, None, :, None],
-                                               es[:, None, None, None, None]))
-    yield trace - closed[..., None], tolerance_for_eta(es.eta)[:, None, None, None]
+def _check_trace_vs_closed(es: EigenSystem, traces, closed):
+    yield traces - closed[..., None], tolerance_for_eta(es.eta)[:, None, None, None]
 
 
 @_family("brute_force_vs_closed_form")
-def _check_brute_force(ps: ModelParams, es: EigenSystem, t0: float, dts, closed):
-    brute = _as_pairs(brute_force_probability(ps[:, None, None, None], GRID_I, GRID_J, t0,
-                                              t0 + dts[:, None, None]))
+def _check_brute_force(spectra: "oracle._SpectralData", es: EigenSystem, t0: float, dts, closed):
+    brute = _as_pairs(oracle._probability(spectra[:, None, None, None], GRID_I, GRID_J, t0,
+                                          t0 + dts[:, None, None]))
     yield brute - closed, tolerance_for_eta(es.eta)[:, None, None]
 
 
@@ -458,9 +462,9 @@ def _check_symmetry(es: EigenSystem, closed, at_zero):
 
 
 @_family("time_translation_invariance")
-def _check_time_translation(es: EigenSystem, t0s: np.ndarray, per_time: EigenSystem, dts):
-    shifts = np.append(t0s, 100.0)
-    values = prob.trace_probabilities(1, 2, shifts, shifts + dts[..., None], per_time)
+def _check_time_translation(es: EigenSystem, traces, shifted):
+    """P(1 -> 2) from each grid t0 (traces[:, 1]) and from t0 = 100 (shifted)."""
+    values = np.concatenate([traces[:, 1], shifted], axis=-1)
     yield values.max(axis=-1) - values.min(axis=-1), tolerance_for_eta(es.eta)[:, None]
 
 
@@ -475,23 +479,23 @@ def _check_operators(es: EigenSystem, t0s: np.ndarray, per_time: EigenSystem):
 
 
 @_family("dirac_norm_closed_form")
-def _check_dirac_norm(ps: ModelParams, es: EigenSystem, times: np.ndarray,
-                      per_time: EigenSystem, kets: np.ndarray):
+def _check_dirac_norm(es: EigenSystem, times: np.ndarray, per_time: EigenSystem,
+                      kets: np.ndarray, oracle_kets: np.ndarray):
     tol = _state_tolerance(es)[:, None, None]
     closed = prob.dirac_norm(1, times, per_time)  # the same for both flavours
     yield inner(kets.conj(), kets) - closed, tol  # <fi| is dirac_bra, |fi>^dag
-    yield brute_force_dirac_norm(ps[:, None, None], FLAVOURS, times) - closed, tol
+    yield oracle._dirac_norm(oracle_kets) - closed, tol
 
 
 @_family("dirac_overlap_closed_form")
-def _check_dirac_overlap(ps: ModelParams, es: EigenSystem, times: np.ndarray,
-                         per_time: EigenSystem, kets: np.ndarray):
+def _check_dirac_overlap(es: EigenSystem, times: np.ndarray, per_time: EigenSystem,
+                         kets: np.ndarray, oracle_kets: np.ndarray):
     tol = _state_tolerance(es)[:, None]
     closed = prob.dirac_overlap(times, es[:, None])
     contracted = _overlaps(states.dirac_bra(FLAVOURS, times, per_time), kets)
     yield contracted[:, 0, 1] - closed, tol
     yield contracted[:, 1, 0] - closed.conj(), tol
-    brute = brute_force_dirac_overlap(ps[:, None], times)
+    brute = oracle._dirac_overlap(oracle_kets[:, 0], oracle_kets[:, 1])
     # the user-basis brute force can differ by the relabelling's overall
     # state sign, so compare moduli when swapped
     yield np.where(es.swapped[:, None], _modulus(brute) - _modulus(closed), brute - closed), tol
@@ -527,24 +531,52 @@ def _check_hermitian_masses(draws: tuple):
     yield _eigenvalue_errors(hermitian_eigenvalues(p), hermitian_mass_matrix(p)), 1e-10
 
 
+def _validate_grid(grid: OracleGrid) -> None:
+    """DomainError naming the first field of grid that no family can run on."""
+    for name in ("times", "t0s"):
+        values = np.asarray(getattr(grid, name), dtype=float)
+        finite = np.isfinite(values)
+        if not finite.all():
+            raise DomainError(f"OracleGrid.{name} must be finite, got "
+                              f"{float(values[~finite].flat[0])!r}")
+    if not np.size(grid.t0s):
+        raise DomainError("OracleGrid.t0s must hold at least one time")
+    for name in ("n_phases", "n_random"):
+        if getattr(grid, name) < 0:
+            raise DomainError(f"OracleGrid.{name} must be >= 0, got {getattr(grid, name)!r}")
+
+
 def check_all(params: ModelParams, grid: OracleGrid | None = None) -> list[OracleReport]:
     """Run every invariant family; check failures are reported, never raised.
 
     The reference parameters must sit in the unbroken regime (eta < 1);
-    out-of-domain inputs raise up front rather than mid-suite.
+    out-of-domain inputs, and a grid with no t0, a negative count or a
+    non-finite time, raise up front rather than mid-suite.
     """
     eigensystem(params)  # validates eta < 1 - EXCEPTIONAL_POINT_BAND
     grid = grid or OracleGrid()
+    _validate_grid(grid)
     draws = _random_inputs(grid.seed, grid.n_random)
     ps, es = _systems(params, grid)
     limit, ps, es = es[-1], ps[:-1], es[:-1]
-    times, t0s = np.array(grid.times), np.array(grid.t0s)
+    times = np.array(grid.times)
     per_time, per_pair = es[:, None, None], es[:, None, None, None]
     kets = states.flavour_ket(FLAVOURS, times, per_time)
+    spectra = oracle._spectral_data(ps)
+    oracle_kets = oracle._ket(spectra[:, None, None], FLAVOURS, times)
     dts = _dts(grid, es)
     closed = _closed(dts, per_pair)
-    at_zero = _as_pairs(prob.trace_probabilities(GRID_I, GRID_J, 0.0, dts[:, None, None],
-                                                 per_pair))
+    # one trace call from every grid t0 and 0.0, each once, shape (systems,
+    # 4 pairs, phases, t0s); the grid's t0s are its columns in grid order,
+    # and 0.0 the column of unitarity and probability_symmetry
+    t0_axis = sorted({*grid.t0s, 0.0})
+    t0s = np.array(t0_axis)
+    traces = _as_pairs(prob.trace_probabilities(GRID_I[..., None], GRID_J[..., None], t0s,
+                                                t0s + dts[:, None, None, :, None],
+                                                es[:, None, None, None, None]))
+    at_zero = traces[..., t0_axis.index(0.0)]
+    on_grid = traces[..., [t0_axis.index(t0) for t0 in grid.t0s]]
+    shifted = prob.trace_probabilities(1, 2, 100.0, 100.0 + dts[..., None], per_time)
     families = [
         _check_eigenvalues(params, draws.eigenvalues),
         _check_eigenvector_residuals(es),
@@ -563,14 +595,14 @@ def check_all(params: ModelParams, grid: OracleGrid | None = None) -> list[Oracl
         _check_cpt_nonorthogonality(times, per_time, per_pair, kets),
         _check_mode_equation(es, times),
         _check_cprime_section_identity(draws.cprime_section),
-        _check_trace_vs_closed(es, t0s, dts, closed),
-        _check_brute_force(ps, es, grid.t0s[0], dts, closed),
+        _check_trace_vs_closed(es, on_grid, closed),
+        _check_brute_force(spectra, es, grid.t0s[0], dts, closed),
         _check_unitarity(es, closed, at_zero),
         _check_symmetry(es, closed, at_zero),
-        _check_time_translation(es, t0s, per_time, dts),
-        _check_operators(es, t0s, per_time),
-        _check_dirac_norm(ps, es, times, per_time, kets),
-        _check_dirac_overlap(ps, es, times, per_time, kets),
+        _check_time_translation(es, on_grid, shifted),
+        _check_operators(es, np.array(grid.t0s), per_time),
+        _check_dirac_norm(es, times, per_time, kets, oracle_kets),
+        _check_dirac_overlap(es, times, per_time, kets, oracle_kets),
         _check_hermitian_gap(grid),
         _check_naive_pathology(grid),
     ]

@@ -531,6 +531,34 @@ def test_oracle_over_a_params_stack_equals_per_point_calls(seed, shape):
             assert np.array_equal(stacked[name][idx], value), name
 
 
+@examples
+@hyp.given(seed=seeds, shape=st.sampled_from(SHAPES))
+def test_a_sliced_solve_equals_a_solve_of_the_sliced_params(seed, shape):
+    """check_all solves its systems once and hands slices of the solve to the
+    oracle cores: each slice, and each core on it, has a fresh solve's bits,
+    and the Dirac overlap of shared flavour kets has its own call's bits."""
+    from ptosc import brute_force_dirac_norm, brute_force_dirac_overlap, brute_force_probability
+    from ptosc import oracle
+
+    rng = np.random.default_rng(seed)
+    params = system_stack(rng, shape)
+    times = rng.uniform(-20.0, 20.0, size=5)
+    data = oracle._spectral_data(params)
+    for extra in (1, 2, 3):
+        key = along(shape, extra)
+        sliced, fresh = data[key], oracle._spectral_data(params[key])
+        for name in ("basis", "weights", "metric", "symmetry", "omegas"):
+            assert same_bits(getattr(sliced, name), getattr(fresh, name)), name
+    pairs, flavours = along(shape, 2), np.array([[1], [2]])
+    assert same_bits(oracle._probability(data[pairs], PAIR_I, PAIR_J, 0.3, times),
+                     brute_force_probability(params[pairs], PAIR_I, PAIR_J, 0.3, times))
+    kets = oracle._ket(data[pairs], flavours, times)
+    assert same_bits(oracle._dirac_norm(kets),
+                     brute_force_dirac_norm(params[pairs], flavours, times))
+    assert same_bits(oracle._dirac_overlap(kets[..., 0, :, :], kets[..., 1, :, :]),
+                     brute_force_dirac_overlap(params[along(shape, 1)], times))
+
+
 GOOD_POINTS = [(2.0, 1.0, 0.3, 0.0), (1.0, 2.0, 0.2, 0.5), (4.2, 1.3, 0.0, 0.7)]
 BAD_POINTS = [
     (2.0, 1.0, 0.6, 0.0),              # eta = 1.2: broken PT phase

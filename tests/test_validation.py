@@ -1,6 +1,7 @@
 """The check_all invariant suite: green by construction, red when corrupted."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -177,6 +178,23 @@ def test_out_of_domain_reference_params_raise_up_front():
 
     with pytest.raises(BrokenPTPhase):
         check_all(make_params(2.0, 1.0, 0.8), small_grid())
+
+
+@pytest.mark.parametrize("field, value", [
+    ("t0s", ()), ("n_random", -1), ("n_phases", -1),
+    ("times", (0.0, math.inf)), ("times", (math.nan,)),
+    ("t0s", (1.7, -math.inf)), ("t0s", (math.nan, 0.0))])
+def test_a_bad_grid_is_refused_before_any_family_runs(params, monkeypatch, field, value):
+    from ptosc import DomainError, validation
+
+    def unreachable(*args):
+        raise AssertionError("the suite started on a bad grid")
+
+    monkeypatch.setattr(validation, "_random_inputs", unreachable)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy RuntimeWarning on the way
+        with pytest.raises(DomainError, match=f"OracleGrid.{field} "):
+            check_all(params, small_grid(**{field: value}))
 
 
 # (check_name, grid_size for check_all(make_params(2, 1, 0.3)), grid_size
@@ -539,9 +557,20 @@ CUSTOM_GRID = OracleGrid(etas=(0.0, 0.3, 0.8, 0.96, 0.999), times=(-2.0, 0.0, 1.
                          t0s=(0.5, -1.0), n_phases=7, n_random=60)
 
 
+# t0s that the shared trace stack (one column per distinct t0 and 0.0)
+# must slice back into grid order: duplicates, 100.0 (the shift of
+# time_translation_invariance), -0.0 (equal to 0.0) and no 0.0 at all
+T0_GRIDS = {"t0_duplicates_100_negative_zero": (100.0, -0.0, -0.0, 2.5),
+            "t0_zero_and_negative_zero": (0.0, 1.7, -0.0, 1.7),
+            "t0_without_zero": (2.5, -1.0, 100.0)}
+
+
 @pytest.mark.parametrize("grid", [OracleGrid(), CUSTOM_GRID,
-                                  OracleGrid(etas=CUSTOM_GRID.etas, n_random=60, tolerance=1e-20)],
-                         ids=["default", "custom", "tolerance_override"])
+                                  OracleGrid(etas=CUSTOM_GRID.etas, n_random=60, tolerance=1e-20),
+                                  *(OracleGrid(etas=CUSTOM_GRID.etas, times=CUSTOM_GRID.times,
+                                               t0s=t0s, n_phases=7, n_random=60)
+                                    for t0s in T0_GRIDS.values())],
+                         ids=["default", "custom", "tolerance_override", *T0_GRIDS])
 @pytest.mark.parametrize("raw", [(2.0, 1.0, 0.3, 0.0), (1.0, 2.0, 0.3, 0.0),
                                  (4.2, 1.3, 0.8, 0.7), (1.3, 4.2, 0.8, 0.7)],
                          ids=["heavy_first", "swapped", "heavy_first_p", "swapped_p"])
@@ -553,25 +582,30 @@ def test_stacked_families_equal_a_per_point_reference_loop(raw, grid):
     assert {name: got[name] for name in want} == want
 
 
-def test_one_stacked_eigensystem_and_three_spectral_solves_per_pass(params, monkeypatch):
+def test_one_stacked_eigensystem_one_spectral_solve_and_two_trace_calls_per_pass(
+        params, monkeypatch):
     from ptosc import oracle, validation
+    from ptosc import probabilities as prob
 
-    calls = {"eigensystem": 0, "spectral": 0}
+    calls = {"eigensystem": 0, "spectral": 0, "trace": 0}
 
     def counted(key, fn):
-        def wrapper(p):
+        def wrapper(*args):
             calls[key] += 1
-            return fn(p)
+            return fn(*args)
         return wrapper
 
     monkeypatch.setattr(validation, "eigensystem", counted("eigensystem", eigensystem))
     monkeypatch.setattr(oracle, "_spectral_data", counted("spectral", oracle._spectral_data))
+    monkeypatch.setattr(prob, "trace_probabilities",
+                        counted("trace", prob.trace_probabilities))
     grid = small_grid(etas=(0.0, 0.3, 0.8, 0.999))
     check_all(params, grid)
     # the reference point checked up front, then every grid system and the
-    # Hermitian-limit point in one stack; one oracle solve per oracle family
-    assert calls["eigensystem"] == 2
-    assert calls["spectral"] == 3
+    # Hermitian-limit point in one stack; one oracle solve whose slices feed
+    # the three oracle families; one trace stack over the t0s and 0.0, and
+    # the P(1 -> 2) column from t0 = 100
+    assert calls == {"eigensystem": 2, "spectral": 1, "trace": 2}
 
 
 def test_the_grid_stack_builds_cprime_once_per_pass(params, monkeypatch):
@@ -596,7 +630,8 @@ def test_the_grid_stack_builds_cprime_once_per_pass(params, monkeypatch):
 
 def test_a_default_grid_pass_builds_each_state_quantity_once(params, monkeypatch):
     """check_all slices the eigensystem stack and evaluates the flavour kets
-    once per shape it needs, and the oracle builds one ket per operator."""
+    once per shape it needs, and the oracle builds one ket per operator and
+    one set of flavour kets for both Dirac families."""
     from ptosc import model, oracle, states
 
     calls = {"slice": 0, "kets": 0, "oracle_ket": 0}
@@ -612,7 +647,7 @@ def test_a_default_grid_pass_builds_each_state_quantity_once(params, monkeypatch
     monkeypatch.setattr(states, "_ket_components", counted("kets", states._ket_components))
     monkeypatch.setattr(oracle, "_ket", counted("oracle_ket", oracle._ket))
     assert all(rep.passed for rep in check_all(params))
-    assert calls["slice"] <= 12 and calls["kets"] <= 12 and calls["oracle_ket"] <= 5, calls
+    assert calls["slice"] <= 12 and calls["kets"] <= 12 and calls["oracle_ket"] <= 3, calls
 
 
 def per_eta_reference(grid):

@@ -18,10 +18,10 @@ point, or arrays of them (ModelParams with array fields for a batch), all
 broadcast together.  One call makes one spectral solve over the whole
 (..., 2, 2) batch, so all four (i, j) pairs of every system over a time
 grid cost a single solve, each element equal to its single-point value.
-Each public function is a wrapper of a private core that takes the solve
-(`_probability`) or its kets (`_dirac_norm`, `_dirac_overlap`); the solve
-slices like the batch (`data[:, None]`), so check_all makes one solve per
-pass and hands its slices to the cores.
+Each public function wraps a private core that takes the solve
+(`_probability`, `_ket`) or its kets (`_dirac_overlap`); the solve slices
+like the batch (`data[:, None]`), so check_all makes one solve per pass
+and hands its slices to the cores.
 
 Conditioning of the eigenvector basis degrades like (1 - eta^2)^(-1/2)
 near the exceptional point; use tolerance_for_eta for the documented
@@ -169,11 +169,6 @@ def _probability(data: _SpectralData, i, j, t0, t) -> float:
     return value.real[()]
 
 
-def _dirac_norm(ket: np.ndarray) -> float:
-    """<f|f> of each brute-force ket, by direct contraction."""
-    return (ket.conj() * ket).sum(axis=-1).real[()]
-
-
 def _dirac_overlap(f: np.ndarray, g: np.ndarray) -> complex:
     """<f|g> of each pair of brute-force kets, by direct contraction."""
     return (f.conj() * g).sum(axis=-1)[()]
@@ -200,7 +195,8 @@ def brute_force_probability(params: ModelParams, i, j, t0, t) -> float:
 
 def brute_force_dirac_norm(params: ModelParams, i, t) -> float:
     """<fi(t)|fi(t)> by direct contraction of the brute-force ket."""
-    return _dirac_norm(brute_force_flavour_ket(params, i, t))
+    ket = brute_force_flavour_ket(params, i, t)
+    return _dirac_overlap(ket, ket).real
 
 
 def brute_force_dirac_overlap(params: ModelParams, t: float) -> complex:

@@ -484,7 +484,7 @@ def _check_dirac_norm(es: EigenSystem, times: np.ndarray, per_time: EigenSystem,
     tol = _state_tolerance(es)[:, None, None]
     closed = prob.dirac_norm(1, times, per_time)  # the same for both flavours
     yield inner(kets.conj(), kets) - closed, tol  # <fi| is dirac_bra, |fi>^dag
-    yield oracle._dirac_norm(oracle_kets) - closed, tol
+    yield oracle._dirac_overlap(oracle_kets, oracle_kets).real - closed, tol
 
 
 @_family("dirac_overlap_closed_form")

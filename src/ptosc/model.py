@@ -42,7 +42,6 @@ always.  es[k] or es[:, None] picks or reshapes the systems of a stack.
 import math
 import sys
 from dataclasses import dataclass, fields
-from functools import cached_property
 
 import numpy as np
 
@@ -108,6 +107,17 @@ def _all(mask) -> bool:
     return bool(mask) if isinstance(mask, (bool, np.bool_)) else bool(mask.all())
 
 
+def _finite(name: str, x) -> None:
+    """DomainError naming ``name`` and its first infinite or NaN element (a
+    float is checked with no numpy call)."""
+    if isinstance(x, float) and math.isfinite(x):
+        return
+    finite = np.isfinite(x)
+    if not _all(finite):
+        bad = float(np.asarray(x)[~finite].flat[0])
+        raise DomainError(f"{name} must be finite, got {bad!r}")
+
+
 def _flavour_one(i):
     """Where flavour label(s) i are 1: a bool for an int label (no numpy
     call), else a bool array; DomainError unless every label is 1 or 2."""
@@ -144,9 +154,7 @@ def make_params(m1_sq: float, m2_sq: float, mu_sq: float, p: float = 0.0) -> Mod
         fields = tuple(_unbox(v) for v in np.broadcast_arrays(
             *(np.asarray(v, dtype=float) for v in fields)))
     for name, value in zip(("m1_sq", "m2_sq", "mu_sq", "p"), fields):
-        if _any(abs(value) > sys.float_info.max) or _any(value != value):  # inf or NaN
-            bad = float(np.asarray(value)[~np.isfinite(value)].flat[0])
-            raise DomainError(f"{name} must be finite, got {bad!r}")
+        _finite(name, value)
     m1_sq, m2_sq, mu_sq, p = fields
     if _any(m1_sq <= 0.0) or _any(m2_sq <= 0.0):
         raise DomainError(f"diagonal squared masses must be positive, got {m1_sq}, {m2_sq}")
@@ -246,12 +254,12 @@ def cprime_matrix(eta) -> np.ndarray:
     kets is C'^T, with C'^T e_+ = e_+ and C'^T e_- = -e_-.
     """
     _check_eta(eta, broken="complex eigenvalues, C' undefined", exceptional=True)
-    return _cprime_matrix(eta)
+    return _cprime_matrix(eta, np.sqrt((1.0 - eta) * (1.0 + eta)))
 
 
-def _cprime_matrix(eta) -> np.ndarray:
-    """cprime_matrix without its domain guards, for an eta already validated."""
-    s = np.sqrt((1.0 - eta) * (1.0 + eta))
+def _cprime_matrix(eta, s) -> np.ndarray:
+    """cprime_matrix without its domain guards, for an eta already validated
+    and its s = sqrt(1 - eta^2)."""
     return _matrix(1.0 / s, -eta / s, eta / s, -1.0 / s)
 
 
@@ -292,7 +300,12 @@ class EigenSystem:
     ``swapped`` is True when the input had m1_sq < m2_sq, in which case
     flavour index 1 refers to the second heavy-first axis (and vice versa).
     n_factor is the textbook eigenvector normalisation, +inf at eta = 0.
-    A batch of params gives array fields (e_plus / e_minus: batch + (2,)).
+    sech_two_theta = sqrt(1 - eta^2), and mixed_basis_norm, its square root,
+    scales each mixed-basis ket and bra once.  cprime is C' (C'^T v of a ket
+    v is the component row v^T C'), and cpt_metric is C' P, the
+    positive-definite metric contracted by the C'PT bras.  A batch of params
+    gives array fields, each with the batch shape first (e_plus / e_minus:
+    + (2,), cprime / cpt_metric: + (2, 2)).
     """
 
     params: ModelParams
@@ -306,29 +319,23 @@ class EigenSystem:
     omega_plus: float
     omega_minus: float
     delta_omega: float
+    sech_two_theta: float
+    mixed_basis_norm: float
     e_plus: np.ndarray
     e_minus: np.ndarray
+    cprime: np.ndarray
+    cpt_metric: np.ndarray
     swapped: bool
 
     def __getitem__(self, key) -> "EigenSystem":
-        """The systems at ``key`` (index, slice, mask, None, ...) of a stack;
-        e_plus / e_minus keep their component axis last.  C', C'P and the
-        mixed-basis norm, where the stack has built them, are sliced along:
-        each is element-wise in eta, so its slice equals a fresh build."""
+        """The systems at ``key`` (index, slice, mask, None, ...) of a stack.
+        Each field is indexed by the key and keeps whole the axes it has
+        beyond eta's, so a slice equals a fresh build of its systems."""
         key = key if isinstance(key, tuple) else (key,)
-        keys = (key, key + (slice(None),), key + (slice(None), slice(None)))
-        state = vars(self)
-        sliced = object.__new__(EigenSystem)  # every field (and carried cache) set here
-        vars(sliced).update({name: _unbox(_at(state[name], keys[axes]))
-                             for name, axes in _SLICED_AXES if name in state},
-                            params=self.params[key])
-        return sliced
-
-    @property
-    def sech_two_theta(self) -> float:
-        """sech(2 theta) = sqrt(1 - eta^2); the mixed-basis states are each
-        scaled by its square root."""
-        return _unbox(np.sqrt((1.0 - np.asarray(self.eta)) * (1.0 + self.eta)))
+        depth = np.ndim(self.eta)
+        return EigenSystem(self.params[key], *(
+            _unbox(np.asarray(x)[key + (slice(None),) * (np.ndim(x) - depth)])
+            for x in (getattr(self, f.name) for f in fields(self)[1:])))
 
     @property
     def cosh_two_theta(self) -> float:
@@ -337,23 +344,6 @@ class EigenSystem:
     @property
     def sinh_two_theta(self) -> float:
         return self.eta / self.sech_two_theta
-
-    @cached_property
-    def mixed_basis_norm(self) -> float:
-        """sqrt(sech(2 theta)), applied once per ket and once per bra."""
-        return _unbox(np.sqrt(self.sech_two_theta))
-
-    @cached_property
-    def cpt_metric(self) -> np.ndarray:
-        """C' P, the positive-definite metric contracted by the C'PT bras (C'
-        with its second column negated: exactly the product with P)."""
-        return self.cprime * _PARITY_SIGNS
-
-    @cached_property
-    def cprime(self) -> np.ndarray:
-        """C', built here once without cprime_matrix's guards (eigensystem has
-        validated eta); C'^T v of a ket v is the component row v^T C'."""
-        return _cprime_matrix(self.eta)
 
     def _heavy_first_one(self, i):
         """Where label(s) i map to heavy-first flavour 1 (a bool for one of each)."""
@@ -372,19 +362,6 @@ class EigenSystem:
         p = self.params
         return _matrix(np.maximum(p.m1_sq, p.m2_sq), p.mu_sq, -p.mu_sq,
                        np.minimum(p.m1_sq, p.m2_sq))
-
-
-# EigenSystem.__getitem__ indexes each of these with its key and this many
-# whole trailing axes: every field but params, then the cached properties
-# that a slice takes over from its stack
-_SLICED_AXES = (*((f.name, 1 if f.name.startswith("e_") else 0)
-                  for f in fields(EigenSystem) if f.name != "params"),
-                ("cprime", 2), ("cpt_metric", 2), ("mixed_basis_norm", 0))
-
-
-def _at(x, key):
-    """x[key] of a stored array, or of a single system's Python number."""
-    return x[key] if isinstance(x, np.ndarray) else np.asarray(x)[key]
 
 
 def eigensystem(params: ModelParams) -> EigenSystem:
@@ -426,9 +403,11 @@ def eigensystem(params: ModelParams) -> EigenSystem:
 
     # m_plus_sq - m_minus_sq = |m1^2 - m2^2| s, computed without cancellation
     delta_omega = abs(m1 - m2) * s / (omega_plus + omega_minus)
+    cprime = _cprime_matrix(eta, s)
     values = (eta, 0.5 * _per_element(math.atanh, eta), cosh_theta, sinh_theta, n_factor,
-              m_plus_sq, m_minus_sq, omega_plus, omega_minus, delta_omega)
+              m_plus_sq, m_minus_sq, omega_plus, omega_minus, delta_omega, s, np.sqrt(s))
     return EigenSystem(params, *map(_unbox, values),
                        e_plus=np.stack([cosh_theta, -sinh_theta], axis=-1),
                        e_minus=np.stack([-sinh_theta, cosh_theta], axis=-1),
+                       cprime=cprime, cpt_metric=cprime * _PARITY_SIGNS,
                        swapped=_unbox(m1 < m2))

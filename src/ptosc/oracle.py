@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import BrokenPTPhase, DomainError, NonRealTrace
 from .model import (
-    ModelParams, _any, _cmul, _dot, _flavour_one, _select, mass_matrix, parity_matrix)
+    ModelParams, _any, _cmul, _dot, _finite, _flavour_one, _select, mass_matrix, parity_matrix)
 
 # Eigenvalues whose imaginary part exceeds this (relative to the matrix
 # scale) are classified as the broken-PT regime by the probability path.
@@ -141,9 +141,7 @@ def _spectral_data(params: ModelParams) -> _SpectralData:
 
 def _ket(data: _SpectralData, i, t) -> np.ndarray:
     t = np.asarray(t)
-    finite = np.isfinite(t)
-    if not finite.all():  # every brute-force route passes here with its times
-        raise DomainError(f"time must be finite, got {float(t[~finite].flat[0])!r}")
+    _finite("time", t)  # every brute-force route passes here with its times
     weights = np.where(np.asarray(_flavour_one(i))[..., None], data.weights[..., 0, :],
                        data.weights[..., 1, :])
     phases = np.exp(1j * (t[..., None] * data.omegas))

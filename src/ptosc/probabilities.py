@@ -35,7 +35,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NonRealTrace
-from .model import EigenSystem, _all, _any, _check_eta, _flavour_one, _per_element, _select, _unbox
+from .model import (
+    EigenSystem, _all, _any, _check_eta, _finite, _flavour_one, _per_element, _select, _unbox)
 from .oracle import tolerance_for_eta
 from .states import mixed_basis_pair
 
@@ -61,15 +62,10 @@ class ProbabilityRecord:
 
 
 def _of_phase(fn, phase):
-    """fn from math at each element of a phase, as _per_element does (a float
-    is checked with no numpy call); DomainError for an infinite or NaN phase,
-    which math.sin and math.cos would refuse with a bare ValueError or pass on."""
-    if isinstance(phase, float) and math.isfinite(phase):
-        return fn(phase)
-    finite = np.isfinite(phase)
-    if not _all(finite):
-        bad = float(np.asarray(phase)[~finite].flat[0])
-        raise DomainError(f"phase must be finite, got {bad!r}")
+    """fn from math at each element of a phase, as _per_element does;
+    DomainError for an infinite or NaN phase, which math.sin and math.cos
+    would refuse with a bare ValueError or pass on."""
+    _finite("phase", phase)
     return _per_element(fn, phase)
 
 
@@ -124,6 +120,7 @@ def _check_time_resolution(es: EigenSystem, *times) -> None:
     tol = tolerance_for_eta(es.eta)
     omega = es.omega_plus  # the larger frequency: m_plus_sq >= m_minus_sq
     for t in times:
+        _finite("time", t)
         t_abs = abs(t)
         bound = omega * (math.ulp(t_abs) if isinstance(t_abs, float) else np.spacing(t_abs))
         if not _all(bound <= tol):

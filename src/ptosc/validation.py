@@ -33,6 +33,7 @@ from .model import (
     EigenSystem,
     ModelParams,
     _cmul,
+    _finite,
     _per_element,
     cprime_matrix,
     eigensystem,
@@ -140,9 +141,7 @@ def _systems(params: ModelParams, grid: OracleGrid) -> tuple[ModelParams, EigenS
     eta = np.array([*etas, 1e-8])
     stack = make_params(params.m1_sq, params.m2_sq,
                         0.5 * eta * abs(params.m1_sq - params.m2_sq), params.p)
-    es = eigensystem(stack)
-    es.cpt_metric, es.mixed_basis_norm  # built once here, and carried by every slice of es
-    return stack, es
+    return stack, eigensystem(stack)
 
 
 def _state_tolerance(es: EigenSystem) -> np.ndarray:
@@ -534,11 +533,7 @@ def _check_hermitian_masses(draws: tuple):
 def _validate_grid(grid: OracleGrid) -> None:
     """DomainError naming the first field of grid that no family can run on."""
     for name in ("times", "t0s"):
-        values = np.asarray(getattr(grid, name), dtype=float)
-        finite = np.isfinite(values)
-        if not finite.all():
-            raise DomainError(f"OracleGrid.{name} must be finite, got "
-                              f"{float(values[~finite].flat[0])!r}")
+        _finite(f"OracleGrid.{name}", np.asarray(getattr(grid, name), dtype=float))
     if not np.size(grid.t0s):
         raise DomainError("OracleGrid.t0s must hold at least one time")
     for name in ("n_phases", "n_random"):

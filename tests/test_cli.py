@@ -197,6 +197,8 @@ BAD_CONFIG = {
     ("probabilities", "--raw-params", "2,1,1e308,0", "--methods", "hermitian",
      "--phase", "1"):                                               # eta overflows to inf
         "eta = inf: eta^2 is not a finite number",
+    ("probabilities", "--eta", "0.5", "--phase", "0,1e308", "--methods", "trace"):
+        "time must be finite, got inf",                             # t = 2 phase / dw overflows
     ("masses", "--config=", "--eta", "0.5"): "--config: must not be empty",
     ("masses", "--config", "", "--eta", "0.5"): "--config: must not be empty",
 }

@@ -282,7 +282,7 @@ def test_oracle_imports_only_errors_and_model():
 
 
 def test_states_imports_only_model():
-    """Every bra in states contracts with the metric its eigensystem carries,
+    """Every bra in states contracts with the metric its eigensystem stores,
     so states needs no conjugation map from inner."""
     import ptosc.states
 

@@ -4,6 +4,7 @@ quantities."""
 
 import math
 import re
+import warnings
 
 import hypothesis as hyp
 import hypothesis.strategies as st
@@ -600,3 +601,19 @@ def test_non_finite_phase_or_time_refused(es, name, value):
     shown = "inf" if isinstance(value, np.ndarray) else repr(value)
     with pytest.raises(DomainError, match=f"phase must be finite, got {re.escape(shown)}$"):
         PHASE_ENTRY_POINTS[name](value, es)
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+@pytest.mark.parametrize("call, what", [
+    (lambda t, es: trace_probabilities(1, 2, 0.0, t, es), "time"),
+    (lambda t, es: trace_probabilities(1, 2, t, 1.0, es), "time"),
+    (lambda t, es: brute_force_probability(es.params, 1, 2, 0.0, t), "time"),
+    (lambda t, es: probability_closed_form(1, 2, t, es), "phase"),
+], ids=["trace_t", "trace_t0", "brute_force", "closed_form"])
+def test_a_non_finite_time_is_refused_alike_by_every_route(es, call, what, value):
+    """The trace route names the time as the oracle does, rather than
+    reporting that |t| = inf resolves the mode phases only to nan."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=f"^{what} must be finite, got {value!r}$"):
+            call(value, es)

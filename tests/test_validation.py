@@ -614,18 +614,19 @@ def test_the_grid_stack_builds_cprime_once_per_pass(params, monkeypatch):
     shapes = []
     build = model._cprime_matrix
 
-    def counted(eta):
+    def counted(eta, s):
         shapes.append(np.shape(eta))
-        return build(eta)
+        return build(eta, s)
 
     monkeypatch.setattr(model, "_cprime_matrix", counted)
     check_all(params, small_grid(etas=(0.0, 0.3, 0.8, 0.999)))
-    # the stack of the five grid systems and the Hermitian-limit point builds
-    # C' once, and every slice of it carries C' (tilde_bra reads it there);
-    # the other eleven builds are cprime_matrix calls on the etas of the
-    # inner-product families (seven single etas, two 60-draw batches, one
-    # (5, 1, 1) grid for cpt_inner, and the four etas <= 0.99 of cprime_invariance)
-    assert sorted(shapes) == sorted([(6,)] + [()] * 7 + [(60,)] * 2 + [(5, 1, 1)] + [(4,)])
+    # the reference point's up-front eigensystem builds C' once, and so does
+    # the stack of the five grid systems and the Hermitian-limit point, whose
+    # slices slice its C' (tilde_bra reads it there); the other eleven builds
+    # are cprime_matrix calls on the etas of the inner-product families (seven
+    # single etas, two 60-draw batches, one (5, 1, 1) grid for cpt_inner, and
+    # the four etas <= 0.99 of cprime_invariance)
+    assert sorted(shapes) == sorted([(6,)] + [()] * 8 + [(60,)] * 2 + [(5, 1, 1)] + [(4,)])
 
 
 def test_a_default_grid_pass_builds_each_state_quantity_once(params, monkeypatch):

@@ -611,8 +611,9 @@ def test_non_finite_phase_or_time_refused(es, name, value):
     (lambda t, es: probability_closed_form(1, 2, t, es), "phase"),
 ], ids=["trace_t", "trace_t0", "brute_force", "closed_form"])
 def test_a_non_finite_time_is_refused_alike_by_every_route(es, call, what, value):
-    """The trace route names the time as the oracle does, rather than
-    reporting that |t| = inf resolves the mode phases only to nan."""
+    """The trace route refuses an infinite or NaN time with the oracle's
+    DomainError, before its time-resolution bound, and the closed form
+    names the phase."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(DomainError, match=f"^{what} must be finite, got {value!r}$"):

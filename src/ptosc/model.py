@@ -410,4 +410,5 @@ def eigensystem(params: ModelParams) -> EigenSystem:
                        e_plus=np.stack([cosh_theta, -sinh_theta], axis=-1),
                        e_minus=np.stack([-sinh_theta, cosh_theta], axis=-1),
                        cprime=cprime, cpt_metric=cprime * _PARITY_SIGNS,
-                       swapped=_unbox(m1 < m2))
+                       swapped=np.broadcast_to(m1 < m2, eta.shape)
+                       if isinstance(eta, np.ndarray) else _unbox(m1 < m2))

@@ -57,6 +57,25 @@ class OracleReport:
     grid_size: int
 
 
+def _eigenvalues(matrix: np.ndarray) -> tuple:
+    """The eigenvalues of a 2x2 matrix, or of each matrix of a (..., 2, 2)
+    stack, shape (..., 2), without eigenvectors; then the scaled entries
+    (a00, a01, a10, a11) and roots that numeric_eigensystem builds them from."""
+    a = np.ascontiguousarray(matrix, dtype=complex)
+    if not np.isfinite(a).all():
+        raise DomainError("matrix entries must be finite")
+    # divide each matrix by the power of two of its largest part, exactly,
+    # so that no candidate norm under- or overflows; scale lam back at the end
+    exponent = np.frexp(np.abs(a.view(float)).max(axis=(-2, -1)))[1][..., None]
+    a = np.ldexp(a.view(float), -exponent[..., None]).view(complex)
+    # entries keep a trailing axis, so one matrix and a stack round alike
+    entries = a00, a01, a10, a11 = tuple(a[..., i, j, None] for i in (0, 1) for j in (0, 1))
+    trace = a00 + a11
+    disc = np.sqrt(_cmul(trace, trace) - 4.0 * (_cmul(a00, a11) - _cmul(a01, a10)))
+    roots = np.concatenate([trace + disc, trace - disc], axis=-1) / 2.0
+    return np.ldexp(roots.view(float), exponent).view(complex), entries, roots
+
+
 def numeric_eigensystem(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues and unit-norm eigenvectors of a 2x2 matrix, or of each
     matrix of a (..., 2, 2) stack, from the characteristic polynomial.
@@ -66,18 +85,7 @@ def numeric_eigensystem(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     eigenvalues are returned as-is; at a defective (double) eigenvalue the
     two returned columns coalesce onto the single eigendirection.
     """
-    a = np.ascontiguousarray(matrix, dtype=complex)
-    if not np.isfinite(a).all():
-        raise DomainError("matrix entries must be finite")
-    # divide each matrix by the power of two of its largest part, exactly,
-    # so that no candidate norm under- or overflows; scale lam back at the end
-    exponent = np.frexp(np.abs(a.view(float)).max(axis=(-2, -1)))[1][..., None]
-    a = np.ldexp(a.view(float), -exponent[..., None]).view(complex)
-    # entries keep a trailing axis, so one matrix and a stack round alike
-    a00, a01, a10, a11 = (a[..., i, j, None] for i in (0, 1) for j in (0, 1))
-    trace = a00 + a11
-    disc = np.sqrt(_cmul(trace, trace) - 4.0 * (_cmul(a00, a11) - _cmul(a01, a10)))
-    eigenvalues = np.concatenate([trace + disc, trace - disc], axis=-1) / 2.0
+    values, (a00, a01, a10, a11), eigenvalues = _eigenvalues(matrix)
     # rows of (A - lam I) are orthogonal to the eigenvector: take the
     # better-conditioned of the two candidates (the first on a tie)
     cand = np.empty(eigenvalues.shape + (2, 2), dtype=complex)  # (..., lam, cand, comp)
@@ -90,7 +98,7 @@ def numeric_eigensystem(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     norm = norms.max(axis=-1, keepdims=True)
     scalar = norm == 0.0  # scalar matrix: every direction is an eigenvector
     vectors = np.where(scalar, [1.0, 0.0], w) / np.where(scalar, 1.0, norm)
-    return np.ldexp(eigenvalues.view(float), exponent).view(complex), np.swapaxes(vectors, -1, -2)
+    return values, np.swapaxes(vectors, -1, -2)
 
 
 @dataclass(frozen=True)

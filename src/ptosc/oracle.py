@@ -2,7 +2,8 @@
 
 Everything here is assembled from the raw mass/parity matrices and plain
 contractions: eigenpairs come from the quadratic formula applied to the
-characteristic polynomial (self-contained, no general eigensolver), mixing
+characteristic polynomial (self-contained, no general eigensolver; the
+eigenvalue families take its roots alone, from `_eigenvalues`), mixing
 weights from a 2x2 linear solve against the standard basis, and the
 positive-definite metric from the PT-normalised eigenvector matrix V as
 G = (V V^dag)^{-1}, with the ket-side symmetry V diag(PT signs) V^{-1}.
@@ -60,7 +61,7 @@ class OracleReport:
 def _eigenvalues(matrix: np.ndarray) -> tuple:
     """The eigenvalues of a 2x2 matrix, or of each matrix of a (..., 2, 2)
     stack, shape (..., 2), without eigenvectors; then the scaled entries
-    (a00, a01, a10, a11) and roots that numeric_eigensystem builds them from."""
+    (a00, a01, a10, a11) and roots, from which numeric_eigensystem builds eigenvectors."""
     a = np.ascontiguousarray(matrix, dtype=complex)
     if not np.isfinite(a).all():
         raise DomainError("matrix entries must be finite")

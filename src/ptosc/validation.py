@@ -44,9 +44,8 @@ from .model import (
     parity_matrix,
     pt_eigenvalues,
 )
-# the families call the oracle's cores: its spectral solve, shared, and its
-# eigenvalue roots, without eigenvectors; the brute_force_* names stay
-# imported because bench/tracing.py wraps them at this site
+# the families call the oracle's cores (one shared solve, and the roots alone);
+# the brute_force_* names stay imported because bench/tracing.py wraps them here
 from .oracle import (  # noqa: F401
     OracleReport,
     brute_force_dirac_norm,

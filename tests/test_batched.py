@@ -208,6 +208,42 @@ def test_single_points_equal_the_former_single_point_formulas(seed):
             assert np.array_equal(got, want)
 
 
+# a scalar matrix, a defective Jordan block, a broken-phase pair, zero, and a
+# triangular matrix whose negative-zero imaginary parts reach its roots
+SPECIAL_MATRICES = np.array([1.5 * np.eye(2), [[2.0, 1.0], [0.0, 2.0]],
+                             [[1.0, 2.0], [-2.0, 1.0]], np.zeros((2, 2)),
+                             np.conj(np.array([[-1.0, -1.0], [0.0, 2.0]]) + 0j)])
+
+
+@examples
+@hyp.given(seed=seeds, shape=st.sampled_from(SHAPES), real=st.booleans(),
+           k=st.integers(-600, 600))
+def test_the_root_core_gives_numeric_eigensystem_eigenvalues(seed, shape, real, k):
+    """oracle._eigenvalues, which the eigenvalue families call, returns the
+    bytes of numeric_eigensystem's eigenvalues (signs of zero included) on
+    stacks scaled by 2**k, and refuses a non-finite entry with the same text."""
+    from ptosc.oracle import _eigenvalues
+
+    rng = np.random.default_rng(seed)
+    matrices = rng.normal(size=shape + (2, 2))
+    if not real:
+        matrices = matrices + 1j * rng.normal(size=shape + (2, 2))
+    pool = SPECIAL_MATRICES.real if real else SPECIAL_MATRICES
+    special = rng.integers(-len(pool), len(pool), size=shape)  # below 0: keep the draw
+    matrices = np.where((special >= 0)[..., None, None], pool[special], matrices)
+    # times 2**k, exactly and keeping signs of zero (a complex product need not)
+    matrices = np.ldexp(matrices.view(float), k).view(matrices.dtype)
+    assert same_bits(_eigenvalues(matrices)[0], numeric_eigensystem(matrices)[0])
+
+    matrices.flat[rng.integers(matrices.size)] = rng.choice([np.inf, -np.inf, np.nan])
+    messages = []
+    for fn in (_eigenvalues, numeric_eigensystem):
+        with pytest.raises(DomainError) as refused:
+            fn(matrices)
+        messages.append(str(refused.value))
+    assert messages == ["matrix entries must be finite"] * 2
+
+
 @pytest.mark.parametrize("fn", [
     flavour_ket, tilde_bra, cpt_bra, pt_bra, dirac_bra, cprime_ket, mixed_basis_ket,
     mixed_basis_bra, density_operator, projection_operator,
@@ -378,15 +414,32 @@ def test_a_slice_equals_the_field_by_field_slice(heavy_first, key, touched):
     assert vars(es).keys() == stored.keys()
     assert all(vars(es)[name] is value for name, value in stored.items())
 
-    sliced = es[key]
-    reference = reference_slice(es, key)
-    assert {*reference} == {*vars(sliced)}
-    for name, value in reference.items():
+    assert_same_fields(es[key], reference_slice(es, key))
+
+
+def assert_same_fields(got, want: dict) -> None:
+    """Every field of the system got has the bits of want's entry, params
+    field by field."""
+    assert {*want} == {*vars(got)}
+    for name, value in want.items():
         if name == "params":
             for field in ("m1_sq", "m2_sq", "mu_sq", "p"):
-                assert same_bits(getattr(sliced.params, field), getattr(value, field)), field
+                assert same_bits(getattr(got.params, field), getattr(value, field)), field
         else:
-            assert same_bits(getattr(sliced, name), value), name
+            assert same_bits(getattr(got, name), value), name
+
+
+@pytest.mark.parametrize("m1_sq, m2_sq", [(2.0, 1.0), (1.0, 2.0)],
+                         ids=["heavy_first", "light_first"])
+def test_scalar_masses_with_an_array_mixing_slice_as_their_points(m1_sq, m2_sq):
+    """ModelParams with Python-float masses and an array mu^2 is a stack of
+    eta's shape, swapped included, and each slice equals the system of that
+    point built with make_params."""
+    mu_sq = np.array([0.1, 0.2, 0.3])
+    es = eigensystem(ModelParams(m1_sq, m2_sq, mu_sq, 0.0))
+    assert np.shape(es.swapped) == np.shape(es.eta) == (3,)
+    for k in range(3):
+        assert_same_fields(es[k], vars(eigensystem(make_params(m1_sq, m2_sq, mu_sq[k].item()))))
 
 
 @examples

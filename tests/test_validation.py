@@ -8,6 +8,7 @@ import pytest
 
 from helpers import random_params
 from ptosc import (
+    ModelParams,
     OracleGrid,
     OracleReport,
     brute_force_dirac_norm,
@@ -26,6 +27,7 @@ from ptosc import (
     eigensystem,
     flavour_ket,
     hermitian_eigenvalues,
+    hermitian_mass_matrix,
     hermitian_transition_probability,
     inner,
     make_params,
@@ -46,7 +48,7 @@ from ptosc import (
     transition_probability,
     xi,
 )
-from ptosc.validation import _Family, _random_inputs
+from ptosc.validation import _eigenvalue_errors, _Family, _random_inputs, _with_head
 
 
 def small_grid(**overrides):
@@ -335,6 +337,22 @@ def test_random_draw_families_equal_a_scalar_reference_loop(params, seed, n_rand
     assert {name: got[name] for name in want} == want
 
 
+def test_eigenvalue_errors_equal_the_sort_and_reverse_form(params):
+    """On the default draws of both eigenvalue families, the errors from the
+    root core's larger and smaller root have the bits of the former errors
+    from numeric_eigensystem's eigenvalues, sorted and reversed."""
+    grid = OracleGrid()
+    draws = _random_inputs(grid.seed, grid.n_random)
+    pt, herm = _with_head(params, draws.eigenvalues), ModelParams(*draws.hermitian_masses)
+    for lam_closed, matrices in ((pt_eigenvalues(pt), mass_matrix(pt)),
+                                 (hermitian_eigenvalues(herm), hermitian_mass_matrix(herm))):
+        lam_num = np.sort(numeric_eigensystem(matrices)[0].real, axis=-1)[..., ::-1]
+        scale = np.maximum(abs(lam_closed[0]), 1.0)
+        former = np.maximum(abs(lam_closed[0] - lam_num[..., 0]),
+                            abs(lam_closed[1] - lam_num[..., 1])) / scale
+        assert _eigenvalue_errors(lam_closed, matrices).tobytes() == former.tobytes()
+
+
 def reference_systems(params, grid):
     """One (params, eigensystem) per distinct grid eta below 1, then the
     reference eta, from single-point calls."""
@@ -587,7 +605,7 @@ def test_one_stacked_eigensystem_one_spectral_solve_and_two_trace_calls_per_pass
     from ptosc import oracle, validation
     from ptosc import probabilities as prob
 
-    calls = {"eigensystem": 0, "spectral": 0, "trace": 0}
+    calls = {"eigensystem": 0, "spectral": 0, "trace": 0, "numeric_eigensystem": 0, "roots": 0}
 
     def counted(key, fn):
         def wrapper(*args):
@@ -599,13 +617,19 @@ def test_one_stacked_eigensystem_one_spectral_solve_and_two_trace_calls_per_pass
     monkeypatch.setattr(oracle, "_spectral_data", counted("spectral", oracle._spectral_data))
     monkeypatch.setattr(prob, "trace_probabilities",
                         counted("trace", prob.trace_probabilities))
+    monkeypatch.setattr(oracle, "numeric_eigensystem",
+                        counted("numeric_eigensystem", oracle.numeric_eigensystem))
+    monkeypatch.setattr(oracle, "_eigenvalues", counted("roots", oracle._eigenvalues))
     grid = small_grid(etas=(0.0, 0.3, 0.8, 0.999))
     check_all(params, grid)
     # the reference point checked up front, then every grid system and the
     # Hermitian-limit point in one stack; one oracle solve whose slices feed
     # the three oracle families; one trace stack over the t0s and 0.0, and
-    # the P(1 -> 2) column from t0 = 100
-    assert calls == {"eigensystem": 2, "spectral": 1, "trace": 2}
+    # the P(1 -> 2) column from t0 = 100.  The solve's numeric_eigensystem
+    # takes its roots from the root core, which the two eigenvalue families
+    # call once each, building no eigenvectors
+    assert calls == {"eigensystem": 2, "spectral": 1, "trace": 2,
+                     "numeric_eigensystem": 1, "roots": 3}
 
 
 def test_the_grid_stack_builds_cprime_once_per_pass(params, monkeypatch):

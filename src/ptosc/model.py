@@ -34,9 +34,9 @@ For m1^2 < m2^2 the eigensystem is built in the heavy-first orientation and
 observable probabilities are symmetric under that relabelling.
 
 The matrix and eigenvalue functions and eigensystem also take ModelParams
-with equal-shape array fields (or an array of eta), each element rounded as
-one point is; one point is the shape-() batch and returns the same types as
-always.  es[k] or es[:, None] picks or reshapes the systems of a stack.
+with array fields (broadcast to one shape when it is built), each element
+rounded as one point is; one point is the shape-() batch and returns the
+same types as always.  es[k] or es[:, None] picks or reshapes the systems of a stack.
 """
 
 import math
@@ -62,7 +62,7 @@ _PARITY_SIGNS = np.array([1.0, -1.0])  # diag(P): rows times it are P applied ex
 class ModelParams:
     """Validated inputs: two diagonal squared masses, the mixing scale
     squared and the momentum magnitude (natural units, consistent but
-    arbitrary).  make_params builds one; equal-shape arrays make a batch."""
+    arbitrary).  make_params builds one; array fields make a batch."""
 
     m1_sq: float
     m2_sq: float
@@ -74,13 +74,15 @@ class ModelParams:
         """Dimensionless mixing strength 2 mu^2 / |m1^2 - m2^2|."""
         return 2.0 * self.mu_sq / abs(self.m1_sq - self.m2_sq)
 
+    def __post_init__(self) -> None:
+        """Broadcast a batch's fields to one shape, once (a point makes no numpy call)."""
+        values = vars(self)
+        if np.ndarray in map(type, values.values()) and len({*map(np.shape, values.values())}) > 1:
+            values.update(zip(list(values), np.broadcast_arrays(*values.values())))
+
     def __getitem__(self, key) -> "ModelParams":
         """The points of a batch at ``key`` (index, slice, mask or None)."""
-        fields = (self.m1_sq, self.m2_sq, self.mu_sq, self.p)
-        shape = np.shape(self.m1_sq)
-        if not all(isinstance(v, np.ndarray) and v.shape == shape for v in fields):
-            fields = np.broadcast_arrays(*fields)  # (which returns equal-shape arrays as given)
-        return ModelParams(*(_unbox(v[key]) for v in fields))
+        return ModelParams(*(_unbox(np.asarray(v)[key]) for v in vars(self).values()))
 
 
 def _unbox(x):
@@ -409,6 +411,4 @@ def eigensystem(params: ModelParams) -> EigenSystem:
     return EigenSystem(params, *map(_unbox, values),
                        e_plus=np.stack([cosh_theta, -sinh_theta], axis=-1),
                        e_minus=np.stack([-sinh_theta, cosh_theta], axis=-1),
-                       cprime=cprime, cpt_metric=cprime * _PARITY_SIGNS,
-                       swapped=np.broadcast_to(m1 < m2, eta.shape)
-                       if isinstance(eta, np.ndarray) else _unbox(m1 < m2))
+                       cprime=cprime, cpt_metric=cprime * _PARITY_SIGNS, swapped=_unbox(m1 < m2))

@@ -1,45 +1,41 @@
 """Brute-force reference paths, independent of the closed-form machinery.
 
-Everything here is assembled from the raw mass/parity matrices and plain
-contractions: eigenpairs come from the quadratic formula applied to the
-characteristic polynomial (self-contained, no general eigensolver; the
-eigenvalue families take its roots alone, from `_eigenvalues`), mixing
-weights from a 2x2 linear solve against the standard basis, and the
-positive-definite metric from the PT-normalised eigenvector matrix V as
-G = (V V^dag)^{-1}, with the ket-side symmetry V diag(PT signs) V^{-1}.
+Everything here is assembled from the raw mass/parity matrices, and a 2x2
+matrix function needs no eigenvectors (Moler & Van Loan, SIAM Rev. 45, 3
+(2003)).  With D = M^2 - sigma I, sigma half the trace, D^2 = h^2 I where
+h^2 = -det D, so exp(i Omega t) = e^{i w t} [cos x I + i sin x D / h], with
+x = h t / (omega_+ + omega_-), omega_pm = sqrt(p^2 + sigma +- h) and w their
+mean.  The ket-side symmetry is sign(D_00) D / h and the positive-definite
+metric is P times it (Mostafazadeh, J. Math. Phys. 43, 205 (2002)).  The
+phase e^{i w t} cancels from every operator and overlap, so only
+brute_force_flavour_ket puts it back.  The eigenvalue families take the
+characteristic polynomial's roots from `_eigenvalues`.
 
 None of this touches theta, the closed-form eigenvalues, the C'-matrix
 formula or the states module, so agreement with those code paths is a
-genuine cross-check rather than a tautology.  The construction is also
-orientation-free: it works identically for either ordering of the diagonal
-squared masses.
+genuine cross-check.  It works alike for either ordering of the diagonal
+squared masses, and at p >> m, since no full frequency enters a phase.
 
 Every brute-force function takes a time, a flavour index and a parameter
-point, or arrays of them (ModelParams with array fields for a batch), all
-broadcast together.  One call makes one spectral solve over the whole
-(..., 2, 2) batch, so all four (i, j) pairs of every system over a time
-grid cost a single solve, each element equal to its single-point value.
-Each public function wraps a private core that takes the solve
-(`_probability`, `_ket`) or its kets (`_dirac_overlap`); the solve slices
-like the batch (`data[:, None]`), so check_all makes one solve per pass
-and hands its slices to the cores.
-
-Conditioning of the eigenvector basis degrades like (1 - eta^2)^(-1/2)
-near the exceptional point; use tolerance_for_eta for the documented
-comparison schedule (1e-10 for eta <= 0.95, 1e-8 up to 0.999).
+point, or arrays of them, all broadcast together, with one spectral solve
+per call over the whole (..., 2, 2) batch, each element equal to its
+single-point value.  Each public function wraps a private core that takes
+the solve (`_probability`, `_ket`) or its kets (`_dirac_overlap`); the solve
+slices like the batch (`data[:, None]`), so check_all makes one solve per
+pass.  h^2 rounds with relative error eps d^2 / h^2 = eps / (1 - eta^2), so
+the solve raises ExceptionalPoint where that reaches _EP_BOUND (1 - eta <=
+1.1e-8); tolerance_for_eta gives the comparison schedule.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BrokenPTPhase, DomainError, NonRealTrace
-from .model import (
-    ModelParams, _any, _cmul, _dot, _finite, _flavour_one, _select, mass_matrix, parity_matrix)
+from .errors import BrokenPTPhase, DomainError, ExceptionalPoint, NonRealTrace
+from .model import (_PARITY_SIGNS, ModelParams, _any, _cmul, _dot, _finite, _flavour_one,
+                    _select, mass_matrix, parity_matrix)
 
-# Eigenvalues whose imaginary part exceeds this (relative to the matrix
-# scale) are classified as the broken-PT regime by the probability path.
-_REAL_SPECTRUM_TOLERANCE = 1e-12
+_EP_BOUND = 1e-8  # the largest relative rounding of h^2 admitted
 
 
 def tolerance_for_eta(eta: float) -> float:
@@ -104,11 +100,10 @@ def numeric_eigensystem(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class _SpectralData:
-    basis: np.ndarray            # PT-normalised eigenvectors as columns
-    weights: np.ndarray          # row i - 1: flavour i's coefficients in the basis
-    metric: np.ndarray           # (V V^dag)^{-1}: the positive-definite metric
-    symmetry: np.ndarray         # V diag(PT signs) V^{-1}: C'-like ket operator
-    omegas: np.ndarray           # frequencies sqrt(p^2 + lam), lam real and descending
+    generator: np.ndarray        # D / h: exp(i Omega t) = e^{i w t} (cos x I + i sin x D / h)
+    symmetry: np.ndarray         # sign(d) D / h: C'-like ket operator; P times it is the metric
+    rate: np.ndarray             # x / t = h / (omega_+ + omega_-), trailing axis of 1
+    mean: np.ndarray             # w = (omega_+ + omega_-) / 2, the common frequency, likewise
 
     def __getitem__(self, key) -> "_SpectralData":
         """The spectra of the points at ``key`` (index, slice, None, ...) of
@@ -118,50 +113,51 @@ class _SpectralData:
 
 
 def _spectral_data(params: ModelParams) -> _SpectralData:
-    """The spectrum of one point, or of a batch with one (..., 2, 2) solve."""
-    values, vectors = numeric_eigensystem(mass_matrix(params))
-    scale = np.abs(values).max(axis=-1)
-    broken = np.abs(values.imag).max(axis=-1) > _REAL_SPECTRUM_TOLERANCE * scale
-    order = np.argsort(-values.real, axis=-1)
-    eigenvalues = np.take_along_axis(values.real, order, axis=-1)
-    vectors = np.take_along_axis(vectors, order[..., None, :], axis=-1).real
-
-    parity = parity_matrix()
-    # v^T P v of each column, from the same two np.dot products as one matrix's
-    norms = np.stack([(_dot(v, parity)[..., None, :] @ v[..., :, None])[..., 0, 0]
-                      for v in (vectors[..., :, 0], vectors[..., :, 1])], axis=-1)
-    failed = broken | (np.abs(norms).min(axis=-1) < 1e-13)
+    """The spectrum of one point, or of a batch, from D = M^2 - sigma I."""
+    a = mass_matrix(params)
+    _finite("mass matrix entry", a)
+    # divide each matrix by the power of two of its largest entry, exactly, so
+    # that no square under- or overflows; sigma and h scale back at the end
+    exponent = np.frexp(np.abs(a).max(axis=(-2, -1)))[1][..., None]
+    a = np.ldexp(a, -exponent[..., None])
+    a00, a01, a10, a11 = (a[..., i, j, None] for i in (0, 1) for j in (0, 1))
+    d, sigma = (a00 - a11) / 2.0, (a00 + a11) / 2.0
+    g = np.sqrt(-a01 * a10)  # |mu^2| exactly
+    h_sq = (np.abs(d) - g) * (np.abs(d) + g)  # -det D, in factored form
+    # h_sq's relative error is eps d^2 / h^2 = eps / (1 - eta^2): refuse it a priori
+    failed = (np.finfo(float).eps * d * d >= _EP_BOUND * h_sq)[..., 0]
     if _any(failed):
         if np.ndim(failed):
             _spectral_data(params[np.unravel_index(np.argmax(failed), failed.shape)])  # raises
-        if broken:
-            raise BrokenPTPhase(f"complex eigenvalue pair {values} (eta = {params.eta:.6g})")
-        raise DomainError("PT-null eigenvector: parameters are at the exceptional point")
-    signs = np.sign(norms)
-    basis = vectors / np.sqrt(np.abs(norms))[..., None, :]
-    # row i - 1 solves basis x = e_i, one right-hand side at a time
-    weights = np.linalg.solve(basis[..., None, :, :], np.eye(2)[..., None])[..., 0]
-    metric = np.linalg.inv(basis @ basis.swapaxes(-1, -2))
-    diagonal = np.where(np.eye(2, dtype=bool), signs[..., None, :], 0.0)  # np.diag(signs)
-    symmetry = basis @ diagonal @ np.linalg.inv(basis)
-    omegas = np.sqrt(np.multiply(params.p, params.p)[..., None] + eigenvalues)
-    return _SpectralData(basis, weights, metric, symmetry, omegas)
+        if h_sq < 0.0:
+            raise BrokenPTPhase(f"eta = {params.eta:.6g} > 1: complex eigenvalue pair")
+        raise ExceptionalPoint(f"eta = {params.eta:.17g} is too close to the exceptional "
+                               f"point for the oracle: eps / (1 - eta^2) >= {_EP_BOUND:g}")
+    h = np.sqrt(h_sq)
+    generator = np.concatenate([d, a01, a10, -d], axis=-1).reshape(a.shape) / h[..., None]
+    p_sq = np.multiply(params.p, params.p)[..., None]
+    omegas = np.sqrt(p_sq + np.ldexp(sigma + np.concatenate([h, -h], axis=-1), exponent))
+    total = omegas.sum(axis=-1, keepdims=True)  # omega_+ + omega_-
+    return _SpectralData(generator, np.sign(d)[..., None] * generator,
+                         np.ldexp(h, exponent) / total, total / 2.0)
 
 
 def _ket(data: _SpectralData, i, t) -> np.ndarray:
+    """exp(i Omega t) e_i without its common phase e^{i w t}."""
     t = np.asarray(t)
     _finite("time", t)  # every brute-force route passes here with its times
-    weights = np.where(np.asarray(_flavour_one(i))[..., None], data.weights[..., 0, :],
-                       data.weights[..., 1, :])
-    phases = np.exp(1j * (t[..., None] * data.omegas))
-    return _dot(weights * phases, data.basis.swapaxes(-1, -2))
+    one = np.asarray(_flavour_one(i))[..., None]
+    column = np.where(one, data.generator[..., :, 0], data.generator[..., :, 1])  # D e_i / h
+    turn = np.exp(1j * (t[..., None] * data.rate))  # e^{ix}: cos x + i sin x
+    return np.where(one, [1.0, 0.0], [0.0, 1.0]) * turn.real + 1j * (turn.imag * column)
 
 
 def _operator(data: _SpectralData, i, t) -> np.ndarray:
     one = np.asarray(_flavour_one(i))[..., None]
     ket = _ket(data, i, t)
     left = np.where(one, ket, _dot(ket, data.symmetry.swapaxes(-1, -2)))
-    right = _dot(ket.conj(), np.where(one[..., None], data.metric, parity_matrix()))
+    metric = _PARITY_SIGNS[:, None] * data.symmetry  # P S
+    right = _dot(ket.conj(), np.where(one[..., None], metric, parity_matrix()))
     op = left[..., :, None] * right[..., None, :]
     return op / (op[..., 0, 0] + op[..., 1, 1])[..., None, None]
 
@@ -182,9 +178,10 @@ def _dirac_overlap(f: np.ndarray, g: np.ndarray) -> complex:
 
 
 def brute_force_flavour_ket(params: ModelParams, i, t) -> np.ndarray:
-    """Flavour ket components at time t, from a linear solve against the
-    numeric eigenbasis (no mixing-angle formulas)."""
-    return _ket(_spectral_data(params), i, t)
+    """Flavour ket components at time t, exp(i Omega t) e_i from the raw
+    matrix (no eigenvectors and no mixing-angle formulas)."""
+    data, t = _spectral_data(params), np.asarray(t)
+    return _cmul(_ket(data, i, t), np.exp(1j * (t[..., None] * data.mean)))
 
 
 def brute_force_operator(params: ModelParams, i, t) -> np.ndarray:
@@ -202,7 +199,7 @@ def brute_force_probability(params: ModelParams, i, j, t0, t) -> float:
 
 def brute_force_dirac_norm(params: ModelParams, i, t) -> float:
     """<fi(t)|fi(t)> by direct contraction of the brute-force ket."""
-    ket = brute_force_flavour_ket(params, i, t)
+    ket = _ket(_spectral_data(params), i, t)
     return _dirac_overlap(ket, ket).real
 
 

@@ -182,9 +182,11 @@ def dirac_overlap(t, es: EigenSystem) -> complex:
 
     Equals eta/(1 - eta^2) [1 - cos(delta_omega t) + i sqrt(1 - eta^2)
     sin(delta_omega t)]; the sign of the imaginary part follows from the
-    exp(+i omega t) mode convention, and the heavy-first relabelling of a
-    swapped system conjugates it.  The reverse overlap <f2|f1> is the
-    complex conjugate.  Arrays of times and stacked systems broadcast.
+    exp(+i omega t) mode convention.  The heavy-first relabelling of a
+    swapped system conjugates the overlap and negates it; this value (the
+    overlap of the kets of `states`) carries the conjugation alone, so the
+    raw-matrix kets exp(i Omega t) e_i give its negative.  The reverse
+    overlap <f2|f1> is the complex conjugate.  Arrays broadcast.
     """
     eta, x = es.eta, es.delta_omega * t
     sin = np.sqrt((1.0 - eta) * (1.0 + eta)) * _of_phase(math.sin, x)

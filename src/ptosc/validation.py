@@ -494,9 +494,9 @@ def _check_dirac_overlap(es: EigenSystem, times: np.ndarray, per_time: EigenSyst
     yield contracted[:, 0, 1] - closed, tol
     yield contracted[:, 1, 0] - closed.conj(), tol
     brute = oracle._dirac_overlap(oracle_kets[:, 0], oracle_kets[:, 1])
-    # the user-basis brute force can differ by the relabelling's overall
-    # state sign, so compare moduli when swapped
-    yield np.where(es.swapped[:, None], _modulus(brute) - _modulus(closed), brute - closed), tol
+    # the heavy-first relabelling of a swapped system conjugates the overlap
+    # and negates it; the closed form carries the conjugation alone
+    yield brute - np.where(es.swapped[:, None], -closed, closed), tol
 
 
 @_family("hermitian_gap")

@@ -442,6 +442,59 @@ def test_scalar_masses_with_an_array_mixing_slice_as_their_points(m1_sq, m2_sq):
         assert_same_fields(es[k], vars(eigensystem(make_params(m1_sq, m2_sq, mu_sq[k].item()))))
 
 
+HALF_BATCHES = {  # one array field among Python floats: (fields, the array's index)
+    "array_momentum": ((2.0, 1.0, 0.3, np.array([0.0, 1.0, 2.0])), 3),
+    "array_mixing": ((2.0, 1.0, np.array([0.1, 0.2, 0.3]), 0.0), 2),
+}
+
+
+@pytest.mark.parametrize("swap", [False, True], ids=["heavy_first", "light_first"])
+@pytest.mark.parametrize("batch", list(HALF_BATCHES))
+def test_a_params_batch_has_one_shape(batch, swap):
+    """A ModelParams with one array field is a batch of that field's shape:
+    every slice, every matrix, eigensystem and oracle value equals the call
+    on that point built with make_params."""
+    from ptosc import (
+        brute_force_dirac_norm,
+        brute_force_dirac_overlap,
+        brute_force_flavour_ket,
+        brute_force_operator,
+    )
+
+    fields, axis = HALF_BATCHES[batch]
+    if swap:
+        fields = (fields[1], fields[0], *fields[2:])
+    params = ModelParams(*fields)
+    assert all(np.shape(getattr(params, f)) == (3,) for f in ("m1_sq", "m2_sq", "mu_sq", "p"))
+    times, flavours = np.array([-2.0, 0.0, 3.3]), np.array([[1], [2]])
+    es = eigensystem(params)
+    column = params[:, None, None]
+    stacked = {
+        "mass_matrix": mass_matrix(params),
+        "hermitian_mass_matrix": hermitian_mass_matrix(params),
+        "probability": brute_force_probability(column, PAIR_I, PAIR_J, 0.3, 0.3 + times),
+        "ket": brute_force_flavour_ket(column, flavours, times),
+        "operator": brute_force_operator(column, flavours, times),
+        "norm": brute_force_dirac_norm(column, flavours, times),
+        "overlap": brute_force_dirac_overlap(params[:, None], times),
+    }
+    for k in range(3):
+        one = make_params(*(f[k].item() if n == axis else f for n, f in enumerate(fields)))
+        assert vars(params[k]) == vars(one)
+        assert_same_fields(es[k], vars(eigensystem(one)))
+        per_point = {
+            "mass_matrix": mass_matrix(one),
+            "hermitian_mass_matrix": hermitian_mass_matrix(one),
+            "probability": brute_force_probability(one, PAIR_I, PAIR_J, 0.3, 0.3 + times),
+            "ket": brute_force_flavour_ket(one, flavours, times),
+            "operator": brute_force_operator(one, flavours, times),
+            "norm": brute_force_dirac_norm(one, flavours, times),
+            "overlap": brute_force_dirac_overlap(one, times),
+        }
+        for name, value in per_point.items():
+            assert same_bits(stacked[name][k], value), name
+
+
 @examples
 @hyp.given(seed=seeds, n=st.integers(1, 5))
 def test_a_flavour_grid_equals_the_four_pair_rows(seed, n):
@@ -499,7 +552,8 @@ def former_operator(data, i, t):
     one = np.asarray(_flavour_one(i))[..., None]
     ket1, ket2 = _ket(data, 1, t), _ket(data, 2, t)
     left = np.where(one, ket1, _dot(ket2, data.symmetry.swapaxes(-1, -2)))
-    right = np.where(one, _dot(ket1.conj(), data.metric), _dot(ket2.conj(), parity_matrix()))
+    metric = parity_matrix() @ data.symmetry
+    right = np.where(one, _dot(ket1.conj(), metric), _dot(ket2.conj(), parity_matrix()))
     op = left[..., :, None] * right[..., None, :]
     return op / (op[..., 0, 0] + op[..., 1, 1])[..., None, None]
 
@@ -573,8 +627,8 @@ def test_oracle_over_a_params_stack_equals_per_point_calls(seed, shape):
     for idx in np.ndindex(shape):
         one = single(params, idx)
         reference = _spectral_data(one)
-        for name in ("basis", "weights", "metric", "symmetry", "omegas"):
-            assert np.array_equal(getattr(data, name)[idx], getattr(reference, name)), name
+        for name, field in vars(data).items():
+            assert np.array_equal(field[idx], getattr(reference, name)), name
         per_point = {
             "probability": brute_force_probability(one, PAIR_I, PAIR_J, 0.3, times),
             "norm": brute_force_dirac_norm(one, flavours, times),
@@ -602,8 +656,8 @@ def test_a_sliced_solve_equals_a_solve_of_the_sliced_params(seed, shape):
     for extra in (1, 2, 3):
         key = along(shape, extra)
         sliced, fresh = data[key], oracle._spectral_data(params[key])
-        for name in ("basis", "weights", "metric", "symmetry", "omegas"):
-            assert same_bits(getattr(sliced, name), getattr(fresh, name)), name
+        for name, field in vars(sliced).items():
+            assert same_bits(field, getattr(fresh, name)), name
     pairs, flavours = along(shape, 2), np.array([[1], [2]])
     assert same_bits(oracle._probability(data[pairs], PAIR_I, PAIR_J, 0.3, times),
                      brute_force_probability(params[pairs], PAIR_I, PAIR_J, 0.3, times))

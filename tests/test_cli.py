@@ -438,11 +438,19 @@ class TestValidate:
                          "--raw-params", "1,2,0.3,0")
         assert code == 0
 
+    def test_oracle_refuses_past_its_exceptional_point_bound(self, capsys):
+        """1 - eta = 1e-8 is past the oracle's a-priori bound: exit 3 with the
+        bound in the message, where a NonRealTrace traceback (exit 1) was."""
+        assert_domain_error(capsys, "validate", "--eta", "0.99999999")
+        assert run(capsys, "validate", "--eta", "0.99999999")[2].endswith(
+            "eps / (1 - eta^2) >= 1e-08\n")
+        assert run(capsys, "validate", "--eta", "0.9999999")[0] == 1  # two honest FAILs
+
     @pytest.mark.parametrize("raw", ["1e-200,2e-200,1e-201,0", "1e-300,2e-300,1e-301,0"])
     def test_tiny_masses_report_failures_without_a_traceback(self, raw):
-        """Squared masses far below 1e-154 reach the oracle's eigensolver
-        intact, so the brute force passes; the checks that lose precision
-        there fail, with exit 1."""
+        """Squared masses far below 1e-154 reach the oracle's solve intact,
+        so the brute force passes; the checks that lose precision there
+        fail, with exit 1."""
         env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(ptosc.__file__))}
         done = subprocess.run([sys.executable, "-m", "ptosc", "validate", "--raw-params", raw],
                               env=env, capture_output=True, text=True, timeout=120)

@@ -11,12 +11,14 @@ from helpers import random_params
 
 from ptosc import (
     DomainError,
+    ExceptionalPoint,
     brute_force_dirac_norm,
     brute_force_dirac_overlap,
     brute_force_flavour_ket,
     brute_force_operator,
     brute_force_probability,
     dirac_norm,
+    dirac_overlap,
     eigensystem,
     flavour_ket,
     make_params,
@@ -136,6 +138,111 @@ class TestBruteForce:
         closed = probability_closed_form(flavours[..., None], flavours.T[..., None], dt,
                                          es).value
         assert np.abs(brute - closed).max() <= tolerance_for_eta(es.eta)
+
+
+PAIRS_I, PAIRS_J = np.array([[1], [2]])[..., None], np.array([[1, 2]])[..., None]
+
+
+def oracle_errors(params, t0s=(0.0, 0.3), periods=0.5, n=50):
+    """|brute force - closed form| over the four pairs, phases in (0, periods pi]
+    (dt = 2 phase / delta_omega) and t0s; returns (errors, eta)."""
+    es = eigensystem(params)
+    dt = 2.0 * np.linspace(periods * math.pi / n, periods * math.pi, n) / es.delta_omega
+    closed = probability_closed_form(PAIRS_I, PAIRS_J, dt, es).value
+    brute = np.stack([brute_force_probability(params, PAIRS_I, PAIRS_J, t0, t0 + dt)
+                      for t0 in t0s])
+    return np.abs(brute - closed), es.eta
+
+
+class TestRange:
+    """The oracle takes no full frequency into a phase, so it holds at p >> m,
+    and it refuses a priori where h^2 = -det(M^2 - sigma I) loses its digits."""
+
+    @pytest.mark.parametrize("p", [1e2, 1e4, 1e6, 1e8])
+    @pytest.mark.parametrize("masses", [(2.0, 1.0), (1.0, 2.0)], ids=["heavy", "light"])
+    def test_large_momentum_matches_closed_form(self, p, masses):
+        """Before the eigenvector-free solve, the error here was 3.7e-12,
+        4.7e-8, 3.2e-4 and 0.36 for p = 1e2 ... 1e8."""
+        errors, eta = oracle_errors(make_params(*masses, 0.3, p), periods=1.0)
+        assert errors.max() <= tolerance_for_eta(eta)
+
+    @pytest.mark.parametrize("k", range(1, 8))
+    @pytest.mark.parametrize("masses", [(2.0, 1.0), (0.3, 5.0)], ids=["heavy", "light"])
+    def test_values_down_to_one_minus_eta_of_1e_7(self, k, masses):
+        eta = 1.0 - 10.0 ** -k
+        errors, _ = oracle_errors(make_params(*masses, eta * abs(masses[0] - masses[1]) / 2))
+        assert errors.max() <= tolerance_for_eta(eta)
+
+    @pytest.mark.parametrize("k", range(8, 12))
+    @pytest.mark.parametrize("masses", [(2.0, 1.0), (0.3, 5.0)], ids=["heavy", "light"])
+    def test_exceptional_point_refused_from_one_minus_eta_of_1e_8(self, k, masses):
+        eta = 1.0 - 10.0 ** -k
+        params = make_params(*masses, eta * abs(masses[0] - masses[1]) / 2)
+        calls = [lambda: brute_force_probability(params, 1, 2, 0.0, 1.0),
+                 lambda: brute_force_flavour_ket(params, 1, 1.0),
+                 lambda: brute_force_operator(params, 2, 1.0),
+                 lambda: brute_force_dirac_norm(params, 1, 1.0),
+                 lambda: brute_force_dirac_overlap(params, 1.0)]
+        for call in calls:
+            with pytest.raises(ExceptionalPoint, match=r"eps / \(1 - eta\^2\) >= 1e-08$"):
+                call()
+
+    def test_a_stack_refuses_as_its_first_point_past_the_bound(self):
+        """One point past the bound in a batch raises for the whole call."""
+        from ptosc import ModelParams
+
+        stack = ModelParams(np.full(3, 2.0), np.ones(3), np.array([0.3, 0.5 - 1e-9, 0.4]),
+                            np.zeros(3))
+        with pytest.raises(ExceptionalPoint, match=re.escape(f"eta = {stack[1].eta:.17g} ")):
+            brute_force_probability(stack, 1, 2, 0.0, 1.0)
+
+
+def test_dirac_overlap_is_minus_the_closed_form_when_swapped():
+    """The heavy-first relabelling conjugates the overlap and negates it; the
+    closed form carries the conjugation alone, so the raw-matrix overlap is
+    +closed for a heavy-first system and -closed for a swapped one."""
+    times = np.linspace(-5.0, 40.0, 31)
+    for raw in [(2.0, 1.0, 0.3, 0.0), (4.2, 1.3, 0.8, 0.7), (5.0, 0.3, 2.0, 3.0)]:
+        for m1, m2 in (raw[:2], raw[1::-1]):
+            params = make_params(m1, m2, *raw[2:])
+            es = eigensystem(params)
+            sign = -1.0 if es.swapped else 1.0
+            brute, closed = brute_force_dirac_overlap(params, times), dirac_overlap(times, es)
+            assert np.abs(brute - sign * closed).max() <= 1e-12
+            assert np.abs(brute + sign * closed)[1:].min() > 1e-3  # the other sign is far off
+
+
+def test_the_oracle_reaches_no_other_route():
+    """The brute force builds on the raw matrices alone: no call reaches the
+    states, the closed forms, the closed-form eigensystem, the C' formula
+    or the numeric eigenvectors."""
+    import sys
+
+    params, times = make_params(1.3, 4.2, 0.8, 0.7), np.linspace(0.0, 9.0, 7)
+    reached = set()
+
+    def record(frame, event, arg):
+        if event == "call":
+            reached.add((frame.f_globals.get("__name__"), frame.f_code.co_name))
+
+    sys.setprofile(record)
+    try:
+        brute_force_probability(params, PAIRS_I, PAIRS_J, -0.4, times)
+        brute_force_probability(params, 1, 2, 0.0, 1.5)
+        brute_force_flavour_ket(params, 2, times)
+        brute_force_operator(params, 1, times)
+        brute_force_dirac_norm(params, np.array([[1], [2]]), times)
+        brute_force_dirac_overlap(params, times)
+    finally:
+        sys.setprofile(None)
+    assert ("ptosc.oracle", "_spectral_data") in reached  # the profile sees the oracle
+    modules = {module for module, _ in reached}
+    assert not modules & {"ptosc.states", "ptosc.probabilities", "ptosc.inner",
+                          "ptosc.validation"}, modules
+    assert not reached & {("ptosc.model", "eigensystem"), ("ptosc.model", "cprime_matrix"),
+                          ("ptosc.model", "_cprime_matrix"),
+                          ("ptosc.oracle", "numeric_eigensystem"),
+                          ("ptosc.oracle", "_eigenvalues")}, reached
 
 
 def test_tolerance_schedule():

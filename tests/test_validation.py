@@ -542,10 +542,7 @@ def per_point_reference(params, grid):
                 state_tolerance(es))
             add(fam, abs(inner(dirac_bra(2, t, es), flavour_ket(1, t, es)) - closed.conjugate()),
                 state_tolerance(es))
-            if es.swapped:
-                add(fam, abs(abs(brute) - abs(closed)), state_tolerance(es))
-            else:
-                add(fam, abs(brute - closed), state_tolerance(es))
+            add(fam, abs(brute - (-closed if es.swapped else closed)), state_tolerance(es))
     families.append(fam)
 
     fam = _Family("hermitian_gap")
@@ -625,11 +622,11 @@ def test_one_stacked_eigensystem_one_spectral_solve_and_two_trace_calls_per_pass
     # the reference point checked up front, then every grid system and the
     # Hermitian-limit point in one stack; one oracle solve whose slices feed
     # the three oracle families; one trace stack over the t0s and 0.0, and
-    # the P(1 -> 2) column from t0 = 100.  The solve's numeric_eigensystem
-    # takes its roots from the root core, which the two eigenvalue families
-    # call once each, building no eigenvectors
+    # the P(1 -> 2) column from t0 = 100.  The solve builds no eigenvectors,
+    # so numeric_eigensystem is not called; the two eigenvalue families call
+    # the root core once each
     assert calls == {"eigensystem": 2, "spectral": 1, "trace": 2,
-                     "numeric_eigensystem": 1, "roots": 3}
+                     "numeric_eigensystem": 0, "roots": 2}
 
 
 def test_the_grid_stack_builds_cprime_once_per_pass(params, monkeypatch):

@@ -34,6 +34,7 @@ from .model import (
     params_from_eta,
     parity_matrix,
     pt_eigenvalues,
+    tolerance_for_eta,
 )
 from .oracle import (
     OracleReport,
@@ -43,7 +44,6 @@ from .oracle import (
     brute_force_operator,
     brute_force_probability,
     numeric_eigensystem,
-    tolerance_for_eta,
 )
 from .probabilities import (
     ProbabilityRecord,

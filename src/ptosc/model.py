@@ -37,6 +37,9 @@ The matrix and eigenvalue functions and eigensystem also take ModelParams
 with array fields (broadcast to one shape when it is built), each element
 rounded as one point is; one point is the shape-() batch and returns the
 same types as always.  es[k] or es[:, None] picks or reshapes the systems of a stack.
+
+Each route's admitted domain is declared here once: the exceptional-point
+bounds, tolerance_for_eta and the time-resolution rule of the time routes.
 """
 
 import math
@@ -47,10 +50,10 @@ import numpy as np
 
 from .errors import BrokenPTPhase, DomainError, ExceptionalPoint
 
-# eta values this close to 1 are classified as the exceptional point: the
-# eigenvector normalisation grows like (1 - eta^2)^(-1/2) and arithmetic in
-# the band is dominated by cancellation noise.
+# Near eta = 1 the eigenvector normalisation grows like (1 - eta^2)^(-1/2):
+# the closed forms, eigensystem and C' refuse eta in this band (1 - eta < 1e-12).
 EXCEPTIONAL_POINT_BAND = 1e-12
+_ORACLE_EP_BOUND = 1e-8  # the oracle admits eps / (1 - eta^2) < this (1 - eta > 1.1e-8)
 
 # The largest value whose square is finite (the next float up squares to inf).
 _SQUARE_LIMIT = math.sqrt(sys.float_info.max)
@@ -137,6 +140,25 @@ def _flavour_one(i):
 def _select(mask, a, b):
     """a where mask holds, else b; np.where, or plain Python for a bool mask."""
     return (a if mask else b) if isinstance(mask, bool) else np.where(mask, a, b)
+
+
+def tolerance_for_eta(eta: float) -> float:
+    """Comparison tolerance schedule for eigenvector-based checks (per element)."""
+    return _select(eta <= 0.95, 1e-10, 1e-8)
+
+
+def _check_time_resolution(route: str, rate, eta, *times) -> None:
+    """Refuse |t| so large that one ulp of t moves the phase rate * t by more
+    than tolerance_for_eta(eta) (t0 + dt rounds dt away), and non-finite t."""
+    tol = tolerance_for_eta(eta)
+    for t in times:
+        _finite("time", t)
+        t_abs = abs(t)
+        bound = rate * (math.ulp(t_abs) if isinstance(t_abs, float) else np.spacing(t_abs))
+        if not _all(bound <= tol):
+            raise DomainError(
+                f"|t| = {np.max(t_abs):.6g} resolves the mode phases only to "
+                f"{np.max(bound):.3e} > {np.min(tol):.0e}: the {route} needs smaller times")
 
 
 def make_params(m1_sq: float, m2_sq: float, mu_sq: float, p: float = 0.0) -> ModelParams:

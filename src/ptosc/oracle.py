@@ -23,8 +23,8 @@ single-point value.  Each public function wraps a private core that takes
 the solve (`_probability`, `_ket`) or its kets (`_dirac_overlap`); the solve
 slices like the batch (`data[:, None]`), so check_all makes one solve per
 pass.  h^2 rounds with relative error eps d^2 / h^2 = eps / (1 - eta^2), so
-the solve raises ExceptionalPoint where that reaches _EP_BOUND (1 - eta <=
-1.1e-8); tolerance_for_eta gives the comparison schedule.
+the solve raises ExceptionalPoint where that reaches _ORACLE_EP_BOUND, which
+`model` declares with every route's other bounds (1 - eta <= 1.1e-8).
 """
 
 from dataclasses import dataclass
@@ -32,16 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BrokenPTPhase, DomainError, ExceptionalPoint, NonRealTrace
-from .model import (_PARITY_SIGNS, ModelParams, _any, _cmul, _dot, _finite, _flavour_one,
-                    _select, mass_matrix, parity_matrix)
-
-_EP_BOUND = 1e-8  # the largest relative rounding of h^2 admitted
-
-
-def tolerance_for_eta(eta: float) -> float:
-    """Comparison tolerance schedule for eigenvector-based checks (per element)."""
-    return _select(eta <= 0.95, 1e-10, 1e-8)
-
+from .model import (_ORACLE_EP_BOUND, _PARITY_SIGNS, ModelParams, _any, _cmul, _dot, _finite,
+                    _flavour_one, mass_matrix, parity_matrix)
 
 @dataclass(frozen=True)
 class OracleReport:
@@ -125,14 +117,14 @@ def _spectral_data(params: ModelParams) -> _SpectralData:
     g = np.sqrt(-a01 * a10)  # |mu^2| exactly
     h_sq = (np.abs(d) - g) * (np.abs(d) + g)  # -det D, in factored form
     # h_sq's relative error is eps d^2 / h^2 = eps / (1 - eta^2): refuse it a priori
-    failed = (np.finfo(float).eps * d * d >= _EP_BOUND * h_sq)[..., 0]
+    failed = (np.finfo(float).eps * d * d >= _ORACLE_EP_BOUND * h_sq)[..., 0]
     if _any(failed):
         if np.ndim(failed):
             _spectral_data(params[np.unravel_index(np.argmax(failed), failed.shape)])  # raises
         if h_sq < 0.0:
             raise BrokenPTPhase(f"eta = {params.eta:.6g} > 1: complex eigenvalue pair")
-        raise ExceptionalPoint(f"eta = {params.eta:.17g} is too close to the exceptional "
-                               f"point for the oracle: eps / (1 - eta^2) >= {_EP_BOUND:g}")
+        raise ExceptionalPoint(f"eta = {params.eta:.17g} is too close to the exceptional point "
+                               f"for the oracle: eps / (1 - eta^2) >= {_ORACLE_EP_BOUND:g}")
     h = np.sqrt(h_sq)
     generator = np.concatenate([d, a01, a10, -d], axis=-1).reshape(a.shape) / h[..., None]
     p_sq = np.multiply(params.p, params.p)[..., None]

@@ -26,7 +26,8 @@ flavour-index and time arrays and a stacked EigenSystem alike.  The Dirac-norm
 diagnostics (time-dependent norm, flavour overlap and the polar cardioid)
 live here too; they quantify why the plain Hermitian inner product cannot
 give time-translation-invariant probabilities in this model.  All of them
-raise DomainError for an infinite or NaN phase or time.
+raise DomainError for an infinite or NaN phase or time; the trace route's
+time-resolution rule and tolerances are declared in `model`.
 """
 
 import math
@@ -34,10 +35,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NonRealTrace
-from .model import (
-    EigenSystem, _all, _any, _check_eta, _finite, _flavour_one, _per_element, _select, _unbox)
-from .oracle import tolerance_for_eta
+from .errors import NonRealTrace
+from .model import (EigenSystem, _any, _check_eta, _check_time_resolution, _finite,
+                    _flavour_one, _per_element, _select, _unbox)
 from .states import mixed_basis_pair
 
 # Imaginary parts of traces above this signal a construction bug (an order
@@ -114,21 +114,6 @@ def projection_operator(j, t, es: EigenSystem) -> np.ndarray:
     return density_operator(j, t, es)
 
 
-def _check_time_resolution(es: EigenSystem, *times) -> None:
-    """Refuse |t| so large that one ulp of t moves a mode phase by more than
-    the trace tolerance of its system (t0 + dt rounds dt away), and non-finite t."""
-    tol = tolerance_for_eta(es.eta)
-    omega = es.omega_plus  # the larger frequency: m_plus_sq >= m_minus_sq
-    for t in times:
-        _finite("time", t)
-        t_abs = abs(t)
-        bound = omega * (math.ulp(t_abs) if isinstance(t_abs, float) else np.spacing(t_abs))
-        if not _all(bound <= tol):
-            raise DomainError(
-                f"|t| = {np.max(t_abs):.6g} resolves the mode phases only to "
-                f"{np.max(bound):.3e} > {np.min(tol):.0e}: the trace route needs smaller times")
-
-
 def trace_probabilities(i, j, t0s, ts, es: EigenSystem) -> np.ndarray:
     """P(i -> j) = tr[rho_i(t0) pi_j(t)] as a batched matrix-product trace
     over the broadcast of the flavour indices i, j (ints or integer arrays),
@@ -138,7 +123,7 @@ def trace_probabilities(i, j, t0s, ts, es: EigenSystem) -> np.ndarray:
     if any imaginary part exceeds NON_REAL_TRACE_TOLERANCE; otherwise the
     imaginary parts are checked and discarded.
     """
-    _check_time_resolution(es, t0s, ts)
+    _check_time_resolution("trace route", es.omega_plus, es.eta, t0s, ts)
     product = density_operator(i, t0s, es) @ projection_operator(j, ts, es)
     values = product[..., 0, 0] + product[..., 1, 1]
     imag = np.abs(values.imag)

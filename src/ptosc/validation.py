@@ -43,6 +43,7 @@ from .model import (
     mass_matrix,
     parity_matrix,
     pt_eigenvalues,
+    tolerance_for_eta,
 )
 # the families call the oracle's cores (one shared solve, and the roots alone);
 # the brute_force_* names stay imported because bench/tracing.py wraps them here
@@ -51,7 +52,6 @@ from .oracle import (  # noqa: F401
     brute_force_dirac_norm,
     brute_force_dirac_overlap,
     brute_force_probability,
-    tolerance_for_eta,
 )
 
 TWO_PI = 2.0 * math.pi

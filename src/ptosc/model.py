@@ -54,6 +54,10 @@ from .errors import BrokenPTPhase, DomainError, ExceptionalPoint
 # the closed forms, eigensystem and C' refuse eta in this band (1 - eta < 1e-12).
 EXCEPTIONAL_POINT_BAND = 1e-12
 _ORACLE_EP_BOUND = 1e-8  # the oracle admits eps / (1 - eta^2) < this (1 - eta > 1.1e-8)
+# Measured in units of eps / (1 - eta^2), the trace route's values are off by up
+# to 2.9 and their imaginary parts reach 1.04; it admits eta while this many
+# units are within tolerance_for_eta (1 - eta >= 4.4e-8).
+_TRACE_EP_FACTOR = 4.0
 
 # The largest value whose square is finite (the next float up squares to inf).
 _SQUARE_LIMIT = math.sqrt(sys.float_info.max)
@@ -75,6 +79,7 @@ class ModelParams:
     @property
     def eta(self) -> float:
         """Dimensionless mixing strength 2 mu^2 / |m1^2 - m2^2|."""
+        _check_diagonal(self.m1_sq, self.m2_sq)
         return 2.0 * self.mu_sq / abs(self.m1_sq - self.m2_sq)
 
     def __post_init__(self) -> None:
@@ -123,6 +128,12 @@ def _finite(name: str, x) -> None:
         raise DomainError(f"{name} must be finite, got {bad!r}")
 
 
+def _check_diagonal(m1_sq, m2_sq) -> None:
+    """DomainError if any point of a batch has m1_sq == m2_sq (eta undefined)."""
+    if _any(m1_sq == m2_sq):
+        raise DomainError("m1_sq == m2_sq: eta is undefined for a degenerate diagonal")
+
+
 def _flavour_one(i):
     """Where flavour label(s) i are 1: a bool for an int label (no numpy
     call), else a bool array; DomainError unless every label is 1 or 2."""
@@ -145,6 +156,18 @@ def _select(mask, a, b):
 def tolerance_for_eta(eta: float) -> float:
     """Comparison tolerance schedule for eigenvector-based checks (per element)."""
     return _select(eta <= 0.95, 1e-10, 1e-8)
+
+
+def _trace_rounding(eta):
+    """The trace route's rounding bound _TRACE_EP_FACTOR eps / (1 - eta^2) per
+    element; ExceptionalPoint where it exceeds tolerance_for_eta(eta)."""
+    rounding = _TRACE_EP_FACTOR * sys.float_info.epsilon / ((1.0 - eta) * (1.0 + eta))
+    if not _all(rounding <= tolerance_for_eta(eta)):
+        worst = np.max(eta)
+        raise ExceptionalPoint(
+            f"eta = {worst:.17g} is too close to the exceptional point for the trace route: "
+            f"{_TRACE_EP_FACTOR:g} eps / (1 - eta^2) > {tolerance_for_eta(worst):.0e}")
+    return rounding
 
 
 def _check_time_resolution(route: str, rate, eta, *times) -> None:
@@ -188,8 +211,7 @@ def make_params(m1_sq: float, m2_sq: float, mu_sq: float, p: float = 0.0) -> Mod
         raise DomainError(f"momentum magnitude must be non-negative, got {p}")
     if _any(p > _SQUARE_LIMIT):
         raise DomainError(f"momentum magnitude {np.max(p):.6g} is too large: p^2 overflows")
-    if _any(m1_sq == m2_sq):
-        raise DomainError("m1_sq == m2_sq: eta is undefined for a degenerate diagonal")
+    _check_diagonal(m1_sq, m2_sq)
     return ModelParams(*fields)
 
 

@@ -32,8 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BrokenPTPhase, DomainError, ExceptionalPoint, NonRealTrace
-from .model import (_ORACLE_EP_BOUND, _PARITY_SIGNS, ModelParams, _any, _cmul, _dot, _finite,
-                    _flavour_one, mass_matrix, parity_matrix)
+from .model import (_ORACLE_EP_BOUND, _PARITY_SIGNS, ModelParams, _any, _check_time_resolution,
+                    _cmul, _dot, _finite, _flavour_one, mass_matrix, parity_matrix)
 
 @dataclass(frozen=True)
 class OracleReport:
@@ -96,6 +96,7 @@ class _SpectralData:
     symmetry: np.ndarray         # sign(d) D / h: C'-like ket operator; P times it is the metric
     rate: np.ndarray             # x / t = h / (omega_+ + omega_-), trailing axis of 1
     mean: np.ndarray             # w = (omega_+ + omega_-) / 2, the common frequency, likewise
+    eta: np.ndarray              # eta, likewise, for the time rule's tolerance
 
     def __getitem__(self, key) -> "_SpectralData":
         """The spectra of the points at ``key`` (index, slice, None, ...) of
@@ -131,16 +132,18 @@ def _spectral_data(params: ModelParams) -> _SpectralData:
     omegas = np.sqrt(p_sq + np.ldexp(sigma + np.concatenate([h, -h], axis=-1), exponent))
     total = omegas.sum(axis=-1, keepdims=True)  # omega_+ + omega_-
     return _SpectralData(generator, np.sign(d)[..., None] * generator,
-                         np.ldexp(h, exponent) / total, total / 2.0)
+                         np.ldexp(h, exponent) / total, total / 2.0,
+                         np.asarray(params.eta)[..., None])
 
 
 def _ket(data: _SpectralData, i, t) -> np.ndarray:
     """exp(i Omega t) e_i without its common phase e^{i w t}."""
-    t = np.asarray(t)
-    _finite("time", t)  # every brute-force route passes here with its times
+    t = np.asarray(t)[..., None]
+    # every brute-force route passes here with its times
+    _check_time_resolution("oracle", data.rate, data.eta, t)
     one = np.asarray(_flavour_one(i))[..., None]
     column = np.where(one, data.generator[..., :, 0], data.generator[..., :, 1])  # D e_i / h
-    turn = np.exp(1j * (t[..., None] * data.rate))  # e^{ix}: cos x + i sin x
+    turn = np.exp(1j * (t * data.rate))  # e^{ix}: cos x + i sin x
     return np.where(one, [1.0, 0.0], [0.0, 1.0]) * turn.real + 1j * (turn.imag * column)
 
 

@@ -35,9 +35,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonRealTrace
+from .errors import ExceptionalPoint, NonRealTrace
 from .model import (EigenSystem, _any, _check_eta, _check_time_resolution, _finite,
-                    _flavour_one, _per_element, _select, _unbox)
+                    _flavour_one, _per_element, _select, _trace_rounding, _unbox)
 from .states import mixed_basis_pair
 
 # Imaginary parts of traces above this signal a construction bug (an order
@@ -119,19 +119,27 @@ def trace_probabilities(i, j, t0s, ts, es: EigenSystem) -> np.ndarray:
     over the broadcast of the flavour indices i, j (ints or integer arrays),
     the times t0s, ts (floats or arrays) and the systems of es.
 
-    Raises DomainError for times too large to resolve dt, and NonRealTrace
-    if any imaginary part exceeds NON_REAL_TRACE_TOLERANCE; otherwise the
-    imaginary parts are checked and discarded.
+    Raises DomainError for times too large to resolve dt, ExceptionalPoint
+    where the route's rounding bound (`model._trace_rounding`) exceeds
+    tolerance_for_eta or explains an imaginary part above
+    NON_REAL_TRACE_TOLERANCE, and NonRealTrace for any other such part;
+    otherwise the imaginary parts are checked and discarded.
     """
     _check_time_resolution("trace route", es.omega_plus, es.eta, t0s, ts)
+    rounding = _trace_rounding(es.eta)
     product = density_operator(i, t0s, es) @ projection_operator(j, ts, es)
     values = product[..., 0, 0] + product[..., 1, 1]
     imag = np.abs(values.imag)
     if _any(imag > NON_REAL_TRACE_TOLERANCE):
         worst = np.unravel_index(np.argmax(imag), imag.shape)  # the pair of the worst element
-        a, b = (int(np.broadcast_to(k, imag.shape)[worst]) for k in (i, j))
-        raise NonRealTrace(
-            f"tr[rho_{a}(t0) pi_{b}(t)] of P({a} -> {b}) has imaginary part {imag[worst]:.3e}")
+        a, b, eta, bound = (np.broadcast_to(x, imag.shape)[worst]
+                            for x in (i, j, es.eta, rounding))
+        what = f"tr[rho_{a}(t0) pi_{b}(t)] of P({a} -> {b}) has imaginary part {imag[worst]:.3e}"
+        # above the rounding at eta = 0 but within its growth near the EP: not a bug
+        if _trace_rounding(0.0) < imag[worst] <= bound:
+            raise ExceptionalPoint(f"eta = {eta:.17g} is too close to the exceptional point for "
+                                   f"the trace route: {what}, within its rounding {bound:.3e}")
+        raise NonRealTrace(what)
     return values.real[()]
 
 

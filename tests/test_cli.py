@@ -446,6 +446,22 @@ class TestValidate:
             "eps / (1 - eta^2) >= 1e-08\n")
         assert run(capsys, "validate", "--eta", "0.9999999")[0] == 1  # two honest FAILs
 
+    @pytest.mark.parametrize("argv, bound", [
+        (("probabilities", "--eta", "0.99999999", "--methods", "closed_form,trace"),
+         "4 eps / (1 - eta^2) > 1e-08"),
+        (("validate", "--eta", "0.99999997"), "4 eps / (1 - eta^2) > 1e-08"),
+        (("validate", "--eta", "0.99999994"), "within its rounding 7.401e-09"),
+        (("probabilities", "--eta", "0.999999999", "--phase", "1", "--t0", "0.3",
+          "--methods", "closed_form,trace"), "4 eps / (1 - eta^2) > 1e-08"),
+    ])
+    def test_trace_route_refuses_near_the_exceptional_point(self, capsys, argv, bound):
+        """Each of these ended in a NonRealTrace traceback (exit 1), or gave a
+        trace value 3.7e-8 off with exit 0 (the last); now one line, exit 3."""
+        assert_domain_error(capsys, *argv)
+        err = run(capsys, *argv)[2]
+        assert "for the trace route: " in err and err.endswith(bound + "\n"), err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("raw", ["1e-200,2e-200,1e-201,0", "1e-300,2e-300,1e-301,0"])
     def test_tiny_masses_report_failures_without_a_traceback(self, raw):
         """Squared masses far below 1e-154 reach the oracle's solve intact,
@@ -662,7 +678,9 @@ def test_overflowing_momentum_exits_two_with_one_error_line(capsys, argv):
 
 numbers = st.sampled_from(["0", "0.5", "-0.0", "1", "0.999999999999", "1.2", "-0.3", "3.7",
                            "1e-300", "1e160", "1e200", "1e308", "-1e308", "nan", "inf",
-                           "abc", ""]) | st.floats(-5.0, 5.0).map(repr)
+                           "abc", "",  # and 1 - 10^-k for k = 6 to 11, about the EP bounds
+                           "0.999999", "0.9999999", "0.99999999", "0.999999999", "0.9999999999",
+                           "0.99999999999"]) | st.floats(-5.0, 5.0).map(repr)
 ranges = st.builds(lambda lo, hi, n: f"{lo}:{hi}:{n}", numbers, numbers,
                    st.sampled_from(["0", "1", "2", "3", "7", "x"]))
 grids = numbers | ranges | st.lists(numbers, min_size=1, max_size=3).map(",".join)

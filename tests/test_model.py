@@ -2,6 +2,7 @@
 
 import math
 import re
+import warnings
 
 import hypothesis as hyp
 import hypothesis.strategies as st
@@ -47,6 +48,24 @@ class TestMakeParams:
         with pytest.raises(DomainError, match=re.escape(
                 "m1_sq == m2_sq: eta is undefined for a degenerate diagonal")):
             make_params(1.0, 1.0, 0.1)
+
+    @pytest.mark.parametrize("fields", [
+        (2.0, 2.0, 0.3, 0.0),
+        (np.array([2.0]), np.array([2.0]), np.array([0.3]), np.array([0.0])),
+    ], ids=["point", "batch"])
+    def test_degenerate_diagonal_built_directly_raises_domain_error(self, fields):
+        """A ModelParams built without make_params has eta refuse a degenerate
+        diagonal as make_params does, with no ZeroDivisionError or warning."""
+        from ptosc import ModelParams, brute_force_probability
+
+        params = ModelParams(*fields)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in (lambda: params.eta, lambda: eigensystem(params),
+                         lambda: brute_force_probability(params, 1, 2, 0.0, 1.0)):
+                with pytest.raises(DomainError, match=re.escape(
+                        "m1_sq == m2_sq: eta is undefined for a degenerate diagonal")):
+                    call()
 
     @pytest.mark.parametrize("m1, m2", [(0.0, 1.0), (-2.0, 1.0), (2.0, -1.0)])
     def test_nonpositive_mass_rejected(self, m1, m2):

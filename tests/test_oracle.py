@@ -282,6 +282,29 @@ class TestTimeArrays:
         np.testing.assert_allclose(brute_force_flavour_ket(params, 2, times)[1],
                                    [0.0, 1.0], atol=1e-12)
 
+    @pytest.mark.parametrize("t0", [1e8, 1e10, 1e12, 1e15, 1e17, -1e8])
+    def test_times_it_cannot_resolve_refused(self, params, t0):
+        """Where one ulp of t moves the phase x = rate t by more than
+        tolerance_for_eta, t0 + dt has rounded dt away: every brute-force
+        function refuses, where it returned values up to 3.1e-3 off (and
+        -3.9e-18 at t0 = 1e17)."""
+        calls = [lambda: brute_force_probability(params, 1, 2, t0, t0 + 6.068),
+                 lambda: brute_force_flavour_ket(params, 1, t0),
+                 lambda: brute_force_operator(params, 2, t0),
+                 lambda: brute_force_dirac_norm(params, 1, np.array([0.0, t0])),
+                 lambda: brute_force_dirac_overlap(params, t0)]
+        for call in calls:
+            with pytest.raises(DomainError, match=re.escape(f"|t| = {abs(t0):.6g} resolves the "
+                                                            "mode phases only to ")):
+                call()
+
+    def test_resolvable_large_times_answer_within_tolerance(self, params):
+        t0 = 1e6
+        dt = (t0 + 6.068) - t0  # the representable separation
+        closed = probability_closed_form(1, 2, dt, eigensystem(params)).value
+        brute = brute_force_probability(params, 1, 2, t0, t0 + 6.068)
+        assert abs(brute - closed) <= tolerance_for_eta(params.eta)
+
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, "array"])
     @pytest.mark.parametrize("call", [
         lambda params, t: brute_force_probability(params, 1, 2, 0.0, t),

@@ -336,6 +336,7 @@ def test_dirac_norm_ratio_violates_time_translation(es):
 
 
 PAIRS = ((1, 1), (1, 2), (2, 1), (2, 2))
+PAIRS_I, PAIRS_J = np.array([[1], [1], [2], [2]]), np.array([[1], [2], [1], [2]])
 
 
 @st.composite
@@ -618,3 +619,80 @@ def test_a_non_finite_time_is_refused_alike_by_every_route(es, call, what, value
         warnings.simplefilter("error")
         with pytest.raises(DomainError, match=f"^{what} must be finite, got {value!r}$"):
             call(value, es)
+
+
+class TestExceptionalPointBound:
+    """Near the EP the trace route rounds by up to about 3 eps / (1 - eta^2)
+    (1 eps / (1 - eta^2) in imaginary parts): it refuses eta where
+    4 eps / (1 - eta^2) exceeds tolerance_for_eta, calls an imaginary part
+    within that rounding the EP, and elsewhere agrees with the closed form."""
+
+    @pytest.mark.parametrize("k", range(8, 12))
+    @pytest.mark.parametrize("masses", [(2.0, 1.0), (0.3, 5.0)], ids=["heavy", "light"])
+    def test_refused_a_priori_past_the_bound(self, k, masses):
+        es = eigensystem(make_params(*masses, (1.0 - 10.0 ** -k) * abs(masses[0] - masses[1]) / 2))
+        with pytest.raises(ExceptionalPoint, match=re.escape(
+                "for the trace route: 4 eps / (1 - eta^2) > 1e-08")):
+            trace_probabilities(1, 2, 0.0, 1.0, es)
+
+    def test_a_stack_refuses_as_its_point_nearest_the_exceptional_point(self):
+        es = eigensystem(params_from_eta(np.array([0.3, 1.0 - 1e-9, 0.5])))
+        with pytest.raises(ExceptionalPoint, match=re.escape(f"eta = {es.eta[1]:.17g} ")):
+            trace_probabilities(1, 2, 0.0, 1.0, es[:, None])
+
+    def test_an_imaginary_part_within_the_rounding_is_the_exceptional_point(self):
+        """1 - eta = 6e-8 is admitted, but one phase of this grid gives an
+        imaginary part of 1.2e-9, within 4 eps / (1 - eta^2) = 7.4e-9: that
+        raised NonRealTrace before."""
+        es = eigensystem(make_params(2.0, 1.0, 0.5 * 0.99999994))
+        ts = 1.7 + 2.0 * np.linspace(0.0, 2.0 * math.pi, 16) / es.delta_omega
+        with pytest.raises(ExceptionalPoint, match=r"imaginary part 1\.214e-09, within its "
+                                                   r"rounding 7\.401e-09$"):
+            trace_probabilities(1, 2, 1.7, ts, es)
+
+    @pytest.mark.parametrize("masses", [(2.0, 1.0, 0.0), (0.3, 5.0, 0.7), (5.0, 0.3, 0.0)])
+    def test_agrees_or_refuses_from_one_minus_eta_of_1e_8_to_1e_6(self, masses):
+        m1, m2, p = masses
+        phases = np.linspace(0.0, 2.0 * math.pi, 64)
+        outcomes = set()
+        for delta in np.geomspace(1e-8, 1e-6, 13):
+            es = eigensystem(make_params(m1, m2, (1.0 - delta) * abs(m1 - m2) / 2, p))
+            for t0 in (0.0, -3.2, 1.7, 0.3):
+                dts = 2.0 * phases / es.delta_omega
+                closed = probability_closed_form(PAIRS_I, PAIRS_J, dts, es).value
+                try:
+                    trace = trace_probabilities(PAIRS_I, PAIRS_J, t0, t0 + dts, es)
+                except ExceptionalPoint:
+                    outcomes.add("refused")
+                    continue
+                assert np.abs(trace - closed).max() <= tolerance_for_eta(es.eta), (delta, t0)
+                outcomes.add("agreed")
+        assert outcomes == {"refused", "agreed"}
+
+
+def test_the_trace_route_reaches_no_other_route(es, swapped_es):
+    """The trace route builds on the states alone: no call reaches the
+    oracle, the validation suite or a closed form."""
+    import sys
+
+    times = np.linspace(0.0, 9.0, 7)
+    reached = set()
+
+    def record(frame, event, arg):
+        if event == "call":
+            reached.add((frame.f_globals.get("__name__"), frame.f_code.co_name))
+
+    sys.setprofile(record)
+    try:
+        for system in (es, swapped_es):
+            trace_probabilities(PAIRS_I, PAIRS_J, -0.4, times, system)
+            probability_trace(1, 2, 0.3, 1.5, system)
+    finally:
+        sys.setprofile(None)
+    assert ("ptosc.states", "mixed_basis_pair") in reached  # the profile sees the states
+    modules = {module for module, _ in reached}
+    assert not modules & {"ptosc.oracle", "ptosc.validation"}, modules
+    closed_forms = {"transition_probability", "survival_probability", "probability_closed_form",
+                    "hermitian_transition_probability", "naive_continuation_value",
+                    "dirac_norm", "dirac_overlap", "cardioid_r"}
+    assert not reached & {("ptosc.probabilities", name) for name in closed_forms}, reached

@@ -35,6 +35,7 @@ from .errors import BrokenPTPhase, DomainError, ExceptionalPoint, NonRealTrace
 from .model import (_ORACLE_EP_BOUND, _PARITY_SIGNS, ModelParams, _any, _check_time_resolution,
                     _cmul, _dot, _finite, _flavour_one, mass_matrix, parity_matrix)
 
+
 @dataclass(frozen=True)
 class OracleReport:
     """Outcome of one invariant family; passed iff max_abs_error <= tolerance."""

@@ -42,7 +42,7 @@ from .states import mixed_basis_pair
 
 # Imaginary parts of traces above this signal a construction bug (an order
 # of magnitude above the trace/closed-form agreement tolerance, so rounding
-# noise never trips it).
+# noise trips it only near the EP, where _trace_rounding says so).
 NON_REAL_TRACE_TOLERANCE = 1e-9
 
 CLOSED_FORM = "closed_form"

@@ -25,6 +25,7 @@ the library function that refuses its eta).
 
 import argparse
 import functools
+import itertools
 import math
 import sys
 
@@ -85,7 +86,10 @@ def _parse_grid(text: str, name: str) -> np.ndarray:
         raise DomainError(f"{name}: need min < max, got {lo} >= {hi}")
     if not math.isfinite(hi - lo):
         raise DomainError(f"{name}: range {lo}:{hi} is too wide to space evenly")
-    return np.linspace(lo, hi, steps)
+    try:
+        return np.linspace(lo, hi, steps)
+    except (ValueError, IndexError, MemoryError):  # numpy's three ways to refuse a size
+        raise DomainError(f"{name}: cannot allocate {steps} steps") from None
 
 
 def _parse_methods(text: str, name: str) -> list[str]:
@@ -152,8 +156,8 @@ def _resolve(args: argparse.Namespace) -> argparse.Namespace:
     unknown = set(config) - set(settings)
     if unknown:
         raise DomainError(f"unknown config keys for this command: {sorted(unknown)}")
-    for key, (default, parse) in settings.items():
-        name, text = "--" + key.replace("_", "-"), getattr(args, key)
+    for key, (name, default, parse) in settings.items():
+        text = getattr(args, key)
         if text is None:
             text = config.get(key, default)
         if text == "":
@@ -179,7 +183,7 @@ def _emit(axes: dict[str, np.ndarray], columns: dict, fmt: str,
     shape = [len(values) for values in axes.values()]
     cells, specs = [], ["%s"] * len(axes)
     for k, values in enumerate(axes.values()):
-        strings = [_fmt(v) for v in values.tolist()]  # once per grid value
+        strings = ["%.17g" % v for v in (values + 0.0).tolist()]  # once per grid value
         inner, outer = math.prod(shape[k + 1:]), math.prod(shape[:k])
         cells.append([s for s in strings for _ in range(inner)] * outer)
     # one finiteness pass over all the value columns; cells not present are exempt
@@ -196,17 +200,17 @@ def _emit(axes: dict[str, np.ndarray], columns: dict, fmt: str,
         raise DomainError(f"{[*columns][k]} is {data[k, n]} at {where}: refusing non-finite output")
     empty = "" if fmt == "csv" else "null"
     for k, row in enumerate(data.tolist()):
-        cells.append([empty if m else _fmt(v) for v, m in zip(row, missing[k].tolist())]
+        cells.append([empty if m else "%.17g" % v for v, m in zip(row, missing[k].tolist())]
                      if k in missing else row)
         specs.append("%s" if k in missing else "%.17g")
-    names = [*axes, *columns]
+    names, n_rows = [*axes, *columns], data.shape[1]
+    values = tuple(itertools.chain.from_iterable(zip(*cells)))  # row by row, one % for all
     if fmt == "csv":
-        template = ",".join(specs)
-        lines = [",".join(names), *(template % row for row in zip(*cells))]
+        text = ",".join(names) + "\n" + "".join([",".join(specs) + "\n"] * n_rows) % values
     else:
         template = "  {" + ", ".join(f'"{n}": {spec}' for n, spec in zip(names, specs)) + "}"
-        lines = ["[", ",\n".join(template % row for row in zip(*cells)), "]"]
-    _write("\n".join(lines) + "\n", output)
+        text = "[\n" + ",\n".join([template] * n_rows) % values + "\n]\n"
+    _write(text, output)
 
 
 def _write(text: str, output: str | None) -> None:
@@ -214,8 +218,8 @@ def _write(text: str, output: str | None) -> None:
         sys.stdout.write(text)
         return
     try:
-        with open(output, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+        with open(output, "wb") as handle:
+            handle.write(text.encode("utf-8"))
     except OSError as exc:
         raise DomainError(f"cannot write {output!r}: {exc.strerror or exc}") from exc
 
@@ -331,13 +335,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def command(name: str, help: str) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help)
-        p.settings = {}  # key -> (default, parser), in --help order, which is check order
+        p.settings = {}  # key -> (flag, default, parser), in --help order, which is check order
         return p
 
     def setting(p: argparse.ArgumentParser, flag: str, default, parse, help: str) -> None:
         """A flag beats the config file, which beats the default; None leaves it unset."""
         p.add_argument(flag, help=help)
-        p.settings[flag[2:].replace("-", "_")] = (default, parse)
+        p.settings[flag[2:].replace("-", "_")] = (flag, default, parse)
 
     def add_common(p: argparse.ArgumentParser, eta: str | None, phase: str | None) -> None:
         setting(p, "--eta", eta, _checked(_parse_grid, lambda etas: (etas >= 0.0).all(),

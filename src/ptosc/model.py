@@ -94,8 +94,8 @@ class ModelParams:
 
 
 def _unbox(x):
-    """A shape-() result as the Python number a single-point call returns."""
-    return x.item() if getattr(x, "ndim", None) == 0 else x
+    """A shape-() result as a single point's Python number (float() beats np.float64.item())."""
+    return float(x) if isinstance(x, float) else x.item() if getattr(x, "ndim", None) == 0 else x
 
 
 def _per_element(fn, x):
@@ -196,7 +196,7 @@ def make_params(m1_sq: float, m2_sq: float, mu_sq: float, p: float = 0.0) -> Mod
     """
     fields = (m1_sq, m2_sq, mu_sq, p)
     if all(isinstance(v, (int, float)) for v in fields):  # one point: no numpy call
-        fields = tuple(float(v) for v in fields)
+        fields = tuple(map(float, fields))
     else:
         fields = tuple(_unbox(v) for v in np.broadcast_arrays(
             *(np.asarray(v, dtype=float) for v in fields)))
@@ -450,9 +450,9 @@ def eigensystem(params: ModelParams) -> EigenSystem:
     # m_plus_sq - m_minus_sq = |m1^2 - m2^2| s, computed without cancellation
     delta_omega = abs(m1 - m2) * s / (omega_plus + omega_minus)
     cprime = _cprime_matrix(eta, s)
+    vectors = _matrix(cosh_theta, -sinh_theta, -sinh_theta, cosh_theta)  # rows e_plus, e_minus
     values = (eta, 0.5 * _per_element(math.atanh, eta), cosh_theta, sinh_theta, n_factor,
               m_plus_sq, m_minus_sq, omega_plus, omega_minus, delta_omega, s, np.sqrt(s))
-    return EigenSystem(params, *map(_unbox, values),
-                       e_plus=np.stack([cosh_theta, -sinh_theta], axis=-1),
-                       e_minus=np.stack([-sinh_theta, cosh_theta], axis=-1),
-                       cprime=cprime, cpt_metric=cprime * _PARITY_SIGNS, swapped=_unbox(m1 < m2))
+    return EigenSystem(params, *map(_unbox, values), e_plus=vectors[..., 0, :],
+                       e_minus=vectors[..., 1, :], cprime=cprime,
+                       cpt_metric=cprime * _PARITY_SIGNS, swapped=_unbox(m1 < m2))

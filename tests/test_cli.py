@@ -158,6 +158,9 @@ class TestProbabilities:
         assert column[-1] == pytest.approx(0.95 ** 2 * math.sin(phase) ** 2, abs=1e-12)
 
     def test_output_file(self, capsys, tmp_path):
+        """--output FILE holds the bytes stdout gets, on every emitter path:
+        sweeps with trace columns as CSV and JSON, masses with missing
+        cells, cardioid, and validate as a table and as JSON."""
         target = tmp_path / "rows.csv"
         code, out, _ = run(capsys, "probabilities", "--eta", "0.6", "--phase", "0:1:2",
                            "--output", str(target))
@@ -167,6 +170,21 @@ class TestProbabilities:
         assert text.startswith("eta,phase,")
         code, stdout_text, _ = run(capsys, "probabilities", "--eta", "0.6", "--phase", "0:1:2")
         assert stdout_text == text
+        for argv in [
+            ("probabilities", "--eta", "0,0.6", "--phase", "0:1:3", "--t0=-1.5",
+             "--methods", "closed_form,trace,hermitian,naive_continuation"),
+            ("probabilities", "--raw-params", "1.1,2.3,0.4,0.7", "--phase", "0:1:3",
+             "--methods", "closed_form,trace", "--format", "json"),
+            ("masses", "--eta", "0:2:5"),                     # PT cells missing past eta = 1
+            ("masses", "--eta", "0:2:5", "--format", "json"),
+            ("cardioid", "--eta", "0.5", "--phase", "0:3:4"),
+            ("validate", "--eta", "0.3"),
+            ("validate", "--eta", "0.3", "--json"),
+        ]:
+            target.unlink()
+            code, out, _ = run(capsys, *argv, "--output", str(target))
+            assert (code, out) == (0, ""), argv
+            assert run(capsys, *argv) == (0, target.read_bytes().decode("utf-8"), ""), argv
 
 
 # one bad value per argv, each pinned to its exit code and its one stderr line
@@ -199,6 +217,8 @@ BAD_CONFIG = {
         "eta = inf: eta^2 is not a finite number",
     ("probabilities", "--eta", "0.5", "--phase", "0,1e308", "--methods", "trace"):
         "time must be finite, got inf",                             # t = 2 phase / dw overflows
+    ("probabilities", "--phase", "0:1:99999999999999999999"):       # more steps than numpy sizes
+        "--phase: cannot allocate 99999999999999999999 steps",
     ("masses", "--config=", "--eta", "0.5"): "--config: must not be empty",
     ("masses", "--config", "", "--eta", "0.5"): "--config: must not be empty",
 }

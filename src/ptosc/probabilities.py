@@ -166,8 +166,7 @@ def dirac_norm(i: int, t, es: EigenSystem) -> float:
     probabilities violate time-translation invariance.  Arrays broadcast.
     """
     _flavour_one(i)
-    eta_sq = es.eta * es.eta
-    return (1.0 - eta_sq * _of_phase(math.cos, es.delta_omega * t)) / (1.0 - eta_sq)
+    return cardioid_r(es.delta_omega * t, es.eta)
 
 
 def dirac_overlap(t, es: EigenSystem) -> complex:

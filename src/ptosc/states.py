@@ -34,11 +34,19 @@ shape + (2,), each element equal to its single-point value bit for bit, so
 flavour_ket(np.array([[1], [2]]), times, es[:, None, None]) gives both
 flavours of every system at every time in one call.  Kets and bras are
 plain component arrays; mixed_basis_pair is the form the trace route uses.
+Where the flavours take different constructions (mixed_basis_pair,
+tilde_bra), each element picks its matrix or rows first (in Python for an
+int flavour, by np.where over a stack) and one expression builds them all;
+a flavour-1 ket is thus an identity product and a flavour-2 bra a P product,
+so a point rounds, signs of zero included, as its stack element does.
 """
 
 import numpy as np
 
-from .model import _PARITY_SIGNS, EigenSystem, _all, _any, _dot, _select, _unbox
+from .model import _PARITY_SIGNS, EigenSystem, _dot, _select, _unbox
+
+# the matrices that make a flavour-1 ket and a flavour-2 bra of the mixed basis
+_IDENTITY, _PARITY = np.eye(2), np.diag(_PARITY_SIGNS)
 
 
 def xi(branch: str, t, es: EigenSystem) -> complex:
@@ -69,14 +77,16 @@ def flavour_ket(i, t, es: EigenSystem) -> np.ndarray:
 
 def tilde_bra(i, t, es: EigenSystem) -> np.ndarray:
     """The biorthogonal bra <f~i(t)|, dual to the kets for every t."""
-    one = np.asarray(es._heavy_first_one(i))[..., None]
+    one = es._heavy_first_one(i)
+    pick = one if isinstance(one, bool) else one[..., None]
     # complex rows, so that the product with C'P rounds as cpt_bra's does
     vectors = np.stack([es.e_plus, es.e_minus]).astype(complex)
     sect_plus, sect_minus = _dot(vectors.conj(), es.cpt_metric)
     cosh, sinh = _per_component(es.cosh_theta), _per_component(es.sinh_theta)
     xp, xm = (np.conj(xi(branch, t, es))[..., None] for branch in ("plus", "minus"))
-    return np.where(one, cosh * xp * sect_plus - sinh * xm * sect_minus,
-                    cosh * xm * sect_minus - sinh * xp * sect_plus)
+    # flavour 1 leads with the + branch, flavour 2 with the - branch
+    return (cosh * _select(pick, xp, xm) * _select(pick, sect_plus, sect_minus)
+            - sinh * _select(pick, xm, xp) * _select(pick, sect_minus, sect_plus))
 
 
 def cpt_bra(i, t, es: EigenSystem) -> np.ndarray:
@@ -113,19 +123,11 @@ def mixed_basis_pair(i, t, es: EigenSystem) -> tuple[np.ndarray, np.ndarray]:
     evaluation of the flavour ket: (|f1>, <f1^C'PT|) for flavour 1 and
     (|f2^C'>, <f2^PT|) for flavour 2 (heavy-first labels)."""
     one = es._heavy_first_one(i)
+    pick = one if isinstance(one, bool) else one[..., None, None]
     base = _ket_components(one, t, es)
-    conj = base.conj()
-    # each branch is built only if some element takes it
-    if _all(one):
-        ket, bra = base, _dot(conj, es.cpt_metric)
-    elif not _any(one):
-        ket, bra = _dot(base, es.cprime), conj * _PARITY_SIGNS
-    else:
-        one = one[..., None]
-        ket = np.where(one, base, _dot(base, es.cprime))
-        bra = np.where(one, _dot(conj, es.cpt_metric), conj * _PARITY_SIGNS)
     scale = _per_component(es.mixed_basis_norm)
-    return scale * ket, scale * bra
+    return (scale * _dot(base, _select(pick, _IDENTITY, es.cprime)),
+            scale * _dot(base.conj(), _select(pick, es.cpt_metric, _PARITY)))
 
 
 def mixed_basis_ket(i, t, es: EigenSystem) -> np.ndarray:

@@ -447,8 +447,7 @@ def _check_brute_force(spectra: "oracle._SpectralData", es: EigenSystem, t0: flo
 @_family("unitarity")
 def _check_unitarity(es: EigenSystem, closed, at_zero):
     yield closed[:, 0] + closed[:, 1] - 1.0, 1e-12
-    tol = np.maximum(1e-10, tolerance_for_eta(es.eta))[:, None]
-    yield at_zero[:, 0] + at_zero[:, 1] - 1.0, tol
+    yield at_zero[:, 0] + at_zero[:, 1] - 1.0, tolerance_for_eta(es.eta)[:, None]
 
 
 @_family("probability_symmetry")

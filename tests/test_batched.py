@@ -362,7 +362,7 @@ def test_trace_over_systems_and_flavour_pairs_equals_per_pair_calls(seed, shape)
     for idx in np.ndindex(shape):
         one = eigensystem(single(params, idx))
         for k, (i, j) in enumerate(zip(PAIR_I[:, 0].tolist(), PAIR_J[:, 0].tolist())):
-            assert np.array_equal(values[idx + (k,)], trace_probabilities(i, j, t0s, ts, one))
+            assert same_bits(values[idx + (k,)], trace_probabilities(i, j, t0s, ts, one))
 
 
 # the axes each EigenSystem field has beyond eta's (the others have none)
@@ -542,6 +542,30 @@ def former_tilde_bra(i, t, es):
     xp, xm = (np.conj(former_xi(branch, t, es))[..., None] for branch in ("plus", "minus"))
     return np.where(one, cosh * xp * sect_plus - sinh * xm * sect_minus,
                     cosh * xm * sect_minus - sinh * xp * sect_plus)
+
+
+@pytest.mark.parametrize("flavours", [(1, 1), (2, 2), (1, 2)], ids=["all_1", "all_2", "mixed"])
+@pytest.mark.parametrize("heavy_first", [True, False], ids=["heavy_first", "light_first"])
+def test_mixed_basis_and_tilde_bra_stacks_equal_point_calls(heavy_first, flavours):
+    """Both members of mixed_basis_pair, and tilde_bra, over systems x
+    flavours x times equal each point call bit for bit, signs of zero
+    included: the stack holds eta = 0, where e_plus carries -0.0, and the
+    times hold 0.0 and -0.0.  A stack of one flavour takes the same
+    construction as a stack of both."""
+    rng = np.random.default_rng(29)
+    hi, lo = np.sort(rng.uniform(0.2, 5.0, size=(2, 4)), axis=0)[::-1]
+    eta = np.array([0.0, 0.4, 0.0, 0.95])
+    m1, m2 = (hi, lo) if heavy_first else (lo, hi)
+    params = ModelParams(m1, m2, 0.5 * eta * (hi - lo), rng.uniform(0.0, 2.0, size=4))
+    es, times, column = eigensystem(params), reference_times(rng), np.array(flavours)[:, None]
+    kets, bras = mixed_basis_pair(column, times, es[:, None, None])
+    tildes = tilde_bra(column, times, es[:, None, None])
+    for s, k, n in np.ndindex(kets.shape[:3]):
+        one, i, t = eigensystem(single(params, s)), flavours[k], float(times[n])
+        ket, bra = mixed_basis_pair(i, t, one)
+        assert same_bits(kets[s, k, n], ket), (s, i, t)
+        assert same_bits(bras[s, k, n], bra), (s, i, t)
+        assert same_bits(tildes[s, k, n], tilde_bra(i, t, one)), (s, i, t)
 
 
 def former_operator(data, i, t):

@@ -57,7 +57,7 @@ def xi(branch: str, t, es: EigenSystem) -> complex:
 
 
 def _per_component(x):
-    """A per-system quantity with an axis to scale (..., 2) components."""
+    """A per-system quantity or flavour mask with an axis to meet (..., 2) components."""
     return x[..., None] if isinstance(x, np.ndarray) else x
 
 
@@ -77,8 +77,7 @@ def flavour_ket(i, t, es: EigenSystem) -> np.ndarray:
 
 def tilde_bra(i, t, es: EigenSystem) -> np.ndarray:
     """The biorthogonal bra <f~i(t)|, dual to the kets for every t."""
-    one = es._heavy_first_one(i)
-    pick = one if isinstance(one, bool) else one[..., None]
+    pick = _per_component(es._heavy_first_one(i))
     # complex rows, so that the product with C'P rounds as cpt_bra's does
     vectors = np.stack([es.e_plus, es.e_minus]).astype(complex)
     sect_plus, sect_minus = _dot(vectors.conj(), es.cpt_metric)

@@ -45,6 +45,7 @@ bounds, tolerance_for_eta and the time-resolution rule of the time routes.
 import math
 import sys
 from dataclasses import dataclass, fields
+from operator import attrgetter
 
 import numpy as np
 
@@ -63,6 +64,7 @@ _TRACE_EP_FACTOR = 4.0
 _SQUARE_LIMIT = math.sqrt(sys.float_info.max)
 
 _PARITY_SIGNS = np.array([1.0, -1.0])  # diag(P): rows times it are P applied exactly
+_PARAM_VALUES = attrgetter("m1_sq", "m2_sq", "mu_sq", "p")
 
 
 @dataclass(frozen=True)
@@ -84,13 +86,14 @@ class ModelParams:
 
     def __post_init__(self) -> None:
         """Broadcast a batch's fields to one shape, once (a point makes no numpy call)."""
-        values = vars(self)
-        if np.ndarray in map(type, values.values()) and len({*map(np.shape, values.values())}) > 1:
-            values.update(zip(list(values), np.broadcast_arrays(*values.values())))
+        values = _PARAM_VALUES(self)  # not vars(self), which slows every later attribute read
+        if np.ndarray in map(type, values) and len({*map(np.shape, values)}) > 1:
+            for f, value in zip(fields(self), np.broadcast_arrays(*values)):
+                object.__setattr__(self, f.name, value)
 
     def __getitem__(self, key) -> "ModelParams":
         """The points of a batch at ``key`` (index, slice, mask or None)."""
-        return ModelParams(*(_unbox(np.asarray(v)[key]) for v in vars(self).values()))
+        return ModelParams(*(_unbox(np.asarray(v)[key]) for v in _PARAM_VALUES(self)))
 
 
 def _unbox(x):
@@ -378,10 +381,10 @@ class EigenSystem:
         Each field is indexed by the key and keeps whole the axes it has
         beyond eta's, so a slice equals a fresh build of its systems."""
         key = key if isinstance(key, tuple) else (key,)
-        depth = np.ndim(self.eta)
+        keys = (key, key + (slice(None),), key + (slice(None), slice(None)))
         return EigenSystem(self.params[key], *(
-            _unbox(np.asarray(x)[key + (slice(None),) * (np.ndim(x) - depth)])
-            for x in (getattr(self, f.name) for f in fields(self)[1:])))
+            _unbox((x if isinstance(x, np.ndarray) else np.asarray(x))[keys[axes]])
+            for x, (_, axes) in zip(_SLICED_VALUES(self), _SLICED)))
 
     @property
     def cosh_two_theta(self) -> float:
@@ -408,6 +411,11 @@ class EigenSystem:
         p = self.params
         return _matrix(np.maximum(p.m1_sq, p.m2_sq), p.mu_sq, -p.mu_sq,
                        np.minimum(p.m1_sq, p.m2_sq))
+
+
+_SLICED = tuple((f.name, {"e_plus": 1, "e_minus": 1, "cprime": 2, "cpt_metric": 2}.get(f.name, 0))
+                for f in fields(EigenSystem)[1:])  # each field after params, its axes beyond eta's
+_SLICED_VALUES = attrgetter(*(name for name, _ in _SLICED))  # all of them in one call
 
 
 def eigensystem(params: ModelParams) -> EigenSystem:

@@ -370,8 +370,10 @@ TRAILING_AXES = {"e_plus": 1, "e_minus": 1, "cprime": 2, "cpt_metric": 2}
 DERIVED = ("cprime", "cpt_metric", "mixed_basis_norm", "sech_two_theta")
 SLICE_KEYS = {"int": 2, "negative int": -1, "slice": slice(1, 5),
               "mask": np.array([True, False, True, True, False, False, True]),
+              "all-False mask": np.zeros(7, dtype=bool),
               "[:, None]": (slice(None), None),
               "[:, None, None, None]": (slice(None), None, None, None),
+              "[:, None, None, None, None]": (slice(None), None, None, None, None),
               "[..., None]": (Ellipsis, None), "[..., 2]": (Ellipsis, 2)}
 
 
@@ -415,6 +417,16 @@ def test_a_slice_equals_the_field_by_field_slice(heavy_first, key, touched):
     assert all(vars(es)[name] is value for name, value in stored.items())
 
     assert_same_fields(es[key], reference_slice(es, key))
+
+
+@pytest.mark.parametrize("m1_sq, m2_sq", [(2.3, 1.1), (1.1, 2.3)],
+                         ids=["heavy_first", "light_first"])
+def test_a_points_none_slice_equals_the_field_by_field_slice(m1_sq, m2_sq):
+    """es[None] of one system (Python-number fields, as check_all's es[-1]
+    gives) is a one-system stack with the reference slice's bits."""
+    es = eigensystem(make_params(m1_sq, m2_sq, 0.4, 0.7))
+    assert_same_fields(es[None], reference_slice(es, None))
+    assert_same_fields(es[None][-1], reference_slice(es, ()))
 
 
 def assert_same_fields(got, want: dict) -> None:

@@ -147,6 +147,21 @@ class TestFamilyNaN:
             want = OracleReport("x", err, limit, err <= limit, 1)
             assert repr(fam.report(override)) == repr(want)
 
+    @pytest.mark.parametrize("errors", [np.empty(0), np.asarray(0.25), np.array([0.125, 0.5]),
+                                        np.array([0.125, math.inf]), np.array([math.nan, 0.125]),
+                                        np.asarray(complex(math.nan, 0.0))],
+                             ids=["empty", "0-d", "equal", "inf", "nan", "complex nan"])
+    @pytest.mark.parametrize("tol", [0.0, 0.5])
+    def test_a_float_tolerance_judges_as_the_same_tolerance_array(self, errors, tol):
+        """A float tolerance is judged by the worst error alone; that must
+        equal the elementwise test against the same tolerance as an array."""
+        reports = []
+        for tols in (tol, np.asarray(tol), np.full(errors.shape, tol)):
+            fam = _Family("x")
+            fam.add_all(errors, tols)
+            reports.append([repr(fam.report(override)) for override in (None, 0.3)])
+        assert reports[0] == reports[1] == reports[2]
+
 
 def test_every_family_is_called_once_by_name_and_filled_when_it_returns(params, monkeypatch):
     """A per-family timer wraps each module-level _check_* by name: check_all

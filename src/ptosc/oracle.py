@@ -140,8 +140,10 @@ def _spectral_data(params: ModelParams) -> _SpectralData:
 def _ket(data: _SpectralData, i, t) -> np.ndarray:
     """exp(i Omega t) e_i without its common phase e^{i w t}."""
     t = np.asarray(t)[..., None]
-    # every brute-force route passes here with its times
-    _check_time_resolution("oracle", data.rate, data.eta, t)
+    # every brute-force route passes here with its times; x = rate * t rounds
+    # by up to rate * ulp(t), and a probability takes x at two times, so the
+    # difference can be off by twice that
+    _check_time_resolution("oracle", 2.0 * data.rate, data.eta, t)
     one = np.asarray(_flavour_one(i))[..., None]
     column = np.where(one, data.generator[..., :, 0], data.generator[..., :, 1])  # D e_i / h
     turn = np.exp(1j * (t * data.rate))  # e^{ix}: cos x + i sin x

@@ -284,8 +284,8 @@ class TestTimeArrays:
 
     @pytest.mark.parametrize("t0", [1e8, 1e10, 1e12, 1e15, 1e17, -1e8])
     def test_times_it_cannot_resolve_refused(self, params, t0):
-        """Where one ulp of t moves the phase x = rate t by more than
-        tolerance_for_eta, t0 + dt has rounded dt away: every brute-force
+        """Where one ulp of t moves the phase x = rate t by more than half
+        of tolerance_for_eta, t0 + dt has rounded dt away: every brute-force
         function refuses, where it returned values up to 3.1e-3 off (and
         -3.9e-18 at t0 = 1e17)."""
         calls = [lambda: brute_force_probability(params, 1, 2, t0, t0 + 6.068),

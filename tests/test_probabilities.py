@@ -691,8 +691,10 @@ def test_every_route_agrees_with_the_closed_form_or_refuses():
     draw.  Where eigensystem refuses there is no reference, and both
     routes must refuse.  The examples are the counterexamples found
     before: a trace value 3.7e-8 off and a NonRealTrace near the EP, an
-    oracle value 4.4e-8 off at t0 = 1e10, and a ZeroDivisionError from a
-    degenerate diagonal."""
+    oracle value 4.4e-8 off at t0 = 1e10, a ZeroDivisionError from a
+    degenerate diagonal, and an oracle value 1.07e-8 off at t0 = -2.5e11,
+    where the oracle's time rule counted the rounding of one phase but not
+    of the two a probability differences."""
     tally = {"agreed": 0, "refused": 0}
 
     @hyp.settings(max_examples=2000, deadline=None)
@@ -705,6 +707,8 @@ def test_every_route_agrees_with_the_closed_form_or_refuses():
     @hyp.example(case=(True, 1, 2, 1.0), gap=1.0, eta=1.0 - 1e-8, p=0.0, t0=0.0, phase=1.5)
     @hyp.example(case=(True, 1, 2, 1.0), gap=1.0, eta=0.6, p=0.0, t0=1e10, phase=1.0)
     @hyp.example(case=(True, 1, 2, 1.0), gap=0.0, eta=0.6, p=0.0, t0=0.0, phase=1.0)
+    @hyp.example(case=(True, 1, 1, -1.0), gap=0.9375, eta=0.999999, p=0.0, t0=10.0 ** 11.40625,
+                 phase=4.0)
     def agree_or_refuse(case, gap, eta, p, t0, phase):
         heavy_first, i, j, sign = case
         m1, m2 = (1.0 + gap, 1.0) if heavy_first else (1.0, 1.0 + gap)

@@ -15,7 +15,9 @@ default and parser, and settings are checked in ``--help`` order.  A flag
 overrides an optional ``key = value`` config file (--config), which
 overrides the default; an empty value is refused (exit 2).  Output is
 deterministic: fixed column order, rows in grid order, floats at 17
-significant digits, LF line endings.
+significant digits, LF line endings.  Rows are written 256 at a time, so
+the text is never held whole; a write that fails mid-sweep can leave the
+rows before it.
 
 Exit codes: 0 success, 1 validation failure, 2 bad configuration (also an
 unparsable or non-finite number or result, an unwritable output), 3 domain
@@ -27,6 +29,7 @@ import argparse
 import functools
 import itertools
 import math
+import os
 import sys
 
 import numpy as np
@@ -172,6 +175,11 @@ def _fmt(value: float) -> str:
     return f"{float(value) + 0.0:.17g}"  # + 0.0 turns -0.0 into 0.0
 
 
+# Rows per chunk, one % each: 7-column JSON at ~259 B a row stays near 64 KiB, under glibc's
+# 128 KiB mmap threshold, so a chunk's buffers reuse heap pages instead of faulting in fresh ones
+_CHUNK_ROWS = 256
+
+
 def _emit(axes: dict[str, np.ndarray], columns: dict, fmt: str,
           output: str | None) -> None:
     """Write one row per point of the grid spanned by ``axes`` (name -> grid
@@ -198,28 +206,40 @@ def _emit(axes: dict[str, np.ndarray], columns: dict, fmt: str,
         k, n = np.unravel_index(np.argmax(bad), bad.shape)
         where = ", ".join(f"{axis} = {cell[n]}" for axis, cell in zip(axes, cells))
         raise DomainError(f"{[*columns][k]} is {data[k, n]} at {where}: refusing non-finite output")
-    empty = "" if fmt == "csv" else "null"
-    for k, row in enumerate(data.tolist()):
-        cells.append([empty if m else "%.17g" % v for v, m in zip(row, missing[k].tolist())]
-                     if k in missing else row)
-        specs.append("%s" if k in missing else "%.17g")
+    specs += ["%s" if k in missing else "%.17g" for k in range(len(data))]
     names, n_rows = [*axes, *columns], data.shape[1]
-    values = tuple(itertools.chain.from_iterable(zip(*cells)))  # row by row, one % for all
     if fmt == "csv":
-        text = ",".join(names) + "\n" + "".join([",".join(specs) + "\n"] * n_rows) % values
+        head, row, sep, tail, empty = ",".join(names) + "\n", ",".join(specs) + "\n", "", "", ""
     else:
-        template = "  {" + ", ".join(f'"{n}": {spec}' for n, spec in zip(names, specs)) + "}"
-        text = "[\n" + ",\n".join([template] * n_rows) % values + "\n]\n"
-    _write(text, output)
+        row = "  {" + ", ".join(f'"{n}": {spec}' for n, spec in zip(names, specs)) + "}"
+        head, sep, tail, empty = "[\n", ",\n", "\n]\n", "null"
+    def chunks():  # the finiteness pass is done: formatting cannot fail from here
+        for lo in range(0, n_rows, _CHUNK_ROWS):
+            hi = min(lo + _CHUNK_ROWS, n_rows)
+            whole = hi - lo == n_rows  # one chunk covers the grid: no slices
+            part = cells if whole else [c[lo:hi] for c in cells]
+            rows = (data if whole else data[:, lo:hi]).tolist()
+            for k, m in missing.items():
+                rows[k] = [empty if a else "%.17g" % v
+                           for v, a in zip(rows[k], (m if whole else m[lo:hi]).tolist())]
+            template = ((head if lo == 0 else sep) + sep.join([row] * (hi - lo))
+                        + (tail if hi == n_rows else ""))
+            yield template % tuple(itertools.chain.from_iterable(zip(*part, *rows)))
+    _write(chunks(), output)
 
 
-def _write(text: str, output: str | None) -> None:
+def _write(pieces, output: str | None) -> None:
+    """Write each text piece in turn to the file ``output``, or to stdout."""
     if output is None or output in ("stdout", "-"):
-        sys.stdout.write(text)
+        try:
+            sys.stdout.writelines(pieces)
+            sys.stdout.flush()
+        except BrokenPipeError:  # the reader left: stop, and send the exit flush nowhere
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return
     try:
         with open(output, "wb") as handle:
-            handle.write(text.encode("utf-8"))
+            handle.writelines(piece.encode("utf-8") for piece in pieces)
     except OSError as exc:
         raise DomainError(f"cannot write {output!r}: {exc.strerror or exc}") from exc
 
@@ -319,7 +339,7 @@ def cmd_validate(cfg: argparse.Namespace) -> int:
         lines.append(f"{n_pass}/{len(reports)} checks passed")
         text = "\n".join(lines) + "\n"
 
-    _write(text, cfg.output)
+    _write([text], cfg.output)
     return 0 if all(rep.passed for rep in reports) else 1
 
 

@@ -26,6 +26,7 @@ from ptosc import (
     survival_probability,
     transition_probability,
 )
+from ptosc import cli
 from ptosc.cli import _build_parser, _parse_grid, main
 
 
@@ -657,6 +658,101 @@ def test_cardioid_matches_the_former_rendering(capsys, fmt):
                        "--phase=" + listed(REF_PHASES), "--format", fmt)
     assert code == 0
     assert out == former_render(["eta", "phase", "r", "r_over_r_pi"], rows, fmt)
+
+
+# --- chunked output: rows go to the writer _CHUNK_ROWS at a time -------------
+
+# row count -> (eta steps, phase steps); probabilities' eta blocks straddle chunks
+CHUNK_GRIDS = {1: (1, 1), 255: (5, 51), 256: (4, 64), 257: (1, 257), 1000: (8, 125)}
+
+
+def grid_flag(lo, hi, steps):
+    return f"{lo!r}:{hi!r}:{steps}" if steps > 1 else repr(lo)
+
+
+def chunk_case(command, n_rows):
+    """(argv, column names, reference rows) of a sweep of ``n_rows`` rows."""
+    if command == "probabilities":
+        n_eta, n_phase = CHUNK_GRIDS[n_rows]
+        etas = np.linspace(0.0, 0.9, n_eta) if n_eta > 1 else np.array([0.0])
+        phases = np.linspace(-1.0, 7.0, n_phase) if n_phase > 1 else np.array([-1.0])
+        argv = ["probabilities", "--eta=" + grid_flag(0.0, 0.9, n_eta),
+                "--phase=" + grid_flag(-1.0, 7.0, n_phase)]
+        names = ["eta", "phase", "pt_survival", "pt_transition", "herm_survival",
+                 "herm_transition"]
+        rows = []
+        for eta in etas.tolist():
+            for phase in phases.tolist():
+                herm = hermitian_transition_probability(eta, phase)
+                transition = transition_probability(eta, phase)
+                rows.append(dict(zip(names, [eta, phase, 1.0 - transition, transition,
+                                             1.0 - herm, herm])))
+        return argv, names, rows
+    # PT cells are missing past eta = 1, about half-way down: across a chunk boundary
+    etas = np.linspace(0.0, 2.0, n_rows) if n_rows > 1 else np.array([1.5])
+    argv = ["masses", "--eta", grid_flag(0.0, 2.0, n_rows) if n_rows > 1 else "1.5"]
+    names = ["eta", "pt_m_plus_sq", "pt_m_minus_sq", "herm_m_plus_sq", "herm_m_minus_sq"]
+    rows = []
+    for eta in etas.tolist():
+        params = params_from_eta(eta, 3.0, 0.5)
+        pt = [v / 3.0 for v in pt_eigenvalues(params)] if eta <= 1.0 else [None, None]
+        rows.append(dict(zip(names, [eta, *pt, *[v / 3.0 for v in hermitian_eigenvalues(params)]])))
+    return argv, names, rows
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("n_rows", sorted(CHUNK_GRIDS))
+@pytest.mark.parametrize("command", ["probabilities", "masses"])
+def test_chunked_output_equals_a_per_cell_reference(capsys, monkeypatch, command, n_rows, fmt):
+    argv, names, rows = chunk_case(command, n_rows)
+    assert len(rows) == n_rows
+    pieces, write = [], cli._write
+
+    def recording_write(chunks, output):
+        pieces.extend(chunks)
+        write(pieces, output)
+
+    monkeypatch.setattr(cli, "_write", recording_write)
+    code, out, err = run(capsys, *argv, "--format", fmt)
+    assert (code, err) == (0, "")
+    assert out == "".join(pieces) == former_render(names, rows, fmt)  # cell by cell
+    # a CSV piece holds one line per row, the first also the header; a JSON row has one "{"
+    held = [p.count("\n") - (k == 0) if fmt == "csv" else p.count("{")
+            for k, p in enumerate(pieces)]
+    assert sum(held) == n_rows and max(held) <= cli._CHUNK_ROWS, held
+    assert len(pieces) == math.ceil(n_rows / cli._CHUNK_ROWS)
+
+
+def test_a_non_finite_cell_in_a_later_chunk_still_writes_nothing(capsys, tmp_path):
+    target = tmp_path / "masses.csv"
+    etas = ",".join(repr(k / 100) for k in range(299)) + ",1e160"  # 0 to 2.98, then 1e160
+    code, out, err = run(capsys, "masses", "--eta", etas, "--output", str(target))
+    assert (code, out) == (2, "")
+    assert err == "error: herm_m_plus_sq is inf at eta = 1e+160: refusing non-finite output\n"
+    assert not target.exists()
+
+
+@pytest.mark.parametrize("lines_read", [1, 0])
+@pytest.mark.parametrize("argv", [
+    ("probabilities", "--eta", "0:0.95:200", "--phase", "0:6:500"),  # 100,000 rows
+    ("validate", "--json"),
+])
+def test_a_reader_that_closes_stdout_ends_the_run_quietly(argv, lines_read):
+    """Once the reader of stdout has gone, the run stops writing and exits
+    with its own code, without a BrokenPipeError on stderr.  Its stdout is
+    block-buffered, as in most shells, so the interpreter's last flush is
+    exercised too."""
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(ptosc.__file__))}
+    env.pop("PYTHONUNBUFFERED", None)
+    with subprocess.Popen([sys.executable, "-m", "ptosc", *argv], env=env,
+                          stdin=subprocess.DEVNULL, stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE) as child:
+        for _ in range(lines_read):
+            child.stdout.readline()
+        child.stdout.close()
+        err = child.stderr.read()
+        code = child.wait(timeout=120)
+    assert (code, err) == (0, b"")
 
 
 @pytest.mark.parametrize("argv", [

@@ -20,9 +20,9 @@ the text is never held whole; a write that fails mid-sweep can leave the
 rows before it.
 
 Exit codes: 0 success, 1 validation failure, 2 bad configuration (also an
-unparsable or non-finite number or result, an unwritable output), 3 domain
-error (exceptional point / broken PT phase; a sweep prints the message of
-the library function that refuses its eta).
+unparsable or non-finite number or result, an unwritable output or stdout),
+3 domain error (exceptional point / broken PT phase; a sweep prints the
+message of the library function that refuses its eta).
 """
 
 import argparse
@@ -216,12 +216,9 @@ def _emit(axes: dict[str, np.ndarray], columns: dict, fmt: str,
     def chunks():  # the finiteness pass is done: formatting cannot fail from here
         for lo in range(0, n_rows, _CHUNK_ROWS):
             hi = min(lo + _CHUNK_ROWS, n_rows)
-            whole = hi - lo == n_rows  # one chunk covers the grid: no slices
-            part = cells if whole else [c[lo:hi] for c in cells]
-            rows = (data if whole else data[:, lo:hi]).tolist()
+            part, rows = [c[lo:hi] for c in cells], data[:, lo:hi].tolist()
             for k, m in missing.items():
-                rows[k] = [empty if a else "%.17g" % v
-                           for v, a in zip(rows[k], (m if whole else m[lo:hi]).tolist())]
+                rows[k] = [empty if a else "%.17g" % v for v, a in zip(rows[k], m[lo:hi].tolist())]
             template = ((head if lo == 0 else sep) + sep.join([row] * (hi - lo))
                         + (tail if hi == n_rows else ""))
             yield template % tuple(itertools.chain.from_iterable(zip(*part, *rows)))
@@ -234,8 +231,10 @@ def _write(pieces, output: str | None) -> None:
         try:
             sys.stdout.writelines(pieces)
             sys.stdout.flush()
-        except BrokenPipeError:  # the reader left: stop, and send the exit flush nowhere
+        except OSError as exc:  # stop, and send the exit flush nowhere; a reader leaving is fine
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            if not isinstance(exc, BrokenPipeError):
+                raise DomainError(f"cannot write stdout: {exc.strerror or exc}") from exc
         return
     try:
         with open(output, "wb") as handle:

@@ -383,7 +383,7 @@ class EigenSystem:
         key = key if isinstance(key, tuple) else (key,)
         keys = (key, key + (slice(None),), key + (slice(None), slice(None)))
         return EigenSystem(self.params[key], *(
-            _unbox((x if isinstance(x, np.ndarray) else np.asarray(x))[keys[axes]])
+            _unbox(np.asarray(x)[keys[axes]])
             for x, (_, axes) in zip(_SLICED_VALUES(self), _SLICED)))
 
     @property

@@ -46,13 +46,8 @@ from .model import (
     tolerance_for_eta,
 )
 # the families call the oracle's cores (one shared solve, and the roots alone);
-# the brute_force_* names stay imported because bench/tracing.py wraps them here
-from .oracle import (  # noqa: F401
-    OracleReport,
-    brute_force_dirac_norm,
-    brute_force_dirac_overlap,
-    brute_force_probability,
-)
+# brute_force_probability stays imported because bench/tracing.py wraps it here
+from .oracle import OracleReport, brute_force_probability  # noqa: F401
 
 TWO_PI = 2.0 * math.pi
 FLAVOURS = np.array([[1], [2]])

@@ -732,6 +732,13 @@ def test_a_non_finite_cell_in_a_later_chunk_still_writes_nothing(capsys, tmp_pat
     assert not target.exists()
 
 
+def block_buffered_env() -> dict:
+    """A child's environment that imports this ptosc, with a block-buffered stdout as in a shell."""
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(ptosc.__file__))}
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
+
+
 @pytest.mark.parametrize("lines_read", [1, 0])
 @pytest.mark.parametrize("argv", [
     ("probabilities", "--eta", "0:0.95:200", "--phase", "0:6:500"),  # 100,000 rows
@@ -742,9 +749,7 @@ def test_a_reader_that_closes_stdout_ends_the_run_quietly(argv, lines_read):
     with its own code, without a BrokenPipeError on stderr.  Its stdout is
     block-buffered, as in most shells, so the interpreter's last flush is
     exercised too."""
-    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(ptosc.__file__))}
-    env.pop("PYTHONUNBUFFERED", None)
-    with subprocess.Popen([sys.executable, "-m", "ptosc", *argv], env=env,
+    with subprocess.Popen([sys.executable, "-m", "ptosc", *argv], env=block_buffered_env(),
                           stdin=subprocess.DEVNULL, stdout=subprocess.PIPE,
                           stderr=subprocess.PIPE) as child:
         for _ in range(lines_read):
@@ -753,6 +758,24 @@ def test_a_reader_that_closes_stdout_ends_the_run_quietly(argv, lines_read):
         err = child.stderr.read()
         code = child.wait(timeout=120)
     assert (code, err) == (0, b"")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv", [
+    ("validate",),
+    ("validate", "--json"),
+    ("probabilities", "--eta", "0:0.95:200", "--phase", "0:6:500"),  # 100,000 rows
+    ("cardioid",),
+])
+def test_a_stdout_that_cannot_be_written_exits_two_with_one_error_line(argv):
+    """A full stdout is an unwritable output: exit 2 and one error line,
+    with no traceback and nothing from the interpreter's last flush."""
+    with open("/dev/full", "wb") as full:
+        done = subprocess.run([sys.executable, "-m", "ptosc", *argv], env=block_buffered_env(),
+                              stdin=subprocess.DEVNULL, stdout=full, stderr=subprocess.PIPE,
+                              timeout=120)
+    assert (done.returncode, done.stderr) == (
+        2, b"error: cannot write stdout: No space left on device\n")
 
 
 @pytest.mark.parametrize("argv", [

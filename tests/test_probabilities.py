@@ -765,3 +765,43 @@ def test_the_trace_route_reaches_no_other_route(es, swapped_es):
                     "hermitian_transition_probability", "naive_continuation_value",
                     "dirac_norm", "dirac_overlap", "cardioid_r"}
     assert not reached & {("ptosc.probabilities", name) for name in closed_forms}, reached
+
+
+# 0 or 1e-3 <= |t| <= 100: scaled by 2^-k, no time leaves the normal floats
+UNIT_TIMES = st.just(0.0) | st.floats(1e-3, 100.0).flatmap(lambda t: st.sampled_from((t, -t)))
+
+
+@hyp.settings(max_examples=200, deadline=None)
+@hyp.given(k=st.integers(-300, 100), heavy_first=st.booleans(), light=st.floats(0.1, 5.0),
+           gap=st.floats(1e-3, 5.0), eta=st.just(0.0) | st.floats(1e-6, 0.999),
+           p=st.just(0.0) | st.floats(1e-3, 1e3), t0=UNIT_TIMES,
+           ts=st.lists(UNIT_TIMES, min_size=1, max_size=8))
+@hyp.example(k=-300, heavy_first=True, light=1.0, gap=1.0, eta=0.6, p=0.7, t0=-3.2, ts=[7.9])
+@hyp.example(k=100, heavy_first=False, light=1.0, gap=1.0, eta=0.6, p=0.0, t0=0.0, ts=[0.0])
+def test_the_routes_are_exactly_covariant_under_a_change_of_mass_unit(
+        k, heavy_first, light, gap, eta, p, t0, ts):
+    """Scaling every squared mass by 4^k, p by 2^k and every time by 2^-k
+    is exact in binary floating point while every input stays a normal
+    float, and the physics has no mass scale: eigensystem's eta and mixing
+    angle, its frequencies times 2^-k, and the trace route, the oracle and
+    the closed form give the same bits, or refuse alike."""
+    masses = (light + gap, light) if heavy_first else (light, light + gap)
+
+    def routes(scale):
+        params = make_params(*(math.ldexp(m, 2 * scale) for m in (*masses, 0.5 * eta * gap)),
+                             math.ldexp(p, scale))
+        t0_k, ts_k = math.ldexp(t0, -scale), np.ldexp(np.array(ts), -scale)
+        es = eigensystem(params)
+        found = [getattr(es, name) for name in ("eta", "theta", "cosh_theta", "sinh_theta")]
+        found += [math.ldexp(getattr(es, name), -scale)
+                  for name in ("omega_plus", "omega_minus", "delta_omega")]
+        for route in (lambda: trace_probabilities(PAIRS_I, PAIRS_J, t0_k, ts_k, es),
+                      lambda: brute_force_probability(params, PAIRS_I, PAIRS_J, t0_k, ts_k),
+                      lambda: probability_closed_form(PAIRS_I, PAIRS_J, ts_k - t0_k, es).value):
+            try:
+                found.append(np.asarray(route()).tobytes())
+            except DomainError as exc:
+                found.append(type(exc))
+        return [np.float64(x).tobytes() if isinstance(x, float) else x for x in found]
+
+    assert routes(k) == routes(0)

@@ -214,6 +214,46 @@ def test_a_bad_grid_is_refused_before_any_family_runs(params, monkeypatch, field
             check_all(params, small_grid(**{field: value}))
 
 
+SEEDED_FAULTS = {
+    None: [],
+    "probabilities.transition_probability": [
+        "brute_force_vs_closed_form", "hermitian_gap", "trace_vs_closed_form"],
+    "delta_omega": ["brute_force_vs_closed_form", "dirac_norm_closed_form",
+                    "dirac_overlap_closed_form", "trace_vs_closed_form"],
+    "omega_plus": ["dirac_norm_closed_form", "dirac_overlap_closed_form", "trace_vs_closed_form"],
+    "mixed_basis_norm": ["density_projection_operators", "mixed_basis_orthonormality",
+                         "trace_vs_closed_form", "unitarity"],
+    "cosh_theta": ["cpt_basis_nonorthogonality", "density_projection_operators",
+                   "dirac_norm_closed_form", "dirac_overlap_closed_form",
+                   "mixed_basis_orthonormality", "theta_parameterisation",
+                   "tilde_biorthonormality", "trace_vs_closed_form", "unitarity"],
+}
+
+
+@pytest.mark.parametrize("fault", SEEDED_FAULTS)
+def test_a_seeded_fault_fails_exactly_its_families(params, monkeypatch, fault):
+    """One quantity scaled by 1 + 1e-7 (a closed form, or an EigenSystem
+    field of every system the suite builds) fails exactly the families
+    that can see it, on the default grid; with no fault none fails."""
+    from dataclasses import replace
+
+    from ptosc import probabilities as prob
+    from ptosc import validation
+
+    scale = 1.0 + 1e-7
+    if fault == "probabilities.transition_probability":
+        exact = prob.transition_probability
+        monkeypatch.setattr(prob, "transition_probability",
+                            lambda eta, phase: exact(eta, phase) * scale)
+    elif fault is not None:
+        def faulty(ps):
+            es = eigensystem(ps)
+            return replace(es, **{fault: getattr(es, fault) * scale})
+        monkeypatch.setattr(validation, "eigensystem", faulty)
+    failed = [rep.check_name for rep in check_all(params) if not rep.passed]
+    assert sorted(failed) == SEEDED_FAULTS[fault]
+
+
 # (check_name, grid_size for check_all(make_params(2, 1, 0.3)), grid_size
 # for the raw-params/eta grid of test_report_triples_for_a_raw_params_grid);
 # every family passes in both.  grid_size is the item count of `validate`,

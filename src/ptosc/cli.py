@@ -13,7 +13,12 @@ range ``min:max:steps`` (steps >= 2, linearly spaced, endpoints included).
 Each setting is declared once, on its sub-parser, with its flag, help,
 default and parser, and settings are checked in ``--help`` order.  A flag
 overrides an optional ``key = value`` config file (--config), which
-overrides the default; an empty value is refused (exit 2).  Output is
+overrides the default; an empty value is refused (exit 2).  A plain argv
+is read without argparse: a command, then only flags it declares, each
+as ``--flag=value`` or ``--flag value`` with a value that is not empty
+(and, when separate, does not start with '-'), or as ``--json`` alone.
+argparse reads every other argv (help, abbreviations, ``--``, a missing
+or empty value), so help, errors and exit codes are its own.  Output is
 deterministic: fixed column order, rows in grid order, floats at 17
 significant digits, LF line endings.  Rows are written 256 at a time, so
 the text is never held whole; a write that fails mid-sweep can leave the
@@ -228,11 +233,15 @@ def _emit(axes: dict[str, np.ndarray], columns: dict, fmt: str,
 def _write(pieces, output: str | None) -> None:
     """Write each text piece in turn to the file ``output``, or to stdout."""
     if output is None or output in ("stdout", "-"):
+        if sys.stdout is None:  # fd 1 was closed when the interpreter started
+            raise DomainError("cannot write stdout: Bad file descriptor")
         try:
             sys.stdout.writelines(pieces)
             sys.stdout.flush()
         except OSError as exc:  # stop, and send the exit flush nowhere; a reader leaving is fine
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
             if not isinstance(exc, BrokenPipeError):
                 raise DomainError(f"cannot write stdout: {exc.strerror or exc}") from exc
         return
@@ -355,11 +364,15 @@ def _build_parser() -> argparse.ArgumentParser:
     def command(name: str, help: str) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help)
         p.settings = {}  # key -> (flag, default, parser), in --help order, which is check order
+        p.flags = {}  # option string -> its Action, for _plain_args
         return p
+
+    def option(p: argparse.ArgumentParser, flag: str, **kwargs) -> None:
+        p.flags[flag] = p.add_argument(flag, **kwargs)
 
     def setting(p: argparse.ArgumentParser, flag: str, default, parse, help: str) -> None:
         """A flag beats the config file, which beats the default; None leaves it unset."""
-        p.add_argument(flag, help=help)
+        option(p, flag, help=help)
         p.settings[flag[2:].replace("-", "_")] = (flag, default, parse)
 
     def add_common(p: argparse.ArgumentParser, eta: str | None, phase: str | None) -> None:
@@ -372,7 +385,7 @@ def _build_parser() -> argparse.ArgumentParser:
                                                "{name} must be csv or json, got {value!r}"),
                 "csv | json (default csv)")
         setting(p, "--output", None, _text, "file path or 'stdout' (default)")
-        p.add_argument("--config", help="key = value file; flags take precedence")
+        option(p, "--config", help="key = value file; flags take precedence")
 
     p_prob = command("probabilities", "survival/transition probabilities on an eta x phase grid")
     add_common(p_prob, None, f"0:{TWO_PI!r}:64")  # eta: 0:0.95:20 without --raw-params
@@ -398,9 +411,9 @@ def _build_parser() -> argparse.ArgumentParser:
     setting(p_val, "--tolerance", None, _checked(_number, lambda tolerance: tolerance > 0.0,
                                                  "{name} must be positive, got {value}"),
             "override every check tolerance")
-    p_val.add_argument("--json", action="store_true", help="machine-readable reports")
+    option(p_val, "--json", action="store_true", help="machine-readable reports")
     setting(p_val, "--output", None, _text, "file path or 'stdout' (default)")
-    p_val.add_argument("--config", help="key = value file; flags take precedence")
+    option(p_val, "--config", help="key = value file; flags take precedence")
     return parser
 
 
@@ -412,19 +425,42 @@ _COMMANDS = {
 }
 
 
+def _plain_args(argv: list[str]) -> argparse.Namespace | None:
+    """The namespace the full parser builds from a plain ``argv`` (see the
+    module docstring), else None.  argparse reads a plain argv as the
+    flags' last values over their defaults, so it need not run."""
+    p = _build_parser().commands.get(argv[0]) if argv else None
+    if p is None:
+        return None
+    values = {action.dest: action.default for action in p.flags.values()}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        flag, eq, value = token.partition("=")
+        action = p.flags.get(flag)
+        if action is None:  # help, --, an abbreviated, unknown or positional token
+            return None
+        if action.nargs == 0:
+            if eq:  # argparse refuses a value for a switch
+                return None
+            value = action.const
+        elif not eq:
+            value = next(tokens, "")
+            if value.startswith("-"):  # argparse may read it as a flag
+                return None
+        if value == "":
+            return None
+        values[action.dest] = value
+    return argparse.Namespace(command=argv[0], **values)
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    parser, extra = _build_parser(), True
-    try:
-        if argv and argv[0] in _COMMANDS:
-            # the full parser hands these arguments to this same sub-parser, so
-            # it alone parses them alike and prints the same help and errors
-            args, extra = parser.commands[argv[0]].parse_known_args(
-                argv[1:], argparse.Namespace(command=argv[0]))
-        if extra:  # no known command, or arguments left over
-            args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code) if exc.code is not None else 0
+    args = _plain_args(argv)
+    if args is None:  # help, errors and every other argv: the full parser's texts and codes
+        try:
+            args = _build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return int(exc.code) if exc.code is not None else 0
     resolve, run = _COMMANDS[args.command]
     try:
         with np.errstate(over="ignore"):  # what overflows is refused as non-finite

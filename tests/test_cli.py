@@ -1,5 +1,7 @@
 """CLI behaviour: columns, formats, determinism, config handling, exit codes."""
 
+import contextlib
+import io
 import json
 import math
 import os
@@ -519,18 +521,21 @@ PARSE_PATHS = [
     ("probabilities", "--bogus", "1"),
     ("probabilities", "extra"),
     ("probabilities", "--eta"),  # missing value
+    ("probabilities", "--phase"),
+    ("probabilities", "--phase", "0:1:3", "--", "--format", "json"),
     ("bogus",),
     (),
     ("--help",),
     ("probabilities", "--help"),
     ("validate", "--json", "extra"),
+    ("validate", "--json=x"),
 ]
 
 
 @pytest.mark.parametrize("argv", PARSE_PATHS)
 def test_parse_paths_print_what_the_full_parser_prints(capsys, monkeypatch, argv):
-    """main parses a known command with its sub-parser alone; help, errors
-    and exit codes stay those of the full parser's parse_args."""
+    """An argv that main does not read as plain goes to the full parser:
+    help, errors and exit codes stay those of its parse_args."""
     monkeypatch.setenv("COLUMNS", "80")
     got = run(capsys, *argv)
     with pytest.raises(SystemExit) as exit_info:
@@ -541,11 +546,55 @@ def test_parse_paths_print_what_the_full_parser_prints(capsys, monkeypatch, argv
 
 def test_a_known_command_is_parsed_without_the_full_parser(capsys, monkeypatch):
     def refuse(*args, **kwargs):
-        raise AssertionError("the full parser ran")
+        raise AssertionError("argparse ran")
 
-    monkeypatch.setattr(_build_parser(), "parse_args", refuse)
+    parser = _build_parser()
+    for p in (parser, *parser.commands.values()):
+        monkeypatch.setattr(p, "parse_args", refuse)
+        monkeypatch.setattr(p, "parse_known_args", refuse)
     code, out, _ = run(capsys, "probabilities", "--eta", "0.6", "--phase", "0:1:3")
     assert code == 0 and len(out.splitlines()) == 4
+    code, out, _ = run(capsys, "probabilities", "--eta=0.6", "--t0=-2.5", "--phase=0:1:3",
+                       "--methods", "closed_form,trace", "--format", "json")
+    assert code == 0 and len(out.splitlines()) == 5
+
+
+DECLARED = {command: [flag for action in p._actions for flag in action.option_strings
+                      if flag not in ("-h", "--help")]
+            for command, p in _build_parser().commands.items()}
+
+
+@st.composite
+def parse_argvs(draw):
+    """A command, then flags (declared, help, --, an abbreviation or an
+    unknown one), each alone, joined to a value by '=' or followed by it."""
+    command = draw(st.sampled_from(sorted(DECLARED)))
+    declared = DECLARED[command]
+    abbreviation = draw(st.sampled_from(declared).flatmap(
+        lambda flag: st.integers(3, len(flag) - 1).map(lambda n: flag[:n])))
+    flags = st.sampled_from([*declared, "-h", "--help", "--", abbreviation, "--bogus"])
+    values = st.sampled_from(["", "-", "-2.5", "0:1:3", "a=b", "csv"])
+    argv = [command]
+    for flag, join, value in draw(st.lists(st.tuples(flags, st.sampled_from(["", "=", " "]),
+                                                     values), max_size=4)):
+        argv += [flag] if join == "" else [flag + "=" + value] if join == "=" else [flag, value]
+    return argv
+
+
+@hyp.settings(max_examples=500, deadline=None)
+@hyp.given(argv=parse_argvs())
+@hyp.example(argv=["validate", "--json=x"])
+@hyp.example(argv=["probabilities", "--t0", "-2.5", "--eta="])
+def test_a_plain_argv_is_read_as_argparse_reads_it(argv):
+    """main reads an argv without argparse only where argparse would
+    return the same namespace; wherever argparse exits, argparse runs."""
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            expected = vars(_build_parser().parse_args(argv))
+    except SystemExit:
+        expected = None
+    plain = cli._plain_args(argv)
+    assert plain is None or vars(plain) == expected, argv
 
 
 def test_importing_ptosc_leaves_numpy_random_unloaded():
@@ -776,6 +825,31 @@ def test_a_stdout_that_cannot_be_written_exits_two_with_one_error_line(argv):
                               timeout=120)
     assert (done.returncode, done.stderr) == (
         2, b"error: cannot write stdout: No space left on device\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("validate",),
+    ("probabilities", "--eta", "0:0.95:200", "--phase", "0:6:500"),
+])
+def test_a_closed_stdout_exits_two_with_one_error_line(argv):
+    """With fd 1 closed at start-up (``>&-`` in a shell) sys.stdout is None:
+    refused as an unwritable stdout, not a traceback."""
+    done = subprocess.run([sys.executable, "-m", "ptosc", *argv], env=block_buffered_env(),
+                          stdin=subprocess.DEVNULL, stderr=subprocess.PIPE, timeout=120,
+                          preexec_fn=lambda: os.close(1))
+    assert (done.returncode, done.stderr) == (
+        2, b"error: cannot write stdout: Bad file descriptor\n")
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_a_failed_stdout_write_leaves_no_descriptor_open(monkeypatch):
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # every write to the pipe now fails
+    with os.fdopen(write_end, "w") as stdout:
+        monkeypatch.setattr(sys, "stdout", stdout)
+        before = len(os.listdir("/proc/self/fd"))
+        assert main(["probabilities", "--eta", "0.5", "--phase", "0:1:3"]) == 0
+        assert len(os.listdir("/proc/self/fd")) == before
 
 
 @pytest.mark.parametrize("argv", [

@@ -196,7 +196,7 @@ def _emit(axes: dict[str, np.ndarray], columns: dict, fmt: str,
     shape = [len(values) for values in axes.values()]
     cells, specs = [], ["%s"] * len(axes)
     for k, values in enumerate(axes.values()):
-        strings = ["%.17g" % v for v in (values + 0.0).tolist()]  # once per grid value
+        strings = [b"%.17g" % v for v in (values + 0.0).tolist()]  # once per grid value
         inner, outer = math.prod(shape[k + 1:]), math.prod(shape[:k])
         cells.append([s for s in strings for _ in range(inner)] * outer)
     # one finiteness pass over all the value columns; cells not present are exempt
@@ -209,7 +209,7 @@ def _emit(axes: dict[str, np.ndarray], columns: dict, fmt: str,
         bad[k] &= ~absent
     if bad.any():  # name the first column with a bad cell, at its first
         k, n = np.unravel_index(np.argmax(bad), bad.shape)
-        where = ", ".join(f"{axis} = {cell[n]}" for axis, cell in zip(axes, cells))
+        where = ", ".join(f"{axis} = {cell[n].decode()}" for axis, cell in zip(axes, cells))
         raise DomainError(f"{[*columns][k]} is {data[k, n]} at {where}: refusing non-finite output")
     specs += ["%s" if k in missing else "%.17g" for k in range(len(data))]
     names, n_rows = [*axes, *columns], data.shape[1]
@@ -218,25 +218,27 @@ def _emit(axes: dict[str, np.ndarray], columns: dict, fmt: str,
     else:
         row = "  {" + ", ".join(f'"{n}": {spec}' for n, spec in zip(names, specs)) + "}"
         head, sep, tail, empty = "[\n", ",\n", "\n]\n", "null"
+    # bytes throughout: no text layer, and no encode per chunk
+    head, row, sep, tail, empty = (t.encode("ascii") for t in (head, row, sep, tail, empty))
     def chunks():  # the finiteness pass is done: formatting cannot fail from here
         for lo in range(0, n_rows, _CHUNK_ROWS):
             hi = min(lo + _CHUNK_ROWS, n_rows)
             part, rows = [c[lo:hi] for c in cells], data[:, lo:hi].tolist()
             for k, m in missing.items():
-                rows[k] = [empty if a else "%.17g" % v for v, a in zip(rows[k], m[lo:hi].tolist())]
+                rows[k] = [empty if a else b"%.17g" % v for v, a in zip(rows[k], m[lo:hi].tolist())]
             template = ((head if lo == 0 else sep) + sep.join([row] * (hi - lo))
-                        + (tail if hi == n_rows else ""))
+                        + (tail if hi == n_rows else b""))
             yield template % tuple(itertools.chain.from_iterable(zip(*part, *rows)))
     _write(chunks(), output)
 
 
 def _write(pieces, output: str | None) -> None:
-    """Write each text piece in turn to the file ``output``, or to stdout."""
+    """Write each ASCII bytes piece in turn to the file ``output``, or to stdout."""
     if output is None or output in ("stdout", "-"):
         if sys.stdout is None:  # fd 1 was closed when the interpreter started
             raise DomainError("cannot write stdout: Bad file descriptor")
         try:
-            sys.stdout.writelines(pieces)
+            sys.stdout.writelines(piece.decode("ascii") for piece in pieces)
             sys.stdout.flush()
         except OSError as exc:  # stop, and send the exit flush nowhere; a reader leaving is fine
             devnull = os.open(os.devnull, os.O_WRONLY)
@@ -247,7 +249,7 @@ def _write(pieces, output: str | None) -> None:
         return
     try:
         with open(output, "wb") as handle:
-            handle.writelines(piece.encode("utf-8") for piece in pieces)
+            handle.writelines(pieces)
     except OSError as exc:
         raise DomainError(f"cannot write {output!r}: {exc.strerror or exc}") from exc
 
@@ -347,7 +349,7 @@ def cmd_validate(cfg: argparse.Namespace) -> int:
         lines.append(f"{n_pass}/{len(reports)} checks passed")
         text = "\n".join(lines) + "\n"
 
-    _write([text], cfg.output)
+    _write([text.encode("ascii")], cfg.output)
     return 0 if all(rep.passed for rep in reports) else 1
 
 

@@ -256,7 +256,9 @@ def _check_eigenvector_residuals(es: EigenSystem):
     vecs = np.stack([es.e_plus, es.e_minus], axis=-2)
     lams = np.stack([es.m_plus_sq, es.m_minus_sq], axis=-1)[..., None]
     residuals = (m2[..., None, :, :] @ vecs[..., None])[..., 0] - lams * vecs
-    yield _norms(residuals) / scale, tolerance_for_eta(es.eta)[..., None]
+    with np.errstate(invalid="ignore", divide="ignore"):  # a scale that underflowed: NaN fails
+        relative = _norms(residuals) / scale
+    yield relative, tolerance_for_eta(es.eta)[..., None]
 
 
 @_family("trace_determinant_preservation")
@@ -265,7 +267,9 @@ def _check_trace_determinant(params: ModelParams, draws: tuple):
     lam = pt_eigenvalues(p)
     tr, det = p.m1_sq + p.m2_sq, p.m1_sq * p.m2_sq + p.mu_sq * p.mu_sq
     yield abs(lam[0] + lam[1] - tr) / abs(tr), 1e-12
-    yield abs(lam[0] * lam[1] - det) / abs(det), 1e-12
+    with np.errstate(invalid="ignore", divide="ignore"):  # a det that underflowed: NaN fails
+        relative = abs(lam[0] * lam[1] - det) / abs(det)
+    yield relative, 1e-12
 
 
 def _entry_max(m: np.ndarray) -> np.ndarray:

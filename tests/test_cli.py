@@ -2,12 +2,14 @@
 
 import contextlib
 import io
+import itertools
 import json
 import math
 import os
 import subprocess
 import sys
 import warnings
+from unittest import mock
 
 import hypothesis as hyp
 import hypothesis.strategies as st
@@ -497,6 +499,20 @@ class TestValidate:
         status = {line.split()[0]: line.split()[-1] for line in done.stdout.splitlines()[1:-1]}
         assert status["brute_force_vs_closed_form"] == "PASS" and "FAIL" in status.values()
 
+    def test_tiny_masses_fail_two_families_with_nothing_on_stderr(self):
+        """The relative errors of two families divide by a scale that
+        underflows to 0: their 0/0 gives NaN, which fails them, and warns
+        nowhere (a numpy warning would carry the install path)."""
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(ptosc.__file__))}
+        done = subprocess.run([sys.executable, "-m", "ptosc", "validate", "--raw-params",
+                               "1e-200,2e-200,1e-201,0", "--json"],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert (done.returncode, done.stderr) == (1, "")
+        reports = {line.split('"')[3]: line for line in done.stdout.splitlines()[1:-1]}
+        for family in ("eigenvector_residuals", "trace_determinant_preservation"):
+            assert '"max_abs_error": nan,' in reports[family], reports[family]
+            assert '"passed": false,' in reports[family], reports[family]
+
 
 def test_parser_built_once_gives_the_output_of_fresh_runs(capsys):
     sequence = [
@@ -764,12 +780,87 @@ def test_chunked_output_equals_a_per_cell_reference(capsys, monkeypatch, command
     monkeypatch.setattr(cli, "_write", recording_write)
     code, out, err = run(capsys, *argv, "--format", fmt)
     assert (code, err) == (0, "")
-    assert out == "".join(pieces) == former_render(names, rows, fmt)  # cell by cell
+    assert out == b"".join(pieces).decode("ascii") == former_render(names, rows, fmt)  # cell by cell
     # a CSV piece holds one line per row, the first also the header; a JSON row has one "{"
-    held = [p.count("\n") - (k == 0) if fmt == "csv" else p.count("{")
+    held = [p.count(b"\n") - (k == 0) if fmt == "csv" else p.count(b"{")
             for k, p in enumerate(pieces)]
     assert sum(held) == n_rows and max(held) <= cli._CHUNK_ROWS, held
     assert len(pieces) == math.ceil(n_rows / cli._CHUNK_ROWS)
+
+
+# --- every finite double, as a per-cell %.17g reference writes it --------------
+
+# the cells whose text is easiest to get wrong: signed zeros, the subnormal
+# and normal extremes, and the points where %.17g moves between fixed and
+# exponent notation (a decimal exponent below -4, or of 17 and above)
+EDGE_CELLS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308,
+              sys.float_info.max, -sys.float_info.max]
+SWITCH_POINTS = [1e-5, 1e-4, 1e16, 1e17]
+
+
+def ulps_away(x: float, steps: int) -> float:
+    for _ in range(abs(steps)):
+        x = math.nextafter(x, math.copysign(math.inf, steps))
+    return x
+
+
+finite_cells = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(min_value=-2.3e-308, max_value=2.3e-308),  # subnormals and the smallest normals
+    st.sampled_from(EDGE_CELLS),
+    st.builds(lambda x, steps, sign: sign * ulps_away(x, steps),
+              st.sampled_from(SWITCH_POINTS), st.integers(-4, 4), st.sampled_from([1.0, -1.0])),
+)
+
+
+@st.composite
+def emit_cases(draw):
+    """(axes, columns) as _emit takes them: one or two axes, one to three
+    value columns over their grid, each with or without missing cells."""
+    axes = {name: np.array(draw(st.lists(finite_cells, min_size=1, max_size=4)))
+            for name in draw(st.sampled_from([("x",), ("x", "y")]))}
+    n = math.prod(len(values) for values in axes.values())
+    columns = {}
+    for name in ("a", "b", "c")[:draw(st.integers(1, 3))]:
+        values = np.array(draw(st.lists(finite_cells, min_size=n, max_size=n)))
+        if draw(st.booleans()):
+            values = (values, np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n))))
+        columns[name] = values
+    return axes, columns
+
+
+def per_cell_reference(axes, columns, fmt):
+    """The text of ``_emit``, one ``"%.17g" % (x + 0.0)`` str per cell."""
+    empty = "" if fmt == "csv" else "null"
+    grid = list(itertools.product(*(values.tolist() for values in axes.values())))
+    rows = [["%.17g" % (x + 0.0) for x in point] for point in grid]
+    for column in columns.values():
+        values, present = column if isinstance(column, tuple) else (column, [True] * len(grid))
+        for row, x, here in zip(rows, values.tolist(), present):
+            row.append("%.17g" % (x + 0.0) if here else empty)
+    names = [*axes, *columns]
+    if fmt == "csv":
+        return "".join(",".join(row) + "\n" for row in [names, *rows])
+    body = ("  {" + ", ".join(f'"{name}": {cell}' for name, cell in zip(names, row)) + "}"
+            for row in rows)
+    return "[\n" + ",\n".join(body) + "\n]\n"
+
+
+@hyp.settings(max_examples=300, deadline=None)
+@hyp.given(case=emit_cases(), fmt=st.sampled_from(["csv", "json"]), chunk_rows=st.integers(1, 5))
+def test_emit_writes_every_finite_double_as_a_per_cell_reference(tmp_path_factory, case, fmt,
+                                                                 chunk_rows):
+    """Byte for byte, to stdout and to a file alike, over chunks of 1 to 5
+    rows so that most grids cross a chunk boundary."""
+    axes, columns = case
+    target = tmp_path_factory.getbasetemp() / "emit.out"
+    stdout = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
+    with mock.patch.object(cli, "_CHUNK_ROWS", chunk_rows), contextlib.redirect_stdout(stdout):
+        cli._emit(axes, columns, fmt, None)
+        cli._emit(axes, columns, fmt, str(target))
+    stdout.flush()
+    expected = per_cell_reference(axes, columns, fmt).encode("ascii")
+    assert stdout.buffer.getvalue() == target.read_bytes() == expected
 
 
 def test_a_non_finite_cell_in_a_later_chunk_still_writes_nothing(capsys, tmp_path):

@@ -37,7 +37,6 @@ from .model import (
     tolerance_for_eta,
 )
 from .oracle import (
-    OracleReport,
     brute_force_dirac_norm,
     brute_force_dirac_overlap,
     brute_force_flavour_ket,
@@ -57,7 +56,6 @@ from .probabilities import (
     probability_trace,
     projection_operator,
     survival_probability,
-    trace_probabilities,
     transition_probability,
 )
 from .states import (
@@ -72,6 +70,6 @@ from .states import (
     tilde_bra,
     xi,
 )
-from .validation import OracleGrid, check_all
+from .validation import OracleGrid, OracleReport, check_all
 
 __version__ = "0.1.0"

@@ -52,7 +52,7 @@ from .model import (
 from .probabilities import (
     hermitian_transition_probability,
     naive_continuation_value,
-    trace_probabilities,
+    probability_trace,
     transition_probability,
     cardioid_r,
 )
@@ -275,8 +275,8 @@ def cmd_probabilities(cfg: argparse.Namespace) -> int:
             # one eigensystem stack over the eta grid and one trace call for both j
             es = eigensystem(params if params is not None else params_from_eta(eta))
             ts = cfg.t0 + 2.0 * phase / es.delta_omega
-            trace = trace_probabilities(1, np.array([1, 2])[:, None, None], cfg.t0, ts, es)
-            columns["trace_survival"], columns["trace_transition"] = trace
+            trace = probability_trace(1, np.array([1, 2])[:, None, None], cfg.t0, ts, es)
+            columns["trace_survival"], columns["trace_transition"] = trace.value
         elif method == "hermitian":
             herm = hermitian_transition_probability(eta, phase)
             columns["herm_survival"] = 1.0 - herm

@@ -59,6 +59,10 @@ _ORACLE_EP_BOUND = 1e-8  # the oracle admits eps / (1 - eta^2) < this (1 - eta >
 # to 2.9 and their imaginary parts reach 1.04; it admits eta while this many
 # units are within tolerance_for_eta (1 - eta >= 4.4e-8).
 _TRACE_EP_FACTOR = 4.0
+# Imaginary parts of the trace route's or the oracle's traces above this signal a
+# construction bug (an order of magnitude above the trace/closed-form agreement
+# tolerance, so rounding noise trips it only near the EP, where _trace_rounding says so).
+NON_REAL_TRACE_TOLERANCE = 1e-9
 
 # The largest value whose square is finite (the next float up squares to inf).
 _SQUARE_LIMIT = math.sqrt(sys.float_info.max)
@@ -227,8 +231,8 @@ def params_from_eta(eta: float, sum_sq: float = 3.0, ratio: float = 1.0 / 3.0,
     """
     if not 0.0 < ratio < 1.0:
         raise DomainError(f"ratio must lie in (0, 1), got {ratio}")
-    if sum_sq <= 0.0:
-        raise DomainError(f"sum of squared masses must be positive, got {sum_sq}")
+    if not 0.0 < sum_sq < math.inf:
+        raise DomainError(f"sum of squared masses must be positive and finite, got {sum_sq}")
     if _any(eta < 0.0):
         raise DomainError(f"eta must be non-negative, got {eta}")
     m1_sq = 0.5 * sum_sq * (1.0 + ratio)

@@ -32,19 +32,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BrokenPTPhase, DomainError, ExceptionalPoint, NonRealTrace
-from .model import (_ORACLE_EP_BOUND, _PARITY_SIGNS, ModelParams, _any, _check_time_resolution,
-                    _cmul, _dot, _finite, _flavour_one, mass_matrix, parity_matrix)
-
-
-@dataclass(frozen=True)
-class OracleReport:
-    """Outcome of one invariant family; passed iff max_abs_error <= tolerance."""
-
-    check_name: str
-    max_abs_error: float
-    tolerance: float
-    passed: bool
-    grid_size: int
+from .model import (_ORACLE_EP_BOUND, _PARITY_SIGNS, NON_REAL_TRACE_TOLERANCE, ModelParams, _any,
+                    _check_time_resolution, _cmul, _dot, _finite, _flavour_one, mass_matrix,
+                    parity_matrix)
 
 
 def _eigenvalues(matrix: np.ndarray) -> tuple:
@@ -165,7 +155,7 @@ def _probability(data: _SpectralData, i, j, t0, t) -> float:
     product = _operator(data, i, t0) @ _operator(data, j, t)
     value = product[..., 0, 0] + product[..., 1, 1]
     imag = np.abs(value.imag).max(initial=0.0)
-    if imag > 1e-9:
+    if imag > NON_REAL_TRACE_TOLERANCE:
         raise NonRealTrace(f"brute-force trace has imaginary part {imag:.3e}")
     return value.real[()]
 

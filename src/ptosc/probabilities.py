@@ -21,13 +21,15 @@ shared code path.
 The closed forms stay finite on the whole eta in [0, 1] range, including
 the exceptional point where the trace route is undefined.  They take eta
 and phase arrays, broadcast, with every element equal to its single-point
-value; one point returns a Python float.  The trace route broadcasts over
-flavour-index and time arrays and a stacked EigenSystem alike.  The Dirac-norm
+value; one point returns a Python float.  The trace route's one entry,
+probability_trace, broadcasts over flavour-index and time arrays and a
+stacked EigenSystem alike, as probability_closed_form does.  The Dirac-norm
 diagnostics (time-dependent norm, flavour overlap and the polar cardioid)
 live here too; they quantify why the plain Hermitian inner product cannot
 give time-translation-invariant probabilities in this model.  All of them
 raise DomainError for an infinite or NaN phase or time; the trace route's
-time-resolution rule and tolerances are declared in `model`.
+time-resolution rule and tolerances, NON_REAL_TRACE_TOLERANCE among them,
+are declared in `model`.
 """
 
 import math
@@ -36,14 +38,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ExceptionalPoint, NonRealTrace
-from .model import (EigenSystem, _any, _check_eta, _check_time_resolution, _finite,
-                    _flavour_one, _per_element, _select, _trace_rounding, _unbox)
+from .model import (NON_REAL_TRACE_TOLERANCE, EigenSystem, _any, _check_eta,
+                    _check_time_resolution, _finite, _flavour_one, _per_element, _select,
+                    _trace_rounding, _unbox)
 from .states import mixed_basis_pair
-
-# Imaginary parts of traces above this signal a construction bug (an order
-# of magnitude above the trace/closed-form agreement tolerance, so rounding
-# noise trips it only near the EP, where _trace_rounding says so).
-NON_REAL_TRACE_TOLERANCE = 1e-9
 
 CLOSED_FORM = "closed_form"
 TRACE = "trace"
@@ -114,10 +112,11 @@ def projection_operator(j, t, es: EigenSystem) -> np.ndarray:
     return density_operator(j, t, es)
 
 
-def trace_probabilities(i, j, t0s, ts, es: EigenSystem) -> np.ndarray:
+def probability_trace(i, j, t0, t, es: EigenSystem) -> ProbabilityRecord:
     """P(i -> j) = tr[rho_i(t0) pi_j(t)] as a batched matrix-product trace
     over the broadcast of the flavour indices i, j (ints or integer arrays),
-    the times t0s, ts (floats or arrays) and the systems of es.
+    the times t0, t (floats or arrays) and the systems of es, as a record
+    whose value is an array; int indices and one (t0, t) give a Python float.
 
     Raises DomainError for times too large to resolve dt, ExceptionalPoint
     where the route's rounding bound (`model._trace_rounding`) exceeds
@@ -125,9 +124,9 @@ def trace_probabilities(i, j, t0s, ts, es: EigenSystem) -> np.ndarray:
     NON_REAL_TRACE_TOLERANCE, and NonRealTrace for any other such part;
     otherwise the imaginary parts are checked and discarded.
     """
-    _check_time_resolution("trace route", es.omega_plus, es.eta, t0s, ts)
+    _check_time_resolution("trace route", es.omega_plus, es.eta, t0, t)
     rounding = _trace_rounding(es.eta)
-    product = density_operator(i, t0s, es) @ projection_operator(j, ts, es)
+    product = density_operator(i, t0, es) @ projection_operator(j, t, es)
     values = product[..., 0, 0] + product[..., 1, 1]
     imag = np.abs(values.imag)
     if _any(imag > NON_REAL_TRACE_TOLERANCE):
@@ -140,12 +139,7 @@ def trace_probabilities(i, j, t0s, ts, es: EigenSystem) -> np.ndarray:
             raise ExceptionalPoint(f"eta = {eta:.17g} is too close to the exceptional point for "
                                    f"the trace route: {what}, within its rounding {bound:.3e}")
         raise NonRealTrace(what)
-    return values.real[()]
-
-
-def probability_trace(i: int, j: int, t0: float, t: float, es: EigenSystem) -> ProbabilityRecord:
-    """trace_probabilities at one (t0, t) point, as a record."""
-    return ProbabilityRecord(i, j, t0, t, float(trace_probabilities(i, j, t0, t, es)), TRACE)
+    return ProbabilityRecord(i, j, t0, t, _unbox(values.real), TRACE)
 
 
 def probability_closed_form(i, j, dt, es: EigenSystem) -> ProbabilityRecord:

@@ -47,7 +47,7 @@ from .model import (
 )
 # the families call the oracle's cores (one shared solve, and the roots alone);
 # brute_force_probability stays imported because bench/tracing.py wraps it here
-from .oracle import OracleReport, brute_force_probability  # noqa: F401
+from .oracle import brute_force_probability  # noqa: F401
 
 TWO_PI = 2.0 * math.pi
 FLAVOURS = np.array([[1], [2]])
@@ -71,6 +71,17 @@ class OracleGrid:
     n_random: int = 1000
     seed: int = 20230222
     tolerance: float | None = None
+
+
+@dataclass(frozen=True)
+class OracleReport:
+    """Outcome of one invariant family; passed iff max_abs_error <= tolerance."""
+
+    check_name: str
+    max_abs_error: float
+    tolerance: float
+    passed: bool
+    grid_size: int
 
 
 def _worst(a: float, b: float) -> float:
@@ -565,12 +576,12 @@ def check_all(params: ModelParams, grid: OracleGrid | None = None) -> list[Oracl
     # and 0.0 the column of unitarity and probability_symmetry
     t0_axis = sorted({*grid.t0s, 0.0})
     t0s = np.array(t0_axis)
-    traces = _as_pairs(prob.trace_probabilities(GRID_I[..., None], GRID_J[..., None], t0s,
-                                                t0s + dts[:, None, None, :, None],
-                                                es[:, None, None, None, None]))
+    traces = _as_pairs(prob.probability_trace(GRID_I[..., None], GRID_J[..., None], t0s,
+                                              t0s + dts[:, None, None, :, None],
+                                              es[:, None, None, None, None]).value)
     at_zero = traces[..., t0_axis.index(0.0)]
     on_grid = traces[..., [t0_axis.index(t0) for t0 in grid.t0s]]
-    shifted = prob.trace_probabilities(1, 2, 100.0, 100.0 + dts[..., None], per_time)
+    shifted = prob.probability_trace(1, 2, 100.0, 100.0 + dts[..., None], per_time).value
     families = [
         _check_eigenvalues(params, draws.eigenvalues),
         _check_eigenvector_residuals(es),

@@ -44,12 +44,12 @@ from ptosc import (
     params_from_eta,
     parity_matrix,
     probability_closed_form,
+    probability_trace,
     projection_operator,
     pt_bra,
     pt_conjugate,
     pt_eigenvalues,
     tilde_bra,
-    trace_probabilities,
     xi,
 )
 from ptosc.model import _dot, _flavour_one, _unbox
@@ -356,13 +356,15 @@ def test_trace_over_systems_and_flavour_pairs_equals_per_pair_calls(seed, shape)
     es = eigensystem(params)
     t0s = rng.uniform(-20.0, 20.0, size=3)
     ts = t0s + rng.uniform(0.0, 10.0, size=(4, 1))
-    values = trace_probabilities(PAIR_I[..., None], PAIR_J[..., None], t0s, ts,
-                                 es[along(shape, 3)])
-    assert values.shape == shape + (4, 4, 3)
+    values = probability_trace(PAIR_I[..., None], PAIR_J[..., None], t0s, ts,
+                               es[along(shape, 3)]).value
+    assert type(values) is np.ndarray and values.shape == shape + (4, 4, 3)
     for idx in np.ndindex(shape):
         one = eigensystem(single(params, idx))
         for k, (i, j) in enumerate(zip(PAIR_I[:, 0].tolist(), PAIR_J[:, 0].tolist())):
-            assert same_bits(values[idx + (k,)], trace_probabilities(i, j, t0s, ts, one))
+            assert same_bits(values[idx + (k,)], probability_trace(i, j, t0s, ts, one).value)
+            point = probability_trace(i, j, t0s[2], ts[3, 2], one).value
+            assert type(point) is float and same_bits(np.float64(point), values[idx + (k, 3, 2)])
 
 
 # the axes each EigenSystem field has beyond eta's (the others have none)
@@ -519,12 +521,13 @@ def test_a_flavour_grid_equals_the_four_pair_rows(seed, n):
     t0s = rng.uniform(-20.0, 20.0, size=3)
     dts = rng.uniform(0.0, 10.0, size=(n, 6))
     calls = [  # (pairs as rows, pairs as a grid)
-        (trace_probabilities(PAIR_I, PAIR_J, 0.0, dts[:, None], es[:, None, None]),
-         trace_probabilities(GRID_I, GRID_J, 0.0, dts[:, None, None], es[:, None, None, None])),
-        (trace_probabilities(PAIR_I[..., None], PAIR_J[..., None], t0s,
-                             t0s + dts[:, None, :, None], es[:, None, None, None]),
-         trace_probabilities(GRID_I[..., None], GRID_J[..., None], t0s,
-                             t0s + dts[:, None, None, :, None], es[:, None, None, None, None])),
+        (probability_trace(PAIR_I, PAIR_J, 0.0, dts[:, None], es[:, None, None]).value,
+         probability_trace(GRID_I, GRID_J, 0.0, dts[:, None, None],
+                           es[:, None, None, None]).value),
+        (probability_trace(PAIR_I[..., None], PAIR_J[..., None], t0s,
+                           t0s + dts[:, None, :, None], es[:, None, None, None]).value,
+         probability_trace(GRID_I[..., None], GRID_J[..., None], t0s,
+                           t0s + dts[:, None, None, :, None], es[:, None, None, None, None]).value),
         (brute_force_probability(params[:, None, None], PAIR_I, PAIR_J, t0s[0],
                                  t0s[0] + dts[:, None]),
          brute_force_probability(params[:, None, None, None], GRID_I, GRID_J, t0s[0],

@@ -100,6 +100,14 @@ class TestMakeParams:
         with pytest.raises(DomainError):
             params_from_eta(0.5, ratio=1.0)
 
+    @pytest.mark.parametrize("sum_sq", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_params_from_eta_names_a_non_finite_sum_sq(self, sum_sq):
+        """Refused under its own name, not as the m1_sq or the overflowing
+        eta that it would make."""
+        with pytest.raises(DomainError, match=r"^sum of squared masses must be positive and "
+                                              rf"finite, got {sum_sq}$"):
+            params_from_eta(0.5, sum_sq=sum_sq)
+
     def test_params_from_eta_names_eta_when_mu_sq_overflows(self):
         for eta in (1.5e308, np.array([0.5, 1.5e308])):
             with pytest.raises(DomainError, match=r"^eta = 1\.5e\+308 is too large: mu\^2 = "

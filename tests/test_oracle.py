@@ -27,9 +27,9 @@ from ptosc import (
     numeric_eigensystem,
     params_from_eta,
     probability_closed_form,
+    probability_trace,
     tilde_bra,
     tolerance_for_eta,
-    trace_probabilities,
 )
 
 
@@ -371,8 +371,8 @@ class TestFlavourArrays:
             lambda: flavour_ket(bad, 1.0, es),
             lambda: tilde_bra(bad, 1.0, es),
             lambda: mixed_basis_pair(bad, 1.0, es),
-            lambda: trace_probabilities(bad, 1, 0.0, 1.0, es),
-            lambda: trace_probabilities(1, bad, 0.0, 1.0, es),
+            lambda: probability_trace(bad, 1, 0.0, 1.0, es).value,
+            lambda: probability_trace(1, bad, 0.0, 1.0, es).value,
             lambda: probability_closed_form(bad, 1, 1.0, es),
             lambda: probability_closed_form(1, bad, 1.0, es),
             lambda: dirac_norm(bad, 1.0, es),

@@ -40,7 +40,6 @@ from ptosc import (
     pt_bra,
     survival_probability,
     tolerance_for_eta,
-    trace_probabilities,
     transition_probability,
 )
 
@@ -376,7 +375,7 @@ class TestTraceProbabilities:
         dts = np.broadcast_to(np.subtract(ts, t0s), shape)
         tol = tolerance_for_eta(es.eta)
         for i, j in PAIRS:
-            values = trace_probabilities(i, j, t0s, ts, es)
+            values = probability_trace(i, j, t0s, ts, es).value
             assert np.shape(values) == shape
             closed = np.vectorize(lambda dt: probability_closed_form(i, j, dt, es).value)(dts)
             brute = brute_force_probability(params, i, j, t0s, ts)
@@ -398,7 +397,7 @@ class TestTraceProbabilities:
         ts = t0s + np.linspace(0.0, 9.0, 7)[:, None]
         for system in (es, swapped_es):
             for i, j in PAIRS:
-                values = trace_probabilities(i, j, t0s, ts, system)
+                values = probability_trace(i, j, t0s, ts, system).value
                 for index in np.ndindex(values.shape):
                     rho = operator(i, t0s[index[1]], system)
                     reference = np.trace(rho @ operator(j, ts[index], system)).real
@@ -410,21 +409,21 @@ class TestTraceProbabilities:
         es = eigensystem(params_from_eta(0.6))
         es.__dict__["cpt_metric"] = np.array([[1.25, 0.75j], [0.75, 1.25]])
         with pytest.raises(NonRealTrace):
-            trace_probabilities(1, 2, 0.0, np.linspace(0.5, 3.0, 6), es)
+            probability_trace(1, 2, 0.0, np.linspace(0.5, 3.0, 6), es).value
 
     @pytest.mark.parametrize("t0", [1e17, -1e17, math.inf, math.nan])
     def test_unresolvable_times_refused(self, es, t0):
         with pytest.raises(DomainError):
-            trace_probabilities(1, 2, t0, t0 + 1.0, es)
+            probability_trace(1, 2, t0, t0 + 1.0, es).value
         with pytest.raises(DomainError):
-            trace_probabilities(1, 2, 0.0, np.array([1.0, t0]), es)
+            probability_trace(1, 2, 0.0, np.array([1.0, t0]), es).value
         with pytest.raises(DomainError):
             probability_trace(1, 1, t0, 1.0, es)
 
     def test_moderate_times_accepted(self, es):
         # the bound omega * ulp(|t|) stays below 1e-12 up to |t| = 1e4
         dt = half_period(es)
-        assert trace_probabilities(1, 2, -1e4, -1e4 + dt, es) == pytest.approx(0.36, abs=1e-10)
+        assert probability_trace(1, 2, -1e4, -1e4 + dt, es).value == pytest.approx(0.36, abs=1e-10)
 
     def test_density_operator_stack_matches_single_times(self, es):
         t0s = np.array([-2.0, 0.0, 4.2])
@@ -576,8 +575,8 @@ def test_non_real_trace_message_is_one_line_naming_the_worst_pair(es, monkeypatc
 
     monkeypatch.setattr(probabilities, "NON_REAL_TRACE_TOLERANCE", -1.0)
     with pytest.raises(NonRealTrace) as raised:
-        trace_probabilities(np.array([[1], [2]]), np.array([[2], [1]]), 0.0,
-                            np.linspace(0.5, 3.0, 6), es)
+        probability_trace(np.array([[1], [2]]), np.array([[2], [1]]), 0.0,
+                          np.linspace(0.5, 3.0, 6), es).value
     pair = re.fullmatch(r"tr\[rho_(\d)\(t0\) pi_(\d)\(t\)\] of P\(\1 -> \2\) "
                         r"has imaginary part \S+", str(raised.value))
     assert pair is not None and pair.groups() in (("1", "2"), ("2", "1"))
@@ -608,8 +607,8 @@ def test_non_finite_phase_or_time_refused(es, name, value):
 
 @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
 @pytest.mark.parametrize("call, what", [
-    (lambda t, es: trace_probabilities(1, 2, 0.0, t, es), "time"),
-    (lambda t, es: trace_probabilities(1, 2, t, 1.0, es), "time"),
+    (lambda t, es: probability_trace(1, 2, 0.0, t, es).value, "time"),
+    (lambda t, es: probability_trace(1, 2, t, 1.0, es).value, "time"),
     (lambda t, es: brute_force_probability(es.params, 1, 2, 0.0, t), "time"),
     (lambda t, es: probability_closed_form(1, 2, t, es), "phase"),
 ], ids=["trace_t", "trace_t0", "brute_force", "closed_form"])
@@ -635,12 +634,12 @@ class TestExceptionalPointBound:
         es = eigensystem(make_params(*masses, (1.0 - 10.0 ** -k) * abs(masses[0] - masses[1]) / 2))
         with pytest.raises(ExceptionalPoint, match=re.escape(
                 "for the trace route: 4 eps / (1 - eta^2) > 1e-08")):
-            trace_probabilities(1, 2, 0.0, 1.0, es)
+            probability_trace(1, 2, 0.0, 1.0, es).value
 
     def test_a_stack_refuses_as_its_point_nearest_the_exceptional_point(self):
         es = eigensystem(params_from_eta(np.array([0.3, 1.0 - 1e-9, 0.5])))
         with pytest.raises(ExceptionalPoint, match=re.escape(f"eta = {es.eta[1]:.17g} ")):
-            trace_probabilities(1, 2, 0.0, 1.0, es[:, None])
+            probability_trace(1, 2, 0.0, 1.0, es[:, None]).value
 
     def test_an_imaginary_part_within_the_rounding_is_the_exceptional_point(self):
         """1 - eta = 6e-8 is admitted, but one phase of this grid gives an
@@ -650,7 +649,7 @@ class TestExceptionalPointBound:
         ts = 1.7 + 2.0 * np.linspace(0.0, 2.0 * math.pi, 16) / es.delta_omega
         with pytest.raises(ExceptionalPoint, match=r"imaginary part 1\.214e-09, within its "
                                                    r"rounding 7\.401e-09$"):
-            trace_probabilities(1, 2, 1.7, ts, es)
+            probability_trace(1, 2, 1.7, ts, es).value
 
     @pytest.mark.parametrize("masses", [(2.0, 1.0, 0.0), (0.3, 5.0, 0.7), (5.0, 0.3, 0.0)])
     def test_agrees_or_refuses_from_one_minus_eta_of_1e_8_to_1e_6(self, masses):
@@ -663,7 +662,7 @@ class TestExceptionalPointBound:
                 dts = 2.0 * phases / es.delta_omega
                 closed = probability_closed_form(PAIRS_I, PAIRS_J, dts, es).value
                 try:
-                    trace = trace_probabilities(PAIRS_I, PAIRS_J, t0, t0 + dts, es)
+                    trace = probability_trace(PAIRS_I, PAIRS_J, t0, t0 + dts, es).value
                 except ExceptionalPoint:
                     outcomes.add("refused")
                     continue
@@ -725,7 +724,7 @@ def test_every_route_agrees_with_the_closed_form_or_refuses():
                 return
             t = t0 + 2.0 * phase / es.delta_omega
             closed = probability_closed_form(i, j, t - t0, es).value
-            for route in (lambda: trace_probabilities(i, j, t0, t, es),
+            for route in (lambda: probability_trace(i, j, t0, t, es).value,
                           lambda: brute_force_probability(params, i, j, t0, t)):
                 try:
                     value = route()
@@ -754,7 +753,7 @@ def test_the_trace_route_reaches_no_other_route(es, swapped_es):
     sys.setprofile(record)
     try:
         for system in (es, swapped_es):
-            trace_probabilities(PAIRS_I, PAIRS_J, -0.4, times, system)
+            probability_trace(PAIRS_I, PAIRS_J, -0.4, times, system).value
             probability_trace(1, 2, 0.3, 1.5, system)
     finally:
         sys.setprofile(None)
@@ -795,7 +794,7 @@ def test_the_routes_are_exactly_covariant_under_a_change_of_mass_unit(
         found = [getattr(es, name) for name in ("eta", "theta", "cosh_theta", "sinh_theta")]
         found += [math.ldexp(getattr(es, name), -scale)
                   for name in ("omega_plus", "omega_minus", "delta_omega")]
-        for route in (lambda: trace_probabilities(PAIRS_I, PAIRS_J, t0_k, ts_k, es),
+        for route in (lambda: probability_trace(PAIRS_I, PAIRS_J, t0_k, ts_k, es).value,
                       lambda: brute_force_probability(params, PAIRS_I, PAIRS_J, t0_k, ts_k),
                       lambda: probability_closed_form(PAIRS_I, PAIRS_J, ts_k - t0_k, es).value):
             try:

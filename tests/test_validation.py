@@ -667,8 +667,7 @@ def test_one_stacked_eigensystem_one_spectral_solve_and_two_trace_calls_per_pass
 
     monkeypatch.setattr(validation, "eigensystem", counted("eigensystem", eigensystem))
     monkeypatch.setattr(oracle, "_spectral_data", counted("spectral", oracle._spectral_data))
-    monkeypatch.setattr(prob, "trace_probabilities",
-                        counted("trace", prob.trace_probabilities))
+    monkeypatch.setattr(prob, "probability_trace", counted("trace", prob.probability_trace))
     monkeypatch.setattr(oracle, "numeric_eigensystem",
                         counted("numeric_eigensystem", oracle.numeric_eigensystem))
     monkeypatch.setattr(oracle, "_eigenvalues", counted("roots", oracle._eigenvalues))

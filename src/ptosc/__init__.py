@@ -4,6 +4,10 @@ Eigensystem and metric operators of the non-Hermitian squared mass matrix,
 the three inner products (Dirac, PT, C'PT), time-dependent flavour states,
 density-operator transition probabilities with their closed forms, and an
 independent brute-force oracle that cross-checks all of it.
+
+``import ptosc`` loads only the library core (``errors``, ``inner``,
+``model``, ``states`` and ``probabilities``).  The oracle's and the
+validation suite's exports load on first use.
 """
 
 from .errors import (
@@ -36,14 +40,6 @@ from .model import (
     pt_eigenvalues,
     tolerance_for_eta,
 )
-from .oracle import (
-    brute_force_dirac_norm,
-    brute_force_dirac_overlap,
-    brute_force_flavour_ket,
-    brute_force_operator,
-    brute_force_probability,
-    numeric_eigensystem,
-)
 from .probabilities import (
     ProbabilityRecord,
     cardioid_r,
@@ -70,6 +66,26 @@ from .states import (
     tilde_bra,
     xi,
 )
-from .validation import OracleGrid, OracleReport, check_all
 
 __version__ = "0.1.0"
+
+# the cross-checks, by submodule: loaded on first access (PEP 562)
+_LAZY = {
+    **dict.fromkeys(("brute_force_dirac_norm", "brute_force_dirac_overlap",
+                     "brute_force_flavour_ket", "brute_force_operator",
+                     "brute_force_probability", "numeric_eigensystem"), "oracle"),
+    **dict.fromkeys(("OracleGrid", "OracleReport", "check_all"), "validation"),
+}
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+    value = getattr(import_module(f".{_LAZY[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_LAZY})
